@@ -3,9 +3,11 @@ Powers of one rotation
 ======================
 
 The fixed gate rotates by phi, an irrational fraction of a turn, so its
-powers k*phi mod 2pi fill the circle densely. The synthesizer walks that
-orbit for the smallest k landing within eps of a target angle. Tighter
-tolerances cost more repetitions, roughly like 1/eps.
+powers k*phi mod 2pi fill the circle densely. The synthesizer finds the
+smallest k landing within eps of a target angle without stepping through
+the orbit: a continued-fraction (Euclid) recursion on the rotation jumps
+straight to the first power inside the window. Tighter tolerances cost
+more repetitions of the gate, roughly like 1/eps, but not more search.
 """
 
 import math

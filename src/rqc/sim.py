@@ -10,6 +10,7 @@ two-qubit gates; comfortable up to roughly 20 complex / 22 real qubits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,8 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
         raise ValueError("shots must be non-negative")
     p = np.asarray(probs, dtype=np.float64)
     cdf = np.cumsum(p)
+    if not len(p) or (p < 0.0).any() or not 0.0 < cdf[-1] < math.inf:
+        raise ValueError("probabilities must be non-negative with a finite positive sum")
     cdf /= cdf[-1]
     u = np.random.default_rng(seed).random(shots)
     idx = np.searchsorted(cdf, u, side="right")

@@ -1,31 +1,30 @@
 """Powers of one fixed rotation angle approximating arbitrary angles.
 
-For irrational phi/pi the orbit {k*phi mod 2pi} is dense, so some power
+For irrational phi/2pi the orbit {k*phi mod 2pi} is dense, so some power
 F(phi)^k = F(k*phi mod 2pi) lands within any eps of a target angle.
-synthesize finds the smallest such k by scanning a float64 orbit table
-that is re-anchored against high-precision arithmetic every
-_ANCHOR_SPACING steps, keeping table drift two orders of magnitude under
-the 1e-12 candidate margin; every candidate is then confirmed (and the
-achieved angle reported) in high precision, so the result matches a
-brute-force scan exactly.
+synthesize never lists the orbit: with phi/2pi mod 1 held as a / 2^P and
+the eps window (plus a 1e-12 margin) as an integer range mod 2^P, a
+Euclid recursion on (a, 2^P), the integer form of the continued-fraction
+walk, gives the first k with a*k mod 2^P in range in O(P) steps. Checks
+in high precision in increasing k make k, the achieved angle and the
+error those of a brute-force scan.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .circuit import circular_distance
 
 DEFAULT_PHI = math.tau * (math.sqrt(5.0) - 1.0) / 2.0
 
-_ANCHOR_SPACING = 512
-_SEGMENT = 1 << 16
 _MARGIN = 1e-12
+# bits beyond those of k_max and of a small phi: for every k <= k_max,
+# a*k / 2^P is then within 2^-128 turns (and 2^-128 steps) of k*phi/2pi
+_GUARD_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -69,92 +68,92 @@ class NotReachable(Exception):
 
 
 def orbit_angle(k: int, phi: float) -> float:
-    """k*phi mod 2pi evaluated in high precision, rounded once to float64."""
-    with mp.workdps(40):
+    """k*phi mod 2pi, exact to about 2^-128 for any k, rounded once to float64."""
+    with mp.workprec(k.bit_length() + max(math.frexp(phi)[1], 0) + _GUARD_BITS):
         v = mp.fmod(k * mpf(phi), 2 * mp.pi)
-        if v < 0:
-            v += 2 * mp.pi
-        return float(v)
+        return float(v + 2 * mp.pi if v < 0 else v)
 
 
-class _OrbitTable:
-    """Lazily grown float64 view of the orbit of one phi.
+def _exact_distance(k: int, phi: float, target: float) -> float:
+    """Circular distance from k*phi to target, formed exactly, rounded once."""
+    e_phi, e_target = math.frexp(phi)[1], math.frexp(target)[1]
+    with mp.workprec(k.bit_length() + abs(e_phi) + abs(e_target) + _GUARD_BITS):
+        d = mp.fmod(abs(k * mpf(phi) - target), 2 * mp.pi)
+        return float(min(d, 2 * mp.pi - d))
 
-    values[i] approximates (i+1)*phi mod 2pi; each _ANCHOR_SPACING block
-    starts from a fresh high-precision anchor, so the accumulated float
-    error stays below about 5e-13 everywhere.
+
+def _least_multiple(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Least x >= 0 with lo <= a*x mod m <= hi, given 0 < lo <= hi < m.
+
+    With no multiple of a in [lo, hi], each solution is a*x = m*y + t with
+    t in [lo, hi], y >= 1 and one x per y; the least y solves the same
+    problem for (m mod a, a) on [-hi mod a, -lo mod a], a Euclid step.
     """
-
-    def __init__(self, phi: float):
-        self.phi = phi
-        self.values = np.empty(0, dtype=np.float64)
-        self.lock = threading.Lock()
-
-    def ensure(self, count: int) -> np.ndarray:
-        with self.lock:
-            if count <= len(self.values):
-                return self.values
-            target = -(-count // _SEGMENT) * _SEGMENT
-            have = len(self.values)
-            out = np.empty(target, dtype=np.float64)
-            out[:have] = self.values
-            step = np.arange(_ANCHOR_SPACING, dtype=np.float64) * self.phi
-            for base in range(have, target, _ANCHOR_SPACING):
-                block = min(_ANCHOR_SPACING, target - base)
-                anchor = orbit_angle(base + 1, self.phi)
-                out[base:base + block] = np.mod(anchor + step[:block], math.tau)
-            self.values = out
-            return out
+    steps = []
+    while True:
+        a %= m
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        steps.append((a, m, lo))
+        a, m, lo, hi = m, a, -hi % a, -lo % a
+    for a, m, lo in reversed(steps):
+        x = -(-(lo + m * x) // a)
+    return x
 
 
-_tables: dict[float, _OrbitTable] = {}
-_tables_lock = threading.Lock()
+def _first_hit(a: int, m: int, lo: int, hi: int, k0: int) -> int | None:
+    """Least k >= k0 with a*k mod m in the range lo..hi taken mod m."""
+    start = (lo - a * k0) % m
+    if start == 0 or start + hi - lo >= m:
+        return k0
+    x = _least_multiple(a, m, start, start + hi - lo)
+    return None if x is None else k0 + x
 
 
-def _orbit(phi: float) -> _OrbitTable:
-    with _tables_lock:
-        table = _tables.get(phi)
-        if table is None:
-            table = _tables[phi] = _OrbitTable(phi)
-        return table
+def _closest_k(a: int, m: int, r: int, k_max: int) -> int:
+    """Least k <= k_max with a*k mod m nearest r, by bisecting a window around r."""
+    lo, hi = 0, m // 2
+    while lo < hi:
+        h = (lo + hi) // 2
+        k = _first_hit(a, m, r - h, r + h, 1)
+        if k is not None and k <= k_max:
+            hi = h
+        else:
+            lo = h + 1
+    return _first_hit(a, m, r - lo, r + lo, 1)
 
 
 def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
-    """Smallest k in [1, k_max] with k*phi mod 2pi within eps of theta.
-
-    The float64 table admits candidates with a 1e-12 margin and each one
-    is re-checked in high precision before acceptance, so the returned k
-    is exactly the brute-force minimum and the reported error is exact
-    to float64 rounding.
+    """Smallest k in [1, k_max] with k*phi mod 2pi within eps of theta,
+    exactly the brute-force minimum; failing that, NotReachable names the
+    least k <= k_max at the least exact distance.
     """
     if cfg is None:
         cfg = SynthConfig()
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    target = math.fmod(theta, math.tau)
-    if target < 0.0:
-        target += math.tau
-    table = _orbit(cfg.phi)
-    best_k, best_d = 1, math.inf
-    done = 0
-    while done < cfg.k_max:
-        hi = min(done + _SEGMENT, cfg.k_max)
-        values = table.ensure(hi)
-        d = np.abs(values[done:hi] - target)
-        d = np.minimum(d, math.tau - d)
-        for idx in np.flatnonzero(d <= cfg.eps + _MARGIN):
-            k = done + int(idx) + 1
+    target = theta % math.tau
+    exponent = math.frexp(cfg.phi)[1]
+    bits = cfg.k_max.bit_length() + max(-exponent, 0) + _GUARD_BITS
+    m = 1 << bits
+    with mp.workprec(bits + max(exponent, 0) + 64):
+        per_radian = mp.ldexp(1, bits) / (2 * mp.pi)
+        a = int(mp.nint(cfg.phi * per_radian)) % m
+        center = target * per_radian
+        half_width = (cfg.eps + mpf(_MARGIN)) * per_radian
+        lo, hi = int(mp.floor(center - half_width)), int(mp.ceil(center + half_width))
+        k = _first_hit(a, m, lo, hi, 1)
+        while k is not None and k <= cfg.k_max:
             achieved = orbit_angle(k, cfg.phi)
             error = circular_distance(achieved, target)
             if error <= cfg.eps:
                 return SynthesisResult(k, achieved, error)
-        i = int(np.argmin(d))
-        if d[i] < best_d:
-            best_d = float(d[i])
-            best_k = done + i + 1
-        done = hi
-    best_error = circular_distance(orbit_angle(best_k, cfg.phi), target)
-    raise NotReachable(theta, best_k, best_error)
+            k = _first_hit(a, m, lo, hi, k + 1)
+        best_k = _closest_k(a, m, int(mp.nint(center)), cfg.k_max)
+    raise NotReachable(theta, best_k, _exact_distance(best_k, cfg.phi, target))
 
 
 def synthesis_error_to_gate_error(delta: float) -> float:

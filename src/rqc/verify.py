@@ -38,6 +38,10 @@ from .transpile import (
 
 # the exact stages must reproduce the reference to accumulation error
 EXACT_STAGE_TOL = 1e-9
+# float64 accumulation in the simulated state, allowed on top of the
+# synthesis budget: when every rotation error lies in one plane the true
+# distance equals the budget, and roundoff alone can put it above
+BUDGET_ROUNDOFF_TOL = 1e-12
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -174,7 +178,8 @@ def verify_circuit(
     basis input and measure state and distribution distances.
 
     PASS needs the exact stages within EXACT_STAGE_TOL on both metrics
-    and the synthesized stage within its own error budget.
+    and the synthesized stage within its own error budget, give or take
+    BUDGET_ROUNDOFF_TOL.
     """
     require_valid(c)
     if cfg is None:
@@ -210,8 +215,9 @@ def verify_circuit(
         if res.state_distance > EXACT_STAGE_TOL or res.tv_distance > EXACT_STAGE_TOL:
             reason = f"stage '{name}' distance exceeds {EXACT_STAGE_TOL:g}"
             break
-    if reason is None and g_res is not None and g_res.state_distance > stages.budget:
-        reason = "budget violated"
+    if g_res is not None and reason is None:
+        if g_res.state_distance > stages.budget + BUDGET_ROUNDOFF_TOL:
+            reason = "budget violated"
 
     return VerificationReport(
         digest=circuit_digest(c),

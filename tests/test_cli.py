@@ -2,8 +2,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import rqc.cli as cli_mod
 import rqc.verify as verify_mod
 from rqc import DEFAULT_PHI, SynthConfig, synthesize
 from rqc.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_UNREACHABLE, EXIT_VERIFY, main
@@ -99,6 +101,13 @@ def test_run_shots_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out != first
 
 
+def test_run_shots_on_an_unsampleable_distribution_exit_code(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
+    monkeypatch.setattr(cli_mod, "distribution", lambda state: np.zeros(2))
+    assert main(["run", path, "--shots", "10"]) == EXIT_INVALID
+    assert "probabilities" in capsys.readouterr().err
+
+
 def test_run_complex_circuit(tmp_path, capsys):
     # s changes the phase but not the distribution
     path = write(tmp_path, "c.rqc", "qubits 1\nh 0\ns 0\n")
@@ -125,6 +134,13 @@ def test_synth_unreachable_exit_code(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no power reaches theta=1.0")
     assert "raise k_max or eps" in err
+
+
+def test_synth_deep_k_max(capsys):
+    assert main(["synth", "1.0", "--eps", "1e-12", "--k-max", "1000000000000000"]) == EXIT_OK
+    out = capsys.readouterr().out
+    want = synthesize(1.0, SynthConfig(eps=1e-12, k_max=10**15))
+    assert out.splitlines()[0] == f"k: {want.k}"
 
 
 def test_synth_rejects_non_finite(capsys):

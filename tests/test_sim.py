@@ -222,6 +222,12 @@ def test_sample_edge_cases():
         sample(np.array([1.0]), -1, seed=0)
 
 
+def test_sample_rejects_a_distribution_it_cannot_sample():
+    for probs in ([0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0], [0.5, -0.5, 1.0], []):
+        with pytest.raises(ValueError, match="probabilities"):
+            sample(np.array(probs), 10, seed=0)
+
+
 def test_large_registers_smoke():
     out = run_complex(Circuit(20).h(19), init_basis(20, 0))
     assert out.amps[0] == pytest.approx(math.sqrt(0.5))

@@ -1,7 +1,13 @@
+import functools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from rqc import (
     DEFAULT_PHI,
@@ -16,7 +22,6 @@ from rqc import (
     synthesis_error_to_gate_error,
     synthesize,
 )
-from rqc import synth as synth_mod
 
 from _oracles import brute_force_min_k, exact_circular_distance, exact_orbit_table
 
@@ -113,13 +118,108 @@ def test_not_reachable_reports_the_closest_miss():
     assert abs(d.min() - err.best_error) <= 1e-12
 
 
-def test_orbit_table_tracks_the_exact_orbit():
-    # float64 table drift must stay under the candidate margin everywhere
-    values = synth_mod._orbit(DEFAULT_PHI).ensure(1 << 16)
-    exact = exact_orbit_table(DEFAULT_PHI, 1 << 16)
-    d = np.abs(values[: 1 << 16] - exact)
+# rational multiples of 2pi (as floats), negatives and angles past tau
+# next to the default and arbitrary values
+PHIS = st.one_of(
+    st.sampled_from([DEFAULT_PHI, 0.0, math.pi, 0.5 * math.pi, math.tau, -2.5, 1e5]),
+    st.floats(-1e3, 1e3),
+)
+THETAS = st.floats(-1e3, 1e3)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_orbit_table(phi):
+    return exact_orbit_table(phi, 4096)
+
+
+def folded(theta):
+    target = math.fmod(theta, math.tau)
+    return target + math.tau if target < 0.0 else target
+
+
+def exact_distances(phi, target, k_max):
+    """Circular distance from k*phi to target for k = 1..k_max, not
+    rounded, at a precision that resolves k*phi - (k+1)*phi."""
+    with mp.workprec(256 + abs(math.frexp(phi)[1])):
+        two_pi = 2 * mp.pi
+        out = []
+        for k in range(1, k_max + 1):
+            d = mp.fmod(abs(k * mpf(phi) - mpf(target)), two_pi)
+            out.append(min(d, two_pi - d))
+        return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    phi=PHIS,
+    theta=THETAS,
+    eps=st.floats(1e-7, 1e-1),
+    k_max=st.integers(1, 4096),
+)
+def test_first_hit_matches_the_brute_force_oracle(phi, theta, eps, k_max):
+    table = cached_orbit_table(phi)
+    # within float64 rounding of eps the synthesizer's rule (distance of
+    # the rounded angle) and the oracle's (exact distance, rounded) can
+    # decide one orbit point differently; keep such draws out
+    d = np.abs(table[:k_max] - folded(theta))
     d = np.minimum(d, math.tau - d)
-    assert float(d.max()) <= 1e-12
+    assume(not np.any(np.abs(d - eps) <= 1e-14))
+    want = brute_force_min_k(theta, phi, eps, k_max, table)
+    cfg = SynthConfig(phi=phi, eps=eps, k_max=k_max)
+    if want is None:
+        with pytest.raises(NotReachable):
+            synthesize(theta, cfg)
+        return
+    got = synthesize(theta, cfg)
+    assert got.k == want[0]
+    assert got.achieved == table[got.k - 1]
+    assert got.error == pytest.approx(want[1], abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=PHIS, theta=THETAS, k_max=st.integers(1, 512))
+def test_not_reachable_names_the_exact_closest_miss(phi, theta, k_max):
+    eps = 1e-12
+    target = folded(theta)
+    dists = exact_distances(phi, target, k_max)
+    best = min(dists)
+    assume(best > 2 * eps)
+    with pytest.raises(NotReachable) as e:
+        synthesize(theta, SynthConfig(phi=phi, eps=eps, k_max=k_max))
+    assert e.value.best_k == dists.index(best) + 1
+    assert e.value.best_error == float(best)
+    # the same minimum over the orbit table, up to its per-entry rounding
+    d = np.abs(cached_orbit_table(phi)[:k_max] - target)
+    d = np.minimum(d, math.tau - d)
+    assert abs(e.value.best_error - d.min()) <= 2e-15
+
+
+def test_deep_search_is_fast_and_exact():
+    cfg = SynthConfig(eps=1e-12, k_max=10**15)
+    t0 = time.process_time()
+    r = synthesize(1.0, cfg)
+    assert time.process_time() - t0 < 1.0
+    assert r.k > 10**12
+    with mp.workdps(80):
+        v = mp.fmod(r.k * mpf(DEFAULT_PHI), 2 * mp.pi)
+        exact = float(abs(v - 1))
+    assert r.achieved == float(v)
+    assert r.error <= cfg.eps
+    assert r.error == pytest.approx(exact, abs=1e-15)
+    # nothing the search holds grows with k_max
+    tracemalloc.start()
+    try:
+        assert synthesize(1.0, cfg) == r
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_orbit_angle_is_exact_for_deep_k():
+    k = 10**40
+    with mp.workdps(100):
+        want = float(mp.fmod(k * mpf(DEFAULT_PHI), 2 * mp.pi))
+    assert orbit_angle(k, DEFAULT_PHI) == want
 
 
 def test_orbit_angle_matches_float_arithmetic_for_small_k():

@@ -14,6 +14,7 @@ from rqc import (
     SynthConfig,
     circuit_digest,
     emit,
+    parse,
     qft,
     random_circuit,
     tv_distance,
@@ -179,6 +180,17 @@ def test_verify_catches_a_budget_violation(monkeypatch):
     report = verify_circuit(c, 0, SynthConfig(eps=1e-3))
     assert not report.passed
     assert report.reason == "budget violated"
+
+
+def test_errors_in_one_plane_meet_the_budget_with_roundoff():
+    # every rotation error here lies in one plane, so the true state
+    # distance equals the budget and float64 roundoff puts the computed
+    # one 3e-16 above it
+    c = parse("qubits 2\nsdg 1\ns 0\ns 1\ngphase 6.2147916694838834\n")
+    report = verify_circuit(c, 3, SynthConfig(eps=1e-6, k_max=10**7))
+    assert report.g.state_distance > report.budget
+    assert report.g.state_distance <= report.budget + verify_mod.BUDGET_ROUNDOFF_TOL
+    assert report.passed
 
 
 def test_small_corruptions_below_tolerance_still_pass(monkeypatch):
