@@ -29,8 +29,6 @@ from .library import (
 from .sim import (
     ComplexState,
     RealState,
-    apply_complex,
-    apply_real,
     distribution,
     init_basis,
     init_basis_real,
@@ -92,8 +90,6 @@ __all__ = [
     "VerificationReport",
     "achieved_circuit",
     "add_work_ancilla",
-    "apply_complex",
-    "apply_real",
     "bench_suite",
     "budget",
     "circuit_digest",

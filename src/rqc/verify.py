@@ -23,7 +23,7 @@ from .encoding import (
     marginal_distribution,
     strip_work_ancilla,
 )
-from .sim import distribution, init_basis, run_complex, run_real
+from .sim import check_width, distribution, init_basis, run_complex, run_real
 from .synth import SynthConfig, budget
 from .textio import emit
 from .transpile import (
@@ -179,29 +179,30 @@ def verify_circuit(
 
     PASS needs the exact stages within EXACT_STAGE_TOL on both metrics
     and the synthesized stage within its own error budget, give or take
-    BUDGET_ROUNDOFF_TOL.
+    BUDGET_ROUNDOFF_TOL. A circuit whose lowered register (data + 2
+    qubits) is wider than sim.MAX_QUBITS is refused before anything runs.
     """
     require_valid(c)
     if cfg is None:
         cfg = SynthConfig()
+    plain = EncodedLayout(c.num_qubits)
+    worked = EncodedLayout(c.num_qubits, has_work=True)
+    check_width(worked.num_qubits)
     ref = run_complex(c, init_basis(c.num_qubits, init_basis_index))
     ref_dist = distribution(ref)
     stages = prepare_stages(c, cfg, level)
-    plain = EncodedLayout(c.num_qubits)
-    worked = EncodedLayout(c.num_qubits, has_work=True)
     enc = encode(init_basis(c.num_qubits, init_basis_index))
     enc_worked = add_work_ancilla(enc)
 
     def measure(circuit: Circuit, layout: EncodedLayout) -> StageResult:
         final = run_real(circuit, enc_worked if layout.has_work else enc)
-        marginal = marginal_distribution(final, layout)
         if layout.has_work:
             final = strip_work_ancilla(final)
         decoded = decode(final, plain)
         return StageResult(
             len(circuit.gates),
             float(np.linalg.norm(decoded.amps - ref.amps)),
-            tv_distance(marginal, ref_dist),
+            tv_distance(marginal_distribution(final, plain), ref_dist),
         )
 
     real_res = measure(stages.l1, plain)

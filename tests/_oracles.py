@@ -1,7 +1,8 @@
 """Independent oracles the tests compare production code against.
 
 Everything here recomputes results through a different route than the
-package: gate application walks basis states one amplitude at a time,
+package: gate application walks basis states one amplitude at a time
+or gathers and scatters whole index arrays,
 the orbit table is evaluated per entry in high-precision arithmetic,
 and the transform matrices come from their defining formulas.
 """
@@ -53,6 +54,44 @@ def dense_apply(gate: Gate, vec: np.ndarray) -> np.ndarray:
                     out[base | (cb << qc) | (tb << qt)] += m[2 * cb + tb, col] * a
         # a zero amplitude contributes nothing, skipping it is exact
     return out
+
+
+def gather_apply(gate: Gate, amps: np.ndarray) -> np.ndarray:
+    """Apply one gate by index gather and scatter over the whole register.
+
+    The engines' earlier kernels, kept as their exact reference: same
+    products in the same order, so on float64 or complex128 input the
+    result must equal run_real's or run_complex's bit for bit. A float
+    input uses the real part of the matrix, as the real engine does.
+    """
+    m = gate_matrix(gate)
+    if amps.dtype.kind == "f":
+        m = m.real
+    amps = amps.copy()
+    if gate.kind.num_operands == 0:
+        amps *= m[0, 0]
+    elif gate.kind.num_operands == 1:
+        # base indices with bit q clear, paired with bit q set
+        q = gate.qubits[0]
+        base = np.arange(len(amps) >> 1)
+        i0 = ((base >> q) << (q + 1)) | (base & ((1 << q) - 1))
+        i1 = i0 | (1 << q)
+        a0 = amps[i0]
+        a1 = amps[i1]
+        amps[i0] = m[0, 0] * a0 + m[0, 1] * a1
+        amps[i1] = m[1, 0] * a0 + m[1, 1] * a1
+    else:
+        # base indices with both operand bits clear; matrix index is 2c + t
+        qc, qt = gate.qubits
+        base = np.arange(len(amps) >> 2)
+        lo, hi = sorted((qc, qt))
+        x = ((base >> lo) << (lo + 1)) | (base & ((1 << lo) - 1))
+        i00 = ((x >> hi) << (hi + 1)) | (x & ((1 << hi) - 1))
+        idx = (i00, i00 | (1 << qt), i00 | (1 << qc), i00 | (1 << qc) | (1 << qt))
+        a = [amps[i] for i in idx]
+        for r, i in enumerate(idx):
+            amps[i] = m[r, 0] * a[0] + m[r, 1] * a[1] + m[r, 2] * a[2] + m[r, 3] * a[3]
+    return amps
 
 
 def dense_run(c: Circuit, vec: np.ndarray) -> np.ndarray:

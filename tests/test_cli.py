@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,26 @@ def test_init_out_of_range_exit_code(tmp_path, capsys):
     path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
     assert main(["run", path, "--init", "5"]) == EXIT_INVALID
     assert "init index 5 out of range" in capsys.readouterr().err
+
+
+def test_registers_beyond_the_simulator_cap_exit_code(tmp_path, capsys):
+    # refused before any amplitude array exists: tracemalloc sees numpy's
+    # allocations, and 2^27 amplitudes alone would be 2 GiB
+    cases = (
+        (["run"], "qubits 29\nh 0\n", 29),
+        (["run"], "qubits 64\nh 63\n", 64),
+        (["verify", "--level", "f"], "qubits 27\nh 0\n", 29),
+    )
+    tracemalloc.start()
+    try:
+        for (command, *flags), text, width in cases:
+            path = write(tmp_path, "wide.rqc", text)
+            assert main([command, path, *flags]) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err == f"error: {width} qubit(s) exceed the simulator limit of 28\n"
+        assert tracemalloc.get_traced_memory()[1] < 16 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from rqc import (
     AncillaLeakError,
+    Circuit,
     ComplexState,
     EncodedLayout,
     RealState,
     add_work_ancilla,
-    apply_real,
     decode,
     distribution,
     encode,
     global_phase_gate,
     init_basis,
     marginal_distribution,
+    run_real,
     strip_work_ancilla,
 )
 
@@ -138,7 +139,8 @@ def test_global_phase_gate_is_multiplication_by_a_unit():
         alpha = float(rng.uniform(-7, 7))
         vec = random_complex_state(rng, n)
         lay = EncodedLayout(n)
-        out = decode(apply_real(encode(ComplexState(n, vec)), global_phase_gate(alpha, lay)))
+        phase = Circuit(n + 1, [global_phase_gate(alpha, lay)])
+        out = decode(run_real(phase, encode(ComplexState(n, vec))))
         assert np.max(np.abs(out.amps - np.exp(1j * alpha) * vec)) <= 1e-14
 
 

@@ -8,10 +8,12 @@ from rqc import (
     ComplexState,
     Gate,
     GateKind,
+    LoweringLevel,
     RealState,
-    apply_complex,
-    apply_real,
+    add_work_ancilla,
     distribution,
+    encode,
+    gate_matrix,
     init_basis,
     init_basis_real,
     is_real,
@@ -19,9 +21,12 @@ from rqc import (
     run_complex,
     run_real,
     sample,
+    transpile,
 )
 
-from _oracles import dense_apply, dense_run, random_complex_state
+from rqc.sim import MAX_QUBITS
+
+from _oracles import dense_apply, dense_run, gather_apply, random_complex_state
 
 
 def random_gate(rng, num_qubits):
@@ -54,6 +59,15 @@ def test_init_basis_range_check():
         init_basis_real(1, -1)
 
 
+def test_registers_wider_than_the_cap_are_refused():
+    # refused before anything is allocated: 2^64 amplitudes could not be
+    for n in (MAX_QUBITS + 1, 64):
+        with pytest.raises(ValueError, match=f"{n} qubit.*limit of {MAX_QUBITS}"):
+            init_basis(n, 0)
+        with pytest.raises(ValueError, match=f"{n} qubit.*limit of {MAX_QUBITS}"):
+            init_basis_real(n, 0)
+
+
 def test_state_shape_checks():
     with pytest.raises(ValueError, match="amplitude count"):
         ComplexState(2, np.zeros(3))
@@ -66,18 +80,18 @@ def test_state_shape_checks():
 def test_qubit_zero_is_the_low_bit():
     # x on qubit 0 maps |00> to index 1, x on qubit 1 to index 2
     s = init_basis(2, 0)
-    assert np.argmax(np.abs(apply_complex(s, Gate(GateKind.X, (0,))).amps)) == 1
-    assert np.argmax(np.abs(apply_complex(s, Gate(GateKind.X, (1,))).amps)) == 2
+    assert np.argmax(np.abs(run_complex(Circuit(2).x(0), s).amps)) == 1
+    assert np.argmax(np.abs(run_complex(Circuit(2).x(1), s).amps)) == 2
 
 
 def test_f_convention_control_first():
     t = 0.3
     s = RealState(2, [0.0, 0.0, 1.0, 0.0])  # |10>: qubit 1 (control) set
-    out = apply_real(s, Gate(GateKind.F, (1, 0), t))
+    out = run_real(Circuit(2).f(1, 0, t), s)
     assert out.amps == pytest.approx([0.0, 0.0, math.cos(t), math.sin(t)])
     # control clear: nothing happens
     s = RealState(2, [0.0, 1.0, 0.0, 0.0])
-    out = apply_real(s, Gate(GateKind.F, (1, 0), t))
+    out = run_real(Circuit(2).f(1, 0, t), s)
     assert np.array_equal(out.amps, [0.0, 1.0, 0.0, 0.0])
 
 
@@ -87,7 +101,7 @@ def test_single_gates_match_the_dense_oracle():
         n = int(rng.integers(1, 6))
         vec = random_complex_state(rng, n)
         g = random_gate(rng, n)
-        got = apply_complex(ComplexState(n, vec), g).amps
+        got = run_complex(Circuit(n, [g]), ComplexState(n, vec)).amps
         assert np.allclose(got, dense_apply(g, vec), atol=1e-13)
 
 
@@ -96,7 +110,7 @@ def test_two_qubit_kernel_on_non_adjacent_qubits():
     vec = random_complex_state(rng, 5)
     for qubits in ((4, 1), (1, 4), (0, 4), (3, 0)):
         g = Gate(GateKind.F, qubits, 1.1)
-        got = apply_complex(ComplexState(5, vec), g).amps
+        got = run_complex(Circuit(5, [g]), ComplexState(5, vec)).amps
         assert np.allclose(got, dense_apply(g, vec), atol=1e-13)
 
 
@@ -108,6 +122,67 @@ def test_runs_match_the_dense_oracle():
         got = run_complex(c, init_basis(n, seed % (1 << n)))
         want = dense_run(c, np.eye(1 << n)[seed % (1 << n)].astype(complex))
         assert np.allclose(got.amps, want, atol=1e-12)
+    # the real engine at the pipeline's shapes: 3-9 register qubits,
+    # from the encoded inputs verify starts the lowered stages with
+    for seed in range(14):
+        level = (LoweringLevel.REAL_ENCODED, LoweringLevel.F_ONLY)[seed % 2]
+        n = 2 + seed // 2 if level is LoweringLevel.REAL_ENCODED else 1 + seed // 2
+        c = random_circuit(n, 6, seed)
+        lowered, _ = transpile(c, level)
+        init = encode(ComplexState(n, random_complex_state(rng, n)))
+        if level is LoweringLevel.F_ONLY:
+            init = add_work_ancilla(init)
+        assert 3 <= lowered.num_qubits <= 9
+        got = run_real(lowered, init)
+        want = dense_run(lowered, init.amps)
+        assert np.max(np.abs(got.amps - want)) <= 1e-12
+
+
+def _operand_sets(kind, n):
+    if kind.num_operands == 0:
+        return [()]
+    if kind.num_operands == 1:
+        return [(0,), (n - 1,)]
+    # control above and below the target: adjacent, and non-adjacent
+    pairs = {(0, 1), (1, 0), (0, n - 1), (n - 1, 0), (1, n - 2), (n - 2, 1)}
+    return sorted(p for p in pairs if n >= 2 and p[0] != p[1] and max(p) < n)
+
+
+def test_kernels_equal_the_gather_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        vec = random_complex_state(rng, n)
+        real_vec = rng.normal(size=1 << n)
+        for kind in GateKind:
+            params = [float(rng.uniform(-7, 7)), math.pi, 0.0] if kind.num_params else [None]
+            for qubits in _operand_sets(kind, n):
+                for param in params:
+                    g = Gate(kind, qubits, param)
+                    got = run_complex(Circuit(n, [g]), ComplexState(n, vec)).amps
+                    assert np.array_equal(got, gather_apply(g, vec)), g
+                    if is_real(g):
+                        got = run_real(Circuit(n, [g]), RealState(n, real_vec)).amps
+                        assert np.array_equal(got, gather_apply(g, real_vec)), g
+        c = random_circuit(n, 40, seed=n)
+        want = init_basis(n, 0).amps
+        for g in c.gates:
+            want = gather_apply(g, want)
+        assert np.array_equal(run_complex(c, init_basis(n, 0)).amps, want)
+        lowered, _ = transpile(c, LoweringLevel.F_ONLY)
+        init = add_work_ancilla(encode(init_basis(n, 0)))
+        want = init.amps
+        for g in lowered.gates:
+            want = gather_apply(g, want)
+        assert np.array_equal(run_real(lowered, init).amps, want)
+    # the controlled kernel touches only the control-set slice, which is
+    # right because every two-operand kind is block-diag(I, U)
+    for kind in GateKind:
+        if kind.num_operands == 2:
+            for _ in range(5):
+                param = float(rng.uniform(-7, 7)) if kind.num_params else None
+                m = gate_matrix(Gate(kind, (0, 1), param))
+                assert np.array_equal(m[:2, :2], np.eye(2)), kind
+                assert not m[:2, 2:].any() and not m[2:, :2].any(), kind
 
 
 def test_real_engine_agrees_with_complex_engine():
@@ -129,18 +204,23 @@ def test_apply_is_linear():
     rng = np.random.default_rng(8)
     a = random_complex_state(rng, 3)
     b = random_complex_state(rng, 3)
-    g = random_gate(rng, 3)
-    lhs = apply_complex(ComplexState(3, 0.3 * a + 2j * b), g).amps
-    rhs = 0.3 * apply_complex(ComplexState(3, a), g).amps
-    rhs = rhs + 2j * apply_complex(ComplexState(3, b), g).amps
+    c = Circuit(3, [random_gate(rng, 3)])
+    lhs = run_complex(c, ComplexState(3, 0.3 * a + 2j * b)).amps
+    rhs = 0.3 * run_complex(c, ComplexState(3, a)).amps
+    rhs = rhs + 2j * run_complex(c, ComplexState(3, b)).amps
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_apply_does_not_mutate_the_input():
+    # the kernels work in place, on a copy of init
     s = init_basis(1, 0)
     before = s.amps.copy()
-    apply_complex(s, Gate(GateKind.H, (0,)))
+    run_complex(Circuit(1).h(0), s)
     assert np.array_equal(s.amps, before)
+    r = init_basis_real(2, 3)
+    before = r.amps.copy()
+    run_real(Circuit(2).f(1, 0, 0.4).x(0), r)
+    assert np.array_equal(r.amps, before)
 
 
 def test_norm_preserved_over_long_runs():
@@ -155,19 +235,19 @@ def test_norm_preserved_over_long_runs():
 def test_gphase_multiplies_every_amplitude():
     rng = np.random.default_rng(1)
     vec = random_complex_state(rng, 2)
-    out = apply_complex(ComplexState(2, vec), Gate(GateKind.GPHASE, (), 0.9))
+    out = run_complex(Circuit(2).gphase(0.9), ComplexState(2, vec))
     assert np.allclose(out.amps, np.exp(0.9j) * vec, atol=1e-15)
     # at angle pi the factor is exactly -1, real engine included
-    r = apply_real(RealState(1, [0.6, 0.8]), Gate(GateKind.GPHASE, (), math.pi))
+    r = run_real(Circuit(1).gphase(math.pi), RealState(1, [0.6, 0.8]))
     assert np.array_equal(r.amps, [-0.6, -0.8])
 
 
 def test_real_engine_rejects_non_real_gates():
     s = init_basis_real(1, 0)
     with pytest.raises(ValueError, match="non-real gate in real engine: s"):
-        apply_real(s, Gate(GateKind.S, (0,)))
+        run_real(Circuit(1).s(0), s)
     with pytest.raises(ValueError, match="non-real gate"):
-        apply_real(s, Gate(GateKind.RZ, (0,), 0.1))
+        run_real(Circuit(1).rz(0, 0.1), s)
 
 
 def test_run_errors_carry_the_gate_index():
@@ -191,12 +271,12 @@ def test_register_size_mismatch():
 
 
 def test_distribution():
-    s = apply_complex(init_basis(1, 0), Gate(GateKind.H, (0,)))
+    s = run_complex(Circuit(1).h(0), init_basis(1, 0))
     assert distribution(s) == pytest.approx([0.5, 0.5])
     r = RealState(1, [0.6, -0.8])
     assert distribution(r) == pytest.approx([0.36, 0.64])
     # phases never show up
-    s = apply_complex(s, Gate(GateKind.S, (0,)))
+    s = run_complex(Circuit(1).s(0), s)
     assert distribution(s) == pytest.approx([0.5, 0.5])
 
 

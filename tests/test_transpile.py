@@ -29,7 +29,7 @@ from rqc import (
     synthesize_all,
     transpile,
 )
-from rqc.sim import RealState, apply_real
+from rqc.sim import RealState
 
 from _oracles import dense_apply, dense_unitary, random_complex_state
 
@@ -228,7 +228,7 @@ def test_work_ancilla_never_moves():
     state = add_work_ancilla(encode(init_basis(2, 1)))
     half = len(state.amps) >> 1
     for g in l2.gates:
-        state = apply_real(state, g)
+        state = run_real(Circuit(l2.num_qubits, [g]), state)
         assert float(np.abs(state.amps[:half]).max()) == 0.0
 
 
