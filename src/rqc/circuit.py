@@ -50,10 +50,6 @@ class GateKind(Enum):
     def num_params(self) -> int:
         return 1 if self in _PARAMETRIC else 0
 
-    @property
-    def mnemonic(self) -> str:
-        return self.value
-
 
 _TWO_QUBIT = frozenset({GateKind.CX, GateKind.CZ, GateKind.F})
 _PARAMETRIC = frozenset(
@@ -137,7 +133,7 @@ class Circuit:
             k = g.kind
             if len(g.qubits) != k.num_operands:
                 out.append(
-                    f"gate {i}: {k.mnemonic} takes {k.num_operands} operand(s), "
+                    f"gate {i}: {k.value} takes {k.num_operands} operand(s), "
                     f"got {len(g.qubits)}"
                 )
             else:
@@ -151,9 +147,9 @@ class Circuit:
                     out.append(f"gate {i}: duplicate operands")
             if k.num_params == 0:
                 if g.param is not None:
-                    out.append(f"gate {i}: {k.mnemonic} takes no angle")
+                    out.append(f"gate {i}: {k.value} takes no angle")
             elif g.param is None:
-                out.append(f"gate {i}: {k.mnemonic} needs an angle")
+                out.append(f"gate {i}: {k.value} needs an angle")
             elif not isinstance(g.param, float) or not math.isfinite(g.param):
                 out.append(f"gate {i}: angle must be a finite number")
         return out

@@ -10,7 +10,6 @@ num_data + 1, held in |1> and used only as a control.
 
 from __future__ import annotations
 
-from typing import ClassVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,6 @@ class EncodedLayout:
 
     num_data: int
     has_work: bool = False
-
-    # basis value of the tag ancilla that marks real parts
-    R_VALUE: ClassVar[int] = 0
 
     @property
     def ri_ancilla(self) -> int:

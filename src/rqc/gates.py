@@ -148,7 +148,7 @@ def zyz_normalize(g: Gate) -> tuple[float, float, float, float]:
     if g.kind is GateKind.RZ:
         return (0.0, g.param, 0.0, 0.0)
     if g.kind.num_operands != 1:
-        raise ValueError(f"zyz_normalize needs a single-qubit gate, got {g.kind.mnemonic}")
+        raise ValueError(f"zyz_normalize needs a single-qubit gate, got {g.kind.value}")
     return zyz_angles(gate_matrix(g))
 
 

@@ -142,7 +142,7 @@ def _dispatch(
 
 def _real_matrix(g: Gate) -> np.ndarray:
     if not is_real(g):
-        raise ValueError(f"non-real gate in real engine: {g.kind.mnemonic}")
+        raise ValueError(f"non-real gate in real engine: {g.kind.value}")
     # imaginary parts are exactly zero for real-classified gates
     return gate_matrix(g).real
 

@@ -37,10 +37,6 @@ class LoweringLevel(Enum):
     F_ONLY = "f"
     G_ONLY = "g"
 
-    @property
-    def rank(self) -> int:
-        return ("real", "f", "g").index(self.value) + 1
-
 
 @dataclass(frozen=True)
 class SynthesizedGate:
@@ -126,7 +122,7 @@ def _two_qubit_template(kind: GateKind) -> tuple[tuple[GateKind, str, float], ..
         total = _embedded(*item) @ total
     want = gate_matrix(Gate(kind, (0, 1)))
     if not np.allclose(total, want, atol=1e-12):
-        raise AssertionError(f"{kind.mnemonic} expansion failed its matrix check")
+        raise AssertionError(f"{kind.value} expansion failed its matrix check")
     return tuple(seq)
 
 
@@ -178,7 +174,7 @@ def encode_pass(c: Circuit, layout: EncodedLayout | None = None) -> Circuit:
         elif g.kind is GateKind.GPHASE:
             out.gates.append(global_phase_gate(g.param, layout))
         else:
-            raise ValueError(f"gate {i}: {g.kind.mnemonic} is not a normalized kind")
+            raise ValueError(f"gate {i}: {g.kind.value} is not a normalized kind")
     return out
 
 
@@ -196,7 +192,7 @@ def lower_ry_pass(c: Circuit, layout: EncodedLayout | None = None) -> Circuit:
         elif g.kind is GateKind.F:
             out.gates.append(g)
         else:
-            raise ValueError(f"gate {i}: only ry and f can be lowered, got {g.kind.mnemonic}")
+            raise ValueError(f"gate {i}: only ry and f can be lowered, got {g.kind.value}")
     return out
 
 
@@ -208,7 +204,7 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     out = []
     for i, g in enumerate(c.gates):
         if g.kind is not GateKind.F:
-            raise ValueError(f"gate {i}: expected an f gate, got {g.kind.mnemonic}")
+            raise ValueError(f"gate {i}: expected an f gate, got {g.kind.value}")
         try:
             result = synthesize(g.param, cfg)
         except NotReachable as e:
@@ -220,7 +216,10 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
 
 def materialize_fixed(c: Circuit, synths: list[SynthesizedGate], phi: float) -> Circuit:
     """Expand each f(theta) of a level-'f' circuit into k copies of the
-    one fixed f(phi) gate (level 'g')."""
+    one fixed f(phi) gate (level 'g').
+
+    The k copies are one shared Gate object, which textio.emit relies on
+    to format each run once instead of once per fixed gate."""
     out = Circuit(c.num_qubits, name=c.name)
     for g, s in zip(c.gates, synths, strict=True):
         fixed = Gate(GateKind.F, g.qubits, phi)

@@ -192,7 +192,8 @@ def verify_circuit(
     ref_dist = distribution(ref)
     stages = prepare_stages(c, cfg, level)
     enc = encode(init_basis(c.num_qubits, init_basis_index))
-    enc_worked = add_work_ancilla(enc)
+    # only the f and g stages carry the work ancilla
+    enc_worked = add_work_ancilla(enc) if stages.l2 is not None else None
 
     def measure(circuit: Circuit, layout: EncodedLayout) -> StageResult:
         final = run_real(circuit, enc_worked if layout.has_work else enc)

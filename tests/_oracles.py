@@ -4,18 +4,20 @@ Everything here recomputes results through a different route than the
 package: gate application walks basis states one amplitude at a time
 or gathers and scatters whole index arrays,
 the orbit table is evaluated per entry in high-precision arithmetic,
-and the transform matrices come from their defining formulas.
+the transform matrices come from their defining formulas, and .rqc text
+is tokenized, parsed and emitted one character and one line at a time.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 from mpmath import mp, mpf
 
-from rqc import Circuit, Gate, gate_matrix
+from rqc import Circuit, Gate, GateKind, ParseError, gate_matrix
 
 
 def random_complex_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:
@@ -166,3 +168,96 @@ def brute_force_min_k(
         if err <= eps:
             return k, err
     return None
+
+
+_MNEMONICS = {k.value: k for k in GateKind}
+_INT_RE = re.compile(r"[+-]?\d+\Z")
+_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+
+
+def char_tokens(raw: str) -> list[tuple[int, str]]:
+    """(column, token) pairs by a walk over the characters; columns are
+    1-based into the original line."""
+    cut = raw.find("#")
+    if cut >= 0:
+        raw = raw[:cut]
+    out = []
+    i = 0
+    while i < len(raw):
+        if raw[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < len(raw) and not raw[j].isspace():
+            j += 1
+        out.append((i + 1, raw[i:j]))
+        i = j
+    return out
+
+
+def line_parse(text: str) -> Circuit:
+    """.rqc parser that checks every line on its own, one Gate per line."""
+    circuit: Circuit | None = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        toks = char_tokens(raw.rstrip("\r"))
+        if not toks:
+            continue
+        col0, head = toks[0]
+        if circuit is None:
+            if head != "qubits":
+                raise ParseError(lineno, col0, "first statement must be 'qubits <n>'")
+            if len(toks) != 2:
+                raise ParseError(lineno, col0, "'qubits' takes exactly one count")
+            col, tok = toks[1]
+            if not _INT_RE.match(tok) or int(tok) < 1:
+                raise ParseError(lineno, col, f"qubit count must be a positive integer, got '{tok}'")
+            circuit = Circuit(int(tok))
+            continue
+        if head == "qubits":
+            raise ParseError(lineno, col0, "duplicate 'qubits' header")
+        kind = _MNEMONICS.get(head)
+        if kind is None:
+            raise ParseError(lineno, col0, f"unknown gate '{head}'")
+        if len(toks) - 1 != kind.num_operands + kind.num_params:
+            raise ParseError(
+                lineno, col0,
+                f"'{head}' takes {kind.num_operands} operand(s) and "
+                f"{kind.num_params} angle(s), got {len(toks) - 1} token(s)",
+            )
+        qubits = []
+        for col, tok in toks[1:1 + kind.num_operands]:
+            if not _INT_RE.match(tok):
+                raise ParseError(lineno, col, f"operand must be an integer, got '{tok}'")
+            q = int(tok)
+            if q < 0 or q >= circuit.num_qubits:
+                raise ParseError(
+                    lineno, col,
+                    f"operand {q} out of range for {circuit.num_qubits} qubit(s)",
+                )
+            qubits.append(q)
+        if kind.num_operands == 2 and qubits[0] == qubits[1]:
+            raise ParseError(lineno, toks[2][0], "duplicate operands")
+        param = None
+        if kind.num_params:
+            col, tok = toks[-1]
+            if not _FLOAT_RE.match(tok):
+                raise ParseError(lineno, col, f"angle must be a decimal literal, got '{tok}'")
+            param = float(tok)
+            if param in (float("inf"), float("-inf")):
+                raise ParseError(lineno, col, "angle overflows to infinity")
+        circuit.gates.append(Gate(kind, tuple(qubits), param))
+    if circuit is None:
+        raise ParseError(1, 1, "missing 'qubits' header")
+    return circuit
+
+
+def line_emit(c: Circuit) -> str:
+    """Canonical .rqc text, one formatted line per gate."""
+    lines = [f"qubits {c.num_qubits}"]
+    for g in c.gates:
+        parts = [g.kind.value]
+        parts += [str(q) for q in g.qubits]
+        if g.kind.num_params:
+            parts.append(format(g.param, ".17g"))
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"

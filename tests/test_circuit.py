@@ -36,8 +36,8 @@ def test_kind_arity_table():
 
 def test_mnemonics_are_enum_values():
     for k in GateKind:
-        assert GateKind(k.mnemonic) is k
-        assert k.mnemonic == k.mnemonic.lower()
+        assert GateKind(k.value) is k
+        assert k.value == k.value.lower()
 
 
 def test_builders_record_gates():

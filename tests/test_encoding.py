@@ -32,7 +32,8 @@ def test_layout_indices():
     assert (lay.ri_ancilla, lay.work_ancilla, lay.num_qubits) == (3, None, 4)
     lay = EncodedLayout(3, has_work=True)
     assert (lay.ri_ancilla, lay.work_ancilla, lay.num_qubits) == (3, 4, 5)
-    assert EncodedLayout.R_VALUE == 0
+    # the tag ancilla reads 0 on real parts: a real state keeps its index
+    assert np.flatnonzero(encode(init_basis(3, 5)).amps).tolist() == [5]
 
 
 def test_encode_examples():

@@ -1,10 +1,26 @@
 import math
+import time
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqc import Circuit, Gate, GateKind, ParseError, emit, parse, random_circuit
+import rqc.textio as textio
+from rqc import (
+    Circuit,
+    Gate,
+    GateKind,
+    LoweringLevel,
+    ParseError,
+    emit,
+    parse,
+    qft,
+    random_circuit,
+    transpile,
+)
+
+from _oracles import char_tokens, line_emit, line_parse
 
 
 def test_parse_minimal():
@@ -152,3 +168,160 @@ def test_parse_error_string_format():
     e = err("qubits 2\nh 9\n")
     assert str(e) == "line 2, column 3: operand 9 out of range for 2 qubit(s)"
     assert isinstance(e, ValueError)
+
+
+# every character class the tokenizer must agree on with str.isspace:
+# ASCII and Unicode whitespace, comment marks, CR, and token characters
+_LINE_PIECES = [
+    " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+    "\u2028", "\u3000", "#", "f", "0", "12", "-0.5e3", "qubits", "\xe9", "\u200b",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_LINE_PIECES), st.text(max_size=3)), max_size=12))
+def test_tokens_match_the_character_walk(pieces):
+    raw = "".join(pieces)
+    assert textio._tokens(raw) == char_tokens(raw)
+
+
+def test_tokens_on_unicode_whitespace():
+    raw = "\xa0f\x1c0\u3000 1\x85-0.5\r # 2 3"
+    assert textio._tokens(raw) == [(2, "f"), (4, "0"), (7, "1"), (9, "-0.5")]
+    assert textio._tokens(raw) == char_tokens(raw)
+
+
+def outcome(parser, text):
+    """(line, column, message) of the error, or the circuit and its text."""
+    try:
+        c = parser(text)
+    except ParseError as e:
+        return (e.line, e.column, e.message)
+    return c, line_emit(c)
+
+
+def level_g(c):
+    return transpile(c, LoweringLevel.G_ONLY)[0]
+
+
+def test_emit_equals_the_line_emitter():
+    f0, f1 = Gate(GateKind.F, (0, 1), 0.5), Gate(GateKind.F, (0, 1), 0.5)
+    assert f0 == f1 and f0 is not f1
+    zero, neg = Gate(GateKind.F, (1, 0), 0.0), Gate(GateKind.F, (1, 0), -0.0)
+    c = Circuit(2)
+    c.gates += [f0, f1, f1, f0] + [zero] * 2 + [neg] * 3 + [zero]
+    assert emit(c) == line_emit(c)
+    assert emit(c).count("f 1 0 -0\n") == 3
+    g = level_g(qft(3))
+    assert len(g.gates) > 50_000
+    assert emit(g) == line_emit(g)
+    for seed in range(20):
+        c = random_circuit(1 + seed % 5, 20, seed)
+        assert emit(c) == line_emit(c)
+
+
+_GOOD_LINES = [
+    "h 0", "cx 0 1", "f 1 0 0.5", "f 1 0 -0", "f 1 0 0", "rz 2 1e-3 # c",
+    "  f 0 2 2.5", "", "# comment", "\xa0", "gphase -1",
+]
+_BAD_LINES = [
+    "qubits 3", "f 1 1 0.5", "f 0 9 0.5", "h q0", "rz 0 nan", "bogus 1",
+    "cx 0", "rz 0 1e999",
+]
+
+
+def _text(header_run, runs):
+    out = "qubits 3\r\n" * header_run
+    for line, n, ending in runs:
+        out += (line + ending) * n
+    return out
+
+
+_runs = st.lists(
+    st.tuples(
+        st.sampled_from(_GOOD_LINES),
+        st.integers(1, 6),
+        st.sampled_from(["\n", "\r\n"]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_runs, st.booleans())
+def test_parse_equals_the_line_parser_on_repeated_lines(runs, final_newline):
+    text = _text(1, runs)
+    if not final_newline:
+        text = text.rstrip("\n")
+    assert outcome(parse, text) == outcome(line_parse, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs, st.integers(0, 12), st.sampled_from(_BAD_LINES), st.integers(1, 4),
+       st.sampled_from(["\n", "\r\n"]), st.integers(0, 2))
+def test_parse_errors_equal_the_line_parser(runs, at, bad, n, ending, header_run):
+    runs.insert(min(at, len(runs)), (bad, n, ending))
+    text = _text(header_run, runs)
+    assert outcome(parse, text) == outcome(line_parse, text)
+
+
+def test_parse_errors_on_runs_point_at_the_first_line_of_the_run():
+    cases = [
+        "qubits 2\nh 0\ncx 0 5\ncx 0 5\ncx 0 5\n",
+        "qubits 2\nqubits 2\nqubits 2\nh 0\n",
+        "qubits 2\r\nqubits 2\nh 0\n",
+        "qubits 0\nqubits 0\n",
+        "qubits 2\nrz 0 1e999\nrz 0 1e999\r\n",
+        "h 0\nh 0\nqubits 2\n",
+    ]
+    want = [
+        (3, 6, "operand 5 out of range for 2 qubit(s)"),
+        (2, 1, "duplicate 'qubits' header"),
+        (2, 1, "duplicate 'qubits' header"),
+        (1, 8, "qubit count must be a positive integer, got '0'"),
+        (2, 6, "angle overflows to infinity"),
+        (1, 1, "first statement must be 'qubits <n>'"),
+    ]
+    for text, w in zip(cases, want, strict=True):
+        assert outcome(parse, text) == outcome(line_parse, text) == w
+
+
+def test_parse_shares_one_gate_across_a_run():
+    g = parse("qubits 2\nf 0 1 0.5\nf 0 1 0.5\nf 0 1 0.5\r\nf 0 1 0.5\n").gates
+    assert g[0] is g[1]
+    # a CR makes the raw line differ, so a new run starts on each side
+    assert g[1] is not g[2] and g[2] is not g[3]
+    assert g[0] == g[2] == g[3]
+
+
+def test_parse_tokenizes_each_run_once(monkeypatch):
+    text = emit(level_g(qft(3)))
+    runs = sum(1 for _ in groupby(text.split("\n")))
+    assert runs * 100 < text.count("\n")
+    calls = []
+    tokens = textio._tokens
+
+    def counting(raw):
+        calls.append(raw)
+        return tokens(raw)
+
+    monkeypatch.setattr(textio, "_tokens", counting)
+    parse(text)
+    # one call per run: the header's, each fixed-gate run's, and the
+    # empty string after the final newline
+    assert len(calls) <= runs
+
+
+def test_a_million_fixed_gates_round_trip_quickly():
+    c = Circuit(4)
+    phi = 0.7853981633974483
+    for i in range(1000):
+        pair = (i % 4, (i + 1) % 4)
+        c.gates.extend([Gate(GateKind.F, pair, phi)] * 1000)
+    start = time.process_time()
+    text = emit(c)
+    back = parse(text)
+    cpu = time.process_time() - start
+    assert len(back.gates) == 10**6
+    assert back.gates[::1000] == c.gates[::1000]
+    assert cpu < 2.0, f"{cpu:.2f} s of CPU for 1e6 fixed gates"

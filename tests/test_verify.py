@@ -199,3 +199,13 @@ def test_small_corruptions_below_tolerance_still_pass(monkeypatch):
     c = Circuit(2).h(0).cx(0, 1)
     monkeypatch.setattr(verify_mod, "prepare_stages", corrupted_stages("f", 1e-12))
     assert verify_circuit(c, 0).passed
+
+
+def test_level_real_builds_no_work_ancilla_register(monkeypatch):
+    def refuse(state):
+        raise AssertionError("level real has no stage with a work ancilla")
+
+    monkeypatch.setattr(verify_mod, "add_work_ancilla", refuse)
+    report = verify_circuit(random_circuit(4, 30, 7), 3, level=LoweringLevel.REAL_ENCODED)
+    assert report.status == "PASS"
+    assert (report.f, report.g) == (None, None)
