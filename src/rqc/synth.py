@@ -8,12 +8,19 @@ Euclid recursion on (a, 2^P), the integer form of the continued-fraction
 walk, gives the first k with a*k mod 2^P in range in O(P) steps. Checks
 in high precision in increasing k make k, the achieved angle and the
 error those of a brute-force scan.
+
+The search runs on Python integers alone. A small context per value of
+(phi, k_max) holds 2^P, a and 2^P/2pi in fixed point; the window comes from
+the exact ratios of the target and eps, and orbit_angle reduces k*phi by
+a fixed-point 2pi. mpmath only builds those constants, once per context
+or width, and the exact distance of a closest miss.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -22,9 +29,13 @@ from .circuit import circular_distance
 DEFAULT_PHI = math.tau * (math.sqrt(5.0) - 1.0) / 2.0
 
 _MARGIN = 1e-12
+_MARGIN_NUM, _MARGIN_DEN = _MARGIN.as_integer_ratio()
 # bits beyond those of k_max and of a small phi: for every k <= k_max,
 # a*k / 2^P is then within 2^-128 turns (and 2^-128 steps) of k*phi/2pi
 _GUARD_BITS = 128
+# fraction bits of the fixed-point 2^P/2pi: the window ends then sit within
+# 2^-60 steps of their exact values
+_FRACTION_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -38,6 +49,8 @@ class SynthConfig:
     def __post_init__(self):
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
+        if not math.isfinite(self.eps):
+            raise ValueError("eps must be finite")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if self.k_max < 1:
@@ -67,11 +80,32 @@ class NotReachable(Exception):
         self.gate_index: int | None = None
 
 
+_two_pi_cache = (0, 0)
+
+
+def _two_pi(w: int) -> int:
+    """floor(2pi * 2^w), cut from one cached constant at least w bits wide."""
+    global _two_pi_cache
+    width, value = _two_pi_cache
+    if width < w:
+        width = max(w, 2 * width)
+        with mp.workprec(width + 64):
+            value = int(mp.floor(mp.ldexp(2 * mp.pi, width)))
+        _two_pi_cache = (width, value)
+    return value >> (width - w)
+
+
+def _orbit_width(k: int, phi: float) -> int:
+    # fraction bits for k*phi mod 2pi: exact for k*phi (phi has fewer
+    # fraction bits than this), and within 2^-127 after the reduction
+    return k.bit_length() + abs(math.frexp(phi)[1]) + _GUARD_BITS
+
+
 def orbit_angle(k: int, phi: float) -> float:
     """k*phi mod 2pi, exact to about 2^-128 for any k, rounded once to float64."""
-    with mp.workprec(k.bit_length() + max(math.frexp(phi)[1], 0) + _GUARD_BITS):
-        v = mp.fmod(k * mpf(phi), 2 * mp.pi)
-        return float(v + 2 * mp.pi if v < 0 else v)
+    w = _orbit_width(k, phi)
+    p, q = phi.as_integer_ratio()
+    return ((k * p << w) // q % _two_pi(w)) / (1 << w)
 
 
 def _exact_distance(k: int, phi: float, target: float) -> float:
@@ -126,6 +160,24 @@ def _closest_k(a: int, m: int, r: int, k_max: int) -> int:
     return _first_hit(a, m, r - lo, r + lo, 1)
 
 
+@lru_cache(maxsize=64)
+def _context(phi: float, k_max: int) -> tuple[int, int, int]:
+    """(m, a, per_radian) for (phi, k_max): m = 2^P, phi/2pi mod 1 as a / m,
+    and m/2pi in fixed point with _FRACTION_BITS fraction bits.
+
+    Keyed on values, not on a SynthConfig: callers build a fresh one per
+    call. Also widens the cached 2pi for every orbit angle up to k_max.
+    """
+    exponent = math.frexp(phi)[1]
+    bits = k_max.bit_length() + max(-exponent, 0) + _GUARD_BITS
+    with mp.workprec(bits + max(exponent, 0) + 64):
+        a = int(mp.nint(phi * (mp.ldexp(1, bits) / (2 * mp.pi)))) % (1 << bits)
+    with mp.workprec(bits + _FRACTION_BITS + 64):
+        per_radian = int(mp.nint(mp.ldexp(1, bits + _FRACTION_BITS) / (2 * mp.pi)))
+    _two_pi(_orbit_width(k_max, phi))
+    return 1 << bits, a, per_radian
+
+
 def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     """Smallest k in [1, k_max] with k*phi mod 2pi within eps of theta,
     exactly the brute-force minimum; failing that, NotReachable names the
@@ -136,23 +188,25 @@ def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     target = theta % math.tau
-    exponent = math.frexp(cfg.phi)[1]
-    bits = cfg.k_max.bit_length() + max(-exponent, 0) + _GUARD_BITS
-    m = 1 << bits
-    with mp.workprec(bits + max(exponent, 0) + 64):
-        per_radian = mp.ldexp(1, bits) / (2 * mp.pi)
-        a = int(mp.nint(cfg.phi * per_radian)) % m
-        center = target * per_radian
-        half_width = (cfg.eps + mpf(_MARGIN)) * per_radian
-        lo, hi = int(mp.floor(center - half_width)), int(mp.ceil(center + half_width))
-        k = _first_hit(a, m, lo, hi, 1)
-        while k is not None and k <= cfg.k_max:
-            achieved = orbit_angle(k, cfg.phi)
-            error = circular_distance(achieved, target)
-            if error <= cfg.eps:
-                return SynthesisResult(k, achieved, error)
-            k = _first_hit(a, m, lo, hi, k + 1)
-        best_k = _closest_k(a, m, int(mp.nint(center)), cfg.k_max)
+    m, a, per_radian = _context(cfg.phi, cfg.k_max)
+    # target and eps + margin over one power-of-two denominator, exactly
+    t_num, t_den = target.as_integer_ratio()
+    e_num, e_den = cfg.eps.as_integer_ratio()
+    den = max(t_den, e_den, _MARGIN_DEN)
+    center = t_num * (den // t_den)
+    half_width = e_num * (den // e_den) + _MARGIN_NUM * (den // _MARGIN_DEN)
+    scale = den << _FRACTION_BITS
+    lo = (center - half_width) * per_radian // scale
+    hi = -(-(center + half_width) * per_radian // scale)
+    k = _first_hit(a, m, lo, hi, 1)
+    while k is not None and k <= cfg.k_max:
+        achieved = orbit_angle(k, cfg.phi)
+        error = circular_distance(achieved, target)
+        if error <= cfg.eps:
+            return SynthesisResult(k, achieved, error)
+        k = _first_hit(a, m, lo, hi, k + 1)
+    r = (2 * center * per_radian + scale) // (2 * scale)
+    best_k = _closest_k(a, m, r, cfg.k_max)
     raise NotReachable(theta, best_k, _exact_distance(best_k, cfg.phi, target))
 
 

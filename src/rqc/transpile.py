@@ -199,17 +199,23 @@ def lower_ry_pass(c: Circuit, layout: EncodedLayout | None = None) -> Circuit:
 def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     """Synthesis results for every gate of a level-'f' circuit, in order.
 
-    NotReachable is re-raised with gate_index pointing at the offender.
+    Each distinct angle is synthesized once; gates that repeat it share
+    its result and keep their own index and target. NotReachable is
+    re-raised with gate_index pointing at the first offender.
     """
+    # 0.0 and -0.0 share a key; both reduce to the target 0.0
+    results: dict[float, SynthesisResult] = {}
     out = []
     for i, g in enumerate(c.gates):
         if g.kind is not GateKind.F:
             raise ValueError(f"gate {i}: expected an f gate, got {g.kind.value}")
-        try:
-            result = synthesize(g.param, cfg)
-        except NotReachable as e:
-            e.gate_index = i
-            raise
+        result = results.get(g.param)
+        if result is None:
+            try:
+                result = results[g.param] = synthesize(g.param, cfg)
+            except NotReachable as e:
+                e.gate_index = i
+                raise
         out.append(SynthesizedGate(i, g.param, result))
     return out
 

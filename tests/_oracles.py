@@ -4,6 +4,7 @@ Everything here recomputes results through a different route than the
 package: gate application walks basis states one amplitude at a time
 or gathers and scatters whole index arrays,
 the orbit table is evaluated per entry in high-precision arithmetic,
+the synthesis window and orbit angles are formed in mpmath,
 the transform matrices come from their defining formulas, and .rqc text
 is tokenized, parsed and emitted one character and one line at a time.
 """
@@ -17,7 +18,18 @@ import re
 import numpy as np
 from mpmath import mp, mpf
 
-from rqc import Circuit, Gate, GateKind, ParseError, gate_matrix
+from rqc import (
+    Circuit,
+    Gate,
+    GateKind,
+    NotReachable,
+    ParseError,
+    SynthConfig,
+    SynthesisResult,
+    circular_distance,
+    gate_matrix,
+)
+from rqc.synth import _closest_k, _exact_distance, _first_hit
 
 
 def random_complex_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:
@@ -168,6 +180,38 @@ def brute_force_min_k(
         if err <= eps:
             return k, err
     return None
+
+
+def mp_orbit_angle(k: int, phi: float) -> float:
+    """k*phi mod 2pi by mpmath fmod at a working precision of 128 bits
+    beyond those of k and phi's integer part, rounded once to float64."""
+    with mp.workprec(k.bit_length() + max(math.frexp(phi)[1], 0) + 128):
+        v = mp.fmod(k * mpf(phi), 2 * mp.pi)
+        return float(v + 2 * mp.pi if v < 0 else v)
+
+
+def mp_synthesize(theta: float, cfg: SynthConfig) -> SynthesisResult:
+    """synthesize with the window, a and the orbit angles formed in mpmath
+    for every call; the integer first-hit solver is the package's."""
+    target = theta % math.tau
+    exponent = math.frexp(cfg.phi)[1]
+    bits = cfg.k_max.bit_length() + max(-exponent, 0) + 128
+    m = 1 << bits
+    with mp.workprec(bits + max(exponent, 0) + 64):
+        per_radian = mp.ldexp(1, bits) / (2 * mp.pi)
+        a = int(mp.nint(cfg.phi * per_radian)) % m
+        center = target * per_radian
+        half_width = (cfg.eps + mpf(1e-12)) * per_radian
+        lo, hi = int(mp.floor(center - half_width)), int(mp.ceil(center + half_width))
+        k = _first_hit(a, m, lo, hi, 1)
+        while k is not None and k <= cfg.k_max:
+            achieved = mp_orbit_angle(k, cfg.phi)
+            error = circular_distance(achieved, target)
+            if error <= cfg.eps:
+                return SynthesisResult(k, achieved, error)
+            k = _first_hit(a, m, lo, hi, k + 1)
+        best_k = _closest_k(a, m, int(mp.nint(center)), cfg.k_max)
+    raise NotReachable(theta, best_k, _exact_distance(best_k, cfg.phi, target))
 
 
 _MNEMONICS = {k.value: k for k in GateKind}

@@ -149,6 +149,19 @@ def test_synth_rejects_non_finite(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_non_finite_eps_is_rejected(tmp_path, capsys):
+    path = write(tmp_path, "c.rqc", "qubits 1\nry 0 0.5\n")
+    for argv in (["synth", "1.0"], ["verify", path], ["transpile", path]):
+        for eps in ("inf", "-inf", "nan"):
+            assert main([*argv, f"--eps={eps}"]) == EXIT_INVALID
+            assert capsys.readouterr().err == "error: eps must be finite\n"
+
+
+def test_synth_large_finite_eps_takes_one_gate(capsys):
+    assert main(["synth", "1.0", "--eps", "1e300"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "k: 1"
+
+
 def test_verify_pass_and_report(tmp_path, capsys):
     path = write(tmp_path, "c.rqc", "qubits 2\nh 0\ncx 0 1\n")
     assert main(["verify", path, "--init", "2"]) == EXIT_OK

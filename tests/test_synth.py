@@ -23,7 +23,14 @@ from rqc import (
     synthesize,
 )
 
-from _oracles import brute_force_min_k, exact_circular_distance, exact_orbit_table
+import rqc.synth
+from _oracles import (
+    brute_force_min_k,
+    exact_circular_distance,
+    exact_orbit_table,
+    mp_orbit_angle,
+    mp_synthesize,
+)
 
 
 def test_default_phi_value():
@@ -38,6 +45,9 @@ def test_config_validation():
         SynthConfig(phi=math.inf)
     with pytest.raises(ValueError, match="positive"):
         SynthConfig(eps=0.0)
+    for eps in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            SynthConfig(eps=eps)
     with pytest.raises(ValueError, match="at least 1"):
         SynthConfig(k_max=0)
 
@@ -192,6 +202,63 @@ def test_not_reachable_names_the_exact_closest_miss(phi, theta, k_max):
     d = np.abs(cached_orbit_table(phi)[:k_max] - target)
     d = np.minimum(d, math.tau - d)
     assert abs(e.value.best_error - d.min()) <= 2e-15
+
+
+def outcome(f, theta, cfg):
+    try:
+        r = f(theta, cfg)
+    except NotReachable as e:
+        return "not reachable", e.best_k, e.best_error
+    return r.k, r.achieved, r.error
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phi=st.sampled_from(
+        [DEFAULT_PHI, 0.0, math.pi, -math.pi, math.tau, -2.5, 1e5, 1e-300, 5e-324, 1e308]
+    ),
+    theta=st.one_of(st.floats(-1e300, 1e300), st.floats(-10.0, 10.0)),
+    eps=st.floats(1e-12, 10.0),
+    k_max=st.one_of(st.integers(1, 10**4), st.integers(1, 10**12)),
+)
+def test_synthesize_equals_the_mpmath_reference(phi, theta, eps, k_max):
+    # every orbit point up to k_max lies within 1e-12 of 0 when phi is 0 or
+    # tiny; a target just beyond eps of 0 then puts each k in the window's
+    # margin and both searches reject them one at a time, up to 10^12 times
+    if abs(phi) * k_max < 1e-12:
+        assume(not eps < circular_distance(folded(theta), 0.0) <= eps + 2e-12)
+    cfg = SynthConfig(phi=phi, eps=eps, k_max=k_max)
+    assert outcome(synthesize, theta, cfg) == outcome(mp_synthesize, theta, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phi=st.one_of(
+        st.sampled_from([DEFAULT_PHI, math.pi, -math.pi, 5e-324, -5e-324, 1e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    k=st.one_of(st.integers(0, 10**6), st.integers(1, 10**40)),
+)
+def test_orbit_angle_equals_the_mpmath_reference(phi, k):
+    assert orbit_angle(k, phi) == mp_orbit_angle(k, phi)
+
+
+def test_second_synthesis_for_a_config_makes_no_mpmath_call(monkeypatch):
+    cfg = SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)
+    first = synthesize(0.5, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath called on the hot path")
+
+    monkeypatch.setattr(rqc.synth.mp, "workprec", refuse)
+    # a fresh config with equal values reuses the context
+    assert synthesize(0.5, SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)) == first
+    rng = np.random.default_rng(400)
+    for theta in rng.uniform(-10, 10, size=50):
+        r = synthesize(float(theta), SynthConfig(phi=1.25, eps=1e-3, k_max=10**7))
+        assert r.k <= 10**7
+    # the widest orbit angle synthesize can ask for, at k = k_max
+    orbit_angle(10**7, 1.25)
 
 
 def test_deep_search_is_fast_and_exact():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from rqc import (
     LoweringLevel,
     NotReachable,
     SynthConfig,
+    SynthesizedGate,
     achieved_circuit,
     add_work_ancilla,
     decode,
@@ -26,12 +28,16 @@ from rqc import (
     random_circuit,
     run_real,
     strip_work_ancilla,
+    synthesize,
     synthesize_all,
     transpile,
 )
 from rqc.sim import RealState
 
 from _oracles import dense_apply, dense_unitary, random_complex_state
+
+# the package attribute rqc.transpile is the function, not the module
+transpile_mod = importlib.import_module("rqc.transpile")
 
 PI = math.pi
 NORMAL = {GateKind.RZ, GateKind.RY, GateKind.F, GateKind.GPHASE}
@@ -304,12 +310,33 @@ def test_materialized_and_achieved_forms_agree():
 
 
 def test_synthesize_all_flags_the_failing_gate():
+    # the unreachable angle repeats; the first gate that carries it is named
     c = Circuit(3)
-    c.gates.append(Gate(GateKind.F, (0, 1), DEFAULT_PHI))
-    c.gates.append(Gate(GateKind.F, (1, 2), 1.0))
+    for theta in (DEFAULT_PHI, 1.0, DEFAULT_PHI, 1.0, 2.0):
+        c.gates.append(Gate(GateKind.F, (1, 2), theta))
     with pytest.raises(NotReachable) as e:
         synthesize_all(c, SynthConfig(eps=1e-15, k_max=50))
     assert e.value.gate_index == 1
+    assert e.value.theta == 1.0
+
+
+def test_synthesize_all_synthesizes_each_distinct_angle_once(monkeypatch):
+    c = random_circuit(3, 40, seed=5)
+    l2, _ = transpile(c, LoweringLevel.F_ONLY)
+    l2.gates += [Gate(GateKind.F, (0, 1), 0.0), Gate(GateKind.F, (1, 2), -0.0)]
+    cfg = SynthConfig(eps=1e-3)
+    want = [SynthesizedGate(i, g.param, synthesize(g.param, cfg)) for i, g in enumerate(l2.gates)]
+    calls = []
+
+    def counted(theta, cfg):
+        calls.append(theta)
+        return synthesize(theta, cfg)
+
+    monkeypatch.setattr(transpile_mod, "synthesize", counted)
+    got = synthesize_all(l2, cfg)
+    assert got == want
+    assert len(calls) == len({g.param for g in l2.gates}) < len(l2.gates)
+    assert [math.copysign(1.0, s.target) for s in got[-2:]] == [1.0, -1.0]
 
 
 def test_synthesize_all_rejects_non_f_circuits():
