@@ -39,7 +39,8 @@ class EncodedLayout:
 
 
 class AncillaLeakError(ValueError):
-    """The work ancilla picked up weight on |0>; controls must never move it."""
+    """The work ancilla can leave |1>: a gate other than the control of f
+    acts on it, or it picked up weight on |0>. Controls must never move it."""
 
 
 def encode(s: ComplexState) -> RealState:

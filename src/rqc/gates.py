@@ -122,6 +122,11 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     Branch selection is deterministic. Diagonal input fixes b = 0, c = 0;
     anti-diagonal input fixes b = pi/2, a = 0 (which keeps plain bit
     flips free of gphase items: x comes out as ry(pi/2) after rz(pi)).
+
+    The phases of u[0,0], u[1,0] and u[1,1] are alpha, alpha + a and
+    alpha + a + c, and that of -u[0,1] is alpha + c. c comes from the
+    larger of u[1,1] and u[0,1], so an entry that is only rounding noise
+    never sets the phase of one that carries weight.
     """
     if abs(u[1, 0]) == 0.0:
         alpha = _arg(u[0, 0])
@@ -132,7 +137,10 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     b = math.atan2(abs(u[1, 0]), abs(u[0, 0]))
     alpha = _arg(u[0, 0])
     a = _wrap(_arg(u[1, 0]) - alpha)
-    c = _wrap(_arg(-u[0, 1]) - alpha)
+    if abs(u[1, 1]) > abs(u[0, 1]):
+        c = _wrap(_arg(u[1, 1]) - _arg(u[1, 0]))
+    else:
+        c = _wrap(_arg(-u[0, 1]) - alpha)
     return (alpha, a, b, c)
 
 

@@ -1,10 +1,16 @@
 """Equivalence checking between a circuit and its lowered forms.
 
 The reference run uses the complex engine on the original circuit; each
-lowered stage runs on the real engine from the encoded initial state.
-Comparison is full statevector distance after decoding, not only
-distributions, so phase errors that distributions cannot see still fail.
-Reports serialize to stable key: value text for golden-file comparison.
+lowered stage runs on the real engine from the encoded initial state,
+over data + tag. The work ancilla of the f and g stages sits in |1> and
+only controls f, so each f(work -> t) is applied as ry(t) and the
+ancilla is never simulated; a gate that could move it raises
+AncillaLeakError. lower_ry_pass keeps every angle, so the projected f
+stage normally equals the real stage gate for gate and reuses its run,
+which the deterministic simulator would repeat bit for bit. Comparison
+is full statevector distance after decoding, not only distributions, so
+phase errors that distributions cannot see still fail. Reports
+serialize to stable key: value text for golden-file comparison.
 """
 
 from __future__ import annotations
@@ -14,15 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, require_valid
-from .encoding import (
-    EncodedLayout,
-    add_work_ancilla,
-    decode,
-    encode,
-    marginal_distribution,
-    strip_work_ancilla,
-)
+from .circuit import Circuit, Gate, GateKind, require_valid
+from .encoding import AncillaLeakError, EncodedLayout, decode, encode, marginal_distribution
 from .sim import check_width, distribution, init_basis, run_complex, run_real
 from .synth import SynthConfig, budget
 from .textio import emit
@@ -163,6 +162,24 @@ class VerificationReport:
         return "\n".join(out) + "\n"
 
 
+def _project_work(c: Circuit, layout: EncodedLayout) -> Circuit:
+    # the stage on the work = 1 block, over data + tag: f(work -> t) acts
+    # there as ry(t), and gates off the work ancilla pass through
+    work = layout.work_ancilla
+    out = Circuit(work, name=c.name)
+    for i, g in enumerate(c.gates):
+        if work not in g.qubits:
+            out.gates.append(g)
+        elif g.kind is GateKind.F and g.qubits[0] == work and g.qubits[1] != work:
+            out.gates.append(Gate(GateKind.RY, (g.qubits[1],), g.param))
+        else:
+            raise AncillaLeakError(
+                f"gate {i}: {g.kind.value} on {g.qubits} can move the work ancilla "
+                f"{work}, which may only control f"
+            )
+    return out
+
+
 def circuit_digest(c: Circuit) -> str:
     """sha256 over the canonical text form."""
     return hashlib.sha256(emit(c).encode()).hexdigest()
@@ -179,8 +196,13 @@ def verify_circuit(
 
     PASS needs the exact stages within EXACT_STAGE_TOL on both metrics
     and the synthesized stage within its own error budget, give or take
-    BUDGET_ROUNDOFF_TOL. A circuit whose lowered register (data + 2
-    qubits) is wider than sim.MAX_QUBITS is refused before anything runs.
+    BUDGET_ROUNDOFF_TOL. Every stage runs on the data + tag register: the
+    f and g stages hold the work ancilla in |1> as a classical control,
+    and the f stage reuses the real stage's distances when its projection
+    equals the real stage gate for gate. AncillaLeakError names the first
+    gate that uses the work ancilla other than as the control of f. A
+    circuit whose lowered register (data + 2 qubits) is wider than
+    sim.MAX_QUBITS is refused before anything runs.
     """
     require_valid(c)
     if cfg is None:
@@ -192,13 +214,9 @@ def verify_circuit(
     ref_dist = distribution(ref)
     stages = prepare_stages(c, cfg, level)
     enc = encode(init_basis(c.num_qubits, init_basis_index))
-    # only the f and g stages carry the work ancilla
-    enc_worked = add_work_ancilla(enc) if stages.l2 is not None else None
 
-    def measure(circuit: Circuit, layout: EncodedLayout) -> StageResult:
-        final = run_real(circuit, enc_worked if layout.has_work else enc)
-        if layout.has_work:
-            final = strip_work_ancilla(final)
+    def measure(circuit: Circuit) -> StageResult:
+        final = run_real(circuit, enc)
         decoded = decode(final, plain)
         return StageResult(
             len(circuit.gates),
@@ -206,9 +224,18 @@ def verify_circuit(
             tv_distance(marginal_distribution(final, plain), ref_dist),
         )
 
-    real_res = measure(stages.l1, plain)
-    f_res = measure(stages.l2, worked) if stages.l2 is not None else None
-    g_res = measure(stages.l3, worked) if stages.l3 is not None else None
+    real_res = measure(stages.l1)
+    f_res = g_res = None
+    if stages.l2 is not None:
+        projected = _project_work(stages.l2, worked)
+        if projected.gates == stages.l1.gates:
+            f_res = StageResult(
+                len(stages.l2.gates), real_res.state_distance, real_res.tv_distance
+            )
+        else:
+            f_res = measure(projected)
+    if stages.l3 is not None:
+        g_res = measure(_project_work(stages.l3, worked))
 
     reason = None
     for name, res in (("real", real_res), ("f", f_res)):

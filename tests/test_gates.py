@@ -205,3 +205,31 @@ def test_zyz_no_negative_zero_angles():
     for kind in GOLDEN_ZYZ:
         for v in zyz_angles(gate_matrix(g1(kind))):
             assert not (v == 0.0 and math.copysign(1.0, v) < 0.0)
+
+
+def _near_products(rng):
+    # products of random unitaries, plus ones a rounding step away from
+    # diagonal (u @ u^dagger) or anti-diagonal (x @ u @ u^dagger), where
+    # |u[1,0]| or |u[0,0]| is float64 noise rather than an exact zero
+    h = gate_matrix(g1(GateKind.H))
+    x = gate_matrix(g1(GateKind.X))
+    yield h @ h
+    yield x @ h @ h
+    for _ in range(100):
+        u, v, w = (random_unitary_2x2(rng) for _ in range(3))
+        d = np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 2)))
+        yield u @ v @ w
+        yield d @ u @ u.conj().T
+        yield x @ d @ u @ u.conj().T
+        small = zyz_product(*rng.uniform(-math.pi, math.pi, 2), 10.0 ** rng.uniform(-18, -6), 0.3)
+        yield small
+        yield small @ x
+
+
+def test_zyz_reconstruction_on_near_diagonal_products():
+    # every phase must come from an entry that carries weight; the noise
+    # phase of a ~1e-17 entry once set a + c and turned h @ h into z
+    rng = np.random.default_rng(47)
+    for u in _near_products(rng):
+        angles = zyz_angles(u)
+        assert np.allclose(zyz_product(*angles), u, rtol=0.0, atol=1e-12), (u, angles)

@@ -4,22 +4,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rqc.verify as verify_mod
 from rqc import (
+    AncillaLeakError,
     Circuit,
+    ComplexState,
+    EncodedLayout,
     Gate,
     GateKind,
     LoweringLevel,
+    RealState,
     SynthConfig,
+    add_work_ancilla,
     circuit_digest,
+    decode,
+    distribution,
     emit,
+    encode,
+    init_basis,
+    marginal_distribution,
     parse,
     qft,
     random_circuit,
+    strip_work_ancilla,
     tv_distance,
     verify_circuit,
 )
+from rqc.cli import EXIT_INVALID, main
+
+from _oracles import gather_apply
 
 
 def test_tv_distance():
@@ -201,11 +217,93 @@ def test_small_corruptions_below_tolerance_still_pass(monkeypatch):
     assert verify_circuit(c, 0).passed
 
 
-def test_level_real_builds_no_work_ancilla_register(monkeypatch):
-    def refuse(state):
-        raise AssertionError("level real has no stage with a work ancilla")
+def test_no_stage_simulates_the_work_ancilla(monkeypatch):
+    # every stage runs on data + tag at every level; at level f the f
+    # stage reuses the real stage's run instead of simulating again
+    calls = []
 
-    monkeypatch.setattr(verify_mod, "add_work_ancilla", refuse)
-    report = verify_circuit(random_circuit(4, 30, 7), 3, level=LoweringLevel.REAL_ENCODED)
-    assert report.status == "PASS"
-    assert (report.f, report.g) == (None, None)
+    def recording(name):
+        inner = getattr(verify_mod, name)
+
+        def run(circuit, init):
+            calls.append((name, circuit.num_qubits, init.num_qubits))
+            return inner(circuit, init)
+
+        return run
+
+    for name in ("run_real", "run_complex"):
+        monkeypatch.setattr(verify_mod, name, recording(name))
+    c = random_circuit(4, 30, 7)
+    runs = {}
+    for level in LoweringLevel:
+        calls.clear()
+        report = verify_circuit(c, 3, SynthConfig(eps=1e-3), level)
+        assert report.status == "PASS"
+        assert max(max(widths) for _, *widths in calls) <= c.num_qubits + 1
+        runs[level] = [name for name, *_ in calls]
+    assert runs[LoweringLevel.REAL_ENCODED] == ["run_complex", "run_real"]
+    assert runs[LoweringLevel.F_ONLY] == ["run_complex", "run_real"]
+    assert runs[LoweringLevel.G_ONLY] == ["run_complex", "run_real", "run_real"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([LoweringLevel.F_ONLY, LoweringLevel.G_ONLY]),
+    st.data(),
+)
+def test_projected_stages_match_a_full_work_register_simulation(n, num_gates, seed, level, data):
+    # the f and g stages, unprojected, on data + tag + work with the work
+    # ancilla in |1>, applied by index gather and scatter, then stripped
+    c = random_circuit(n, num_gates, seed)
+    init = data.draw(st.integers(0, (1 << n) - 1))
+    cfg = SynthConfig(eps=1e-3)
+    report = verify_circuit(c, init, cfg, level)
+    stages = verify_mod.prepare_stages(c, cfg, level)
+    ref = init_basis(n, init).amps
+    for g in c.gates:
+        ref = gather_apply(g, ref)
+    ref_dist = distribution(ComplexState(n, ref))
+    plain = EncodedLayout(n)
+    for stage, res in ((stages.l2, report.f), (stages.l3, report.g)):
+        if stage is None:
+            continue
+        amps = add_work_ancilla(encode(init_basis(n, init))).amps
+        for g in stage.gates:
+            amps = gather_apply(g, amps)
+        final = strip_work_ancilla(RealState(n + 2, amps))
+        assert res.state_distance == float(np.linalg.norm(decode(final, plain).amps - ref))
+        assert res.tv_distance == tv_distance(marginal_distribution(final, plain), ref_dist)
+
+
+def leaky_stages(inner, extra):
+    # real stages, with gates appended to l2 that act on the work ancilla
+    def wrapper(c, cfg, level):
+        st = inner(c, cfg, level)
+        work = st.l2.num_qubits - 1
+        return dataclasses.replace(st, l2=Circuit(st.l2.num_qubits, st.l2.gates + extra(work)))
+
+    return wrapper
+
+
+def test_a_gate_that_moves_the_work_ancilla_is_refused(monkeypatch, tmp_path, capsys):
+    c = Circuit(2).h(0).cx(0, 1)
+    source = tmp_path / "c.rqc"
+    source.write_text(emit(c))
+    inner = verify_mod.prepare_stages
+    n = len(inner(c, SynthConfig(), LoweringLevel.F_ONLY).l2.gates)
+    cases = [
+        (lambda work: [Gate(GateKind.F, (1, work), 0.3)], n),
+        (lambda work: [Gate(GateKind.F, (work, 1), 0.3), Gate(GateKind.RY, (work,), 0.2)], n + 1),
+    ]
+    for extra, index in cases:
+        monkeypatch.setattr(verify_mod, "prepare_stages", leaky_stages(inner, extra))
+        for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
+            with pytest.raises(AncillaLeakError, match=f"^gate {index}: "):
+                verify_circuit(c, 0, level=level)
+        assert main(["verify", str(source)]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: gate {index}: ") and "work ancilla" in err
