@@ -198,7 +198,7 @@ def cmd_run(cfg: CliConfig) -> int:
     else:
         state = run_complex(c, init_basis(c.num_qubits, cfg.init))
     probs = distribution(state)
-    if cfg.shots > 0:
+    if cfg.shots:  # sample rejects a negative count
         counts = sample(probs, cfg.shots, cfg.seed)
         lines = [
             f"{i:0{c.num_qubits}b} {int(v)}" for i, v in enumerate(counts)

@@ -76,7 +76,7 @@ def strip_work_ancilla(s: RealState, tol: float = 1e-9) -> RealState:
     leak = float(s.amps[:half] @ s.amps[:half])
     if leak > tol:
         raise AncillaLeakError(f"work-ancilla leaked: probability {leak:.3e} on |0>")
-    return RealState(s.num_qubits - 1, s.amps[half:])
+    return RealState(s.num_qubits - 1, s.amps[half:].copy())
 
 
 def marginal_distribution(s: RealState, layout: EncodedLayout) -> np.ndarray:

@@ -63,7 +63,7 @@ class RealState:
         a = np.asarray(self.amps)
         if a.dtype.kind == "c":
             raise ValueError("RealState cannot hold complex amplitudes")
-        self.amps = a.astype(np.float64)
+        self.amps = a.astype(np.float64, copy=False)
         if self.amps.shape != (1 << self.num_qubits,):
             raise ValueError("amplitude count does not match qubit count")
 

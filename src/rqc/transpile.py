@@ -224,12 +224,13 @@ def materialize_fixed(c: Circuit, synths: list[SynthesizedGate], phi: float) -> 
     """Expand each f(theta) of a level-'f' circuit into k copies of the
     one fixed f(phi) gate (level 'g').
 
-    The k copies are one shared Gate object, which textio.emit relies on
-    to format each run once instead of once per fixed gate."""
+    Every copy on one qubit pair is the same Gate object, so textio.emit's
+    groupby finds each run, even one that spans adjacent rotations on
+    that pair, by identity alone instead of by dataclass equality."""
     out = Circuit(c.num_qubits, name=c.name)
+    fixed = {q: Gate(GateKind.F, q, phi) for q in {g.qubits for g in c.gates}}
     for g, s in zip(c.gates, synths, strict=True):
-        fixed = Gate(GateKind.F, g.qubits, phi)
-        out.gates.extend([fixed] * s.result.k)
+        out.gates.extend([fixed[g.qubits]] * s.result.k)
     return out
 
 

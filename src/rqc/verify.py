@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
-from .encoding import AncillaLeakError, EncodedLayout, decode, encode, marginal_distribution
-from .sim import check_width, distribution, init_basis, run_complex, run_real
+from .encoding import AncillaLeakError, EncodedLayout, decode, marginal_distribution
+from .sim import check_width, distribution, init_basis, init_basis_real, run_complex, run_real
 from .synth import SynthConfig, budget
 from .textio import emit
 from .transpile import (
@@ -213,7 +213,7 @@ def verify_circuit(
     ref = run_complex(c, init_basis(c.num_qubits, init_basis_index))
     ref_dist = distribution(ref)
     stages = prepare_stages(c, cfg, level)
-    enc = encode(init_basis(c.num_qubits, init_basis_index))
+    enc = init_basis_real(plain.num_qubits, init_basis_index)
 
     def measure(circuit: Circuit) -> StageResult:
         final = run_real(circuit, enc)

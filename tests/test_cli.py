@@ -1,7 +1,9 @@
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +109,16 @@ def test_run_shots_on_an_unsampleable_distribution_exit_code(tmp_path, capsys, m
     monkeypatch.setattr(cli_mod, "distribution", lambda state: np.zeros(2))
     assert main(["run", path, "--shots", "10"]) == EXIT_INVALID
     assert "probabilities" in capsys.readouterr().err
+
+
+def test_run_negative_shots_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
+    assert main(["run", path, "--shots", "-3"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shots must be non-negative" in captured.err
+    assert main(["run", path, "--shots", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == "0 0.5\n1 0.5\n"
 
 
 def test_run_complex_circuit(tmp_path, capsys):
@@ -292,9 +304,12 @@ def test_bench_deterministic_apart_from_timings(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same rqc as this process, installed or not
+    src = str(Path(cli_mod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rqc.cli", "synth", f"{DEFAULT_PHI:.17g}"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("k: 1\n")

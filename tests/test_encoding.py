@@ -17,6 +17,7 @@ from rqc import (
     encode,
     global_phase_gate,
     init_basis,
+    init_basis_real,
     marginal_distribution,
     run_real,
     strip_work_ancilla,
@@ -34,6 +35,7 @@ def test_layout_indices():
     assert (lay.ri_ancilla, lay.work_ancilla, lay.num_qubits) == (3, 4, 5)
     # the tag ancilla reads 0 on real parts: a real state keeps its index
     assert np.flatnonzero(encode(init_basis(3, 5)).amps).tolist() == [5]
+    assert np.array_equal(encode(init_basis(3, 5)).amps, init_basis_real(4, 5).amps)
 
 
 def test_encode_examples():
@@ -99,6 +101,26 @@ def test_work_ancilla_round_trip():
     assert np.array_equal(worked.amps[8:], enc.amps)
     back = strip_work_ancilla(worked)
     assert np.array_equal(back.amps, enc.amps)
+
+
+def test_returned_states_own_their_amplitudes():
+    rng = np.random.default_rng(7)
+    s = ComplexState(2, random_complex_state(rng, 2))
+    enc = encode(s)
+    worked = add_work_ancilla(enc)
+    calls = [
+        (s, lambda: encode(s)),
+        (enc, lambda: decode(enc)),
+        (enc, lambda: add_work_ancilla(enc)),
+        (worked, lambda: strip_work_ancilla(worked)),
+        (enc, lambda: run_real(Circuit(3).x(0), enc)),
+        (enc, enc.copy),
+    ]
+    for state, call in calls:
+        before = state.amps.copy()
+        out = call()
+        out.amps[...] = 7.0
+        assert np.array_equal(state.amps, before)
 
 
 def test_strip_work_ancilla_detects_leaks():

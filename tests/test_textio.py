@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -212,6 +213,13 @@ def test_emit_equals_the_line_emitter():
     c.gates += [f0, f1, f1, f0] + [zero] * 2 + [neg] * 3 + [zero]
     assert emit(c) == line_emit(c)
     assert emit(c).count("f 1 0 -0\n") == 3
+    # one equal run of distinct zero and negative-zero objects
+    other_zero = Gate(GateKind.F, (1, 0), 0.0)
+    assert other_zero == zero == neg and other_zero is not zero
+    c = Circuit(2)
+    c.gates += [zero, neg, other_zero, zero, neg, neg, other_zero, f0]
+    assert emit(c) == line_emit(c)
+    assert emit(c).count("f 1 0 -0\n") == 3
     g = level_g(qft(3))
     assert len(g.gates) > 50_000
     assert emit(g) == line_emit(g)
@@ -240,7 +248,8 @@ def _text(header_run, runs):
 _runs = st.lists(
     st.tuples(
         st.sampled_from(_GOOD_LINES),
-        st.integers(1, 6),
+        # lengths that cross the doubling steps of parse's gallop
+        st.one_of(st.integers(1, 6), st.sampled_from([7, 8, 9, 15, 16, 17, 63, 64, 65, 129])),
         st.sampled_from(["\n", "\r\n"]),
     ),
     max_size=12,
@@ -254,6 +263,9 @@ def test_parse_equals_the_line_parser_on_repeated_lines(runs, final_newline):
     if not final_newline:
         text = text.rstrip("\n")
     assert outcome(parse, text) == outcome(line_parse, text)
+    # each run of identical gate lines shares one Gate, and no two runs do
+    gate_runs = sum(1 for raw, _ in groupby(text.split("\n")) if char_tokens(raw.rstrip("\r")))
+    assert sum(1 for _ in groupby(parse(text).gates, key=id)) == gate_runs - 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,6 +296,64 @@ def test_parse_errors_on_runs_point_at_the_first_line_of_the_run():
     ]
     for text, w in zip(cases, want, strict=True):
         assert outcome(parse, text) == outcome(line_parse, text) == w
+
+
+def test_parse_runs_at_the_ends_of_the_text():
+    cases = [
+        # the unterminated last line repeats the run before it
+        "qubits 2\nh 0\nh 0\nh 0",
+        "qubits 2\n" + "f 0 1 0.5\n" * 64 + "f 0 1 0.5",
+        "qubits 2\nh 0\r\nh 0\r\nh 0\r",
+        # ... or differs from it only by the CR
+        "qubits 2\nh 0\r\nh 0\r\nh 0",
+        # trailing runs of blank lines
+        "qubits 2\nh 0\n\n\n\n",
+        "qubits 2\nh 0\n" + "\r\n" * 17 + "\n" * 9,
+        "qubits 2\nh 0\n" + "  \n" * 16 + "  ",
+        "qubits 1\n" + "\n" * 129,
+    ]
+    for text in cases:
+        assert outcome(parse, text) == outcome(line_parse, text)
+    g = parse(cases[1]).gates
+    assert len(g) == 65 and all(x is g[0] for x in g)
+
+
+def test_parse_runs_longer_than_the_gallop_cap(monkeypatch):
+    monkeypatch.setattr(textio, "_GALLOP_MAX", 32)
+    for n in (7, 8, 9, 15, 16, 17, 63, 64, 65, 129):
+        for last in ("", "f 0 1 0.5", "h 0\n"):
+            text = "qubits 2\n" + "f 0 1 0.5\n" * n + last
+            assert outcome(parse, text) == outcome(line_parse, text)
+            g = parse(text).gates
+            assert all(x is g[0] for x in g[:n + (last == "f 0 1 0.5")])
+
+
+def test_parse_splits_a_crlf_run_from_the_same_line_with_lf():
+    text = "qubits 2\n" + "f 0 1 0.5\r\n" * 9 + "f 0 1 0.5\n" * 9
+    assert outcome(parse, text) == outcome(line_parse, text)
+    g = parse(text).gates
+    assert len(g) == 18
+    assert g[0] is g[8] and g[9] is g[17] and g[8] is not g[9]
+
+
+def test_parse_error_inside_a_long_run():
+    text = "qubits 2\n" + "h 0\n" * 10 + "cx 0 5\n" * 65 + "h 0\n"
+    assert outcome(parse, text) == outcome(line_parse, text) == (
+        12, 6, "operand 5 out of range for 2 qubit(s)"
+    )
+
+
+def test_parse_peak_memory_on_level_g_text():
+    text = emit(level_g(qft(4)))
+    assert len(text) > 4_000_000
+    tracemalloc.start()
+    try:
+        parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gate list alone takes 1.46 MB; one string per line took 15.7 MB
+    assert peak < 3_000_000, f"parse peaked at {peak / 1e6:.1f} MB"
 
 
 def test_parse_shares_one_gate_across_a_run():

@@ -303,6 +303,10 @@ def test_materialized_and_achieved_forms_agree():
     folded = achieved_circuit(l2, synths)
     assert len(folded.gates) == len(l2.gates)
     assert len(fixed.gates) == sum(s.result.k for s in synths)
+    # one shared Gate object per qubit pair, so equal runs are identity runs
+    by_pair = {g.qubits: g for g in fixed.gates}
+    assert len(by_pair) == len({g.qubits for g in l2.gates}) > 1
+    assert all(g is by_pair[g.qubits] for g in fixed.gates)
     init = add_work_ancilla(encode(init_basis(2, 3)))
     a = run_real(fixed, init)
     b = run_real(folded, init)
