@@ -194,9 +194,11 @@ def cmd_run(cfg: CliConfig) -> int:
     c = _load_circuit(cfg)
     _check_init(cfg, c)
     if all(is_real(g) for g in c.gates):
-        state = run_real(c, init_basis_real(c.num_qubits, cfg.init))
+        state = init_basis_real(c.num_qubits, cfg.init)
+        run_real(c, state, out=state)
     else:
-        state = run_complex(c, init_basis(c.num_qubits, cfg.init))
+        state = init_basis(c.num_qubits, cfg.init)
+        run_complex(c, state, out=state)
     probs = distribution(state)
     if cfg.shots:  # sample rejects a negative count
         counts = sample(probs, cfg.shots, cfg.seed)

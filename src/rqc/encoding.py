@@ -99,6 +99,38 @@ def marginal_distribution(s: RealState, layout: EncodedLayout) -> np.ndarray:
     return p[:n] + p[n:]
 
 
+def encoded_distances(s: RealState, ref: ComplexState) -> tuple[float, float]:
+    """State and total variation distance of a data + tag register from
+    a complex reference, squaring s.amps in place.
+
+    The values equal np.linalg.norm(decode(s).amps - ref.amps) and
+    verify.tv_distance(marginal_distribution(s, layout),
+    sim.distribution(ref)) bit for bit: the same float operations in the
+    same order, on the same memory layouts. They share one scratch array
+    the size of ref instead of the half dozen those calls allocate.
+    """
+    half = len(ref.amps)
+    if len(s.amps) != 2 * half:
+        raise ValueError("encoded_distances expects a data-plus-tag register")
+    amps = s.amps
+    diff = np.empty_like(ref.amps)
+    np.subtract(amps[:half], ref.amps.real, out=diff.real)
+    np.subtract(amps[half:], ref.amps.imag, out=diff.imag)
+    state_distance = float(np.linalg.norm(diff))
+    # diff's float64 view holds the reference distribution q and the
+    # marginal p of s
+    w = diff.view(np.float64)
+    q, p = w[:half], w[half:]
+    np.square(ref.amps.real, out=q)
+    np.square(ref.amps.imag, out=p)
+    np.add(q, p, out=q)
+    np.square(amps, out=amps)
+    np.add(amps[:half], amps[half:], out=p)
+    np.subtract(p, q, out=q)
+    np.abs(q, out=q)
+    return state_distance, 0.5 * float(q.sum())
+
+
 def global_phase_gate(alpha: float, layout: EncodedLayout) -> Gate:
     """ry(alpha) on the tag ancilla.
 

@@ -24,6 +24,8 @@ import numpy as np
 from .circuit import Gate, GateKind
 
 _SQ2 = math.sqrt(0.5)
+_T_PHASE = cmath.exp(0.25j * math.pi)
+_TDG_PHASE = cmath.exp(-0.25j * math.pi)
 
 
 def _unit_phase(t: float) -> complex:
@@ -34,51 +36,67 @@ def _unit_phase(t: float) -> complex:
     return complex(math.cos(t), math.sin(t))
 
 
-def _ry_block(t: float) -> np.ndarray:
+def _ry_entries(t: float) -> tuple[float, float, float, float]:
     c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return (c, -s, s, c)
+
+
+def _rx_entries(t: float) -> tuple[complex, complex, complex, complex]:
+    c, s = math.cos(0.5 * t), math.sin(0.5 * t)
+    return (c, -1j * s, -1j * s, c)
+
+
+def _phase_entries(t: float) -> tuple[complex, float, float, complex]:
+    e = _unit_phase(t)
+    return (e, 0.0, 0.0, e)
+
+
+_BLOCKS = {
+    GateKind.X: lambda t: (0.0, 1.0, 1.0, 0.0),
+    GateKind.Y: lambda t: (0.0, -1j, 1j, 0.0),
+    GateKind.Z: lambda t: (1.0, 0.0, 0.0, -1.0),
+    GateKind.H: lambda t: (_SQ2, _SQ2, _SQ2, -_SQ2),
+    GateKind.S: lambda t: (1.0, 0.0, 0.0, 1j),
+    GateKind.SDG: lambda t: (1.0, 0.0, 0.0, -1j),
+    GateKind.T: lambda t: (1.0, 0.0, 0.0, _T_PHASE),
+    GateKind.TDG: lambda t: (1.0, 0.0, 0.0, _TDG_PHASE),
+    GateKind.RX: _rx_entries,
+    GateKind.RY: _ry_entries,
+    GateKind.RZ: lambda t: (1.0, 0.0, 0.0, _unit_phase(t)),
+    GateKind.CX: lambda t: (0.0, 1.0, 1.0, 0.0),
+    GateKind.CZ: lambda t: (1.0, 0.0, 0.0, -1.0),
+    GateKind.F: _ry_entries,
+    GateKind.GPHASE: _phase_entries,
+}
+
+
+def block_entries(g: Gate) -> tuple:
+    """(u00, u01, u10, u11) of the 2x2 block a gate applies, as Python
+    numbers; gate_matrix is built from them.
+
+    The block is the whole matrix of a single-qubit gate and the
+    control-set block of a two-operand one (block-diag(I, U) in the
+    control bit); gphase gives e^{ia} times the identity. Entries that
+    are real at every angle are floats.
+    """
+    try:
+        entries = _BLOCKS[g.kind]
+    except KeyError:
+        raise ValueError(f"unknown gate kind {g.kind!r}") from None
+    return entries(g.param)
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
     """The exact unitary of one gate: 2x2, 4x4, or 1x1 for gphase."""
-    k = g.kind
-    t = g.param
-    if k is GateKind.X:
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    if k is GateKind.Y:
-        return np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    if k is GateKind.Z:
-        return np.array([[1, 0], [0, -1]], dtype=np.complex128)
-    if k is GateKind.H:
-        return np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128)
-    if k is GateKind.S:
-        return np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-    if k is GateKind.SDG:
-        return np.array([[1, 0], [0, -1j]], dtype=np.complex128)
-    if k is GateKind.T:
-        return np.array([[1, 0], [0, cmath.exp(0.25j * math.pi)]], dtype=np.complex128)
-    if k is GateKind.TDG:
-        return np.array([[1, 0], [0, cmath.exp(-0.25j * math.pi)]], dtype=np.complex128)
-    if k is GateKind.RX:
-        c, s = math.cos(0.5 * t), math.sin(0.5 * t)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if k is GateKind.RY:
-        return _ry_block(t)
-    if k is GateKind.RZ:
-        return np.array([[1, 0], [0, _unit_phase(t)]], dtype=np.complex128)
-    if k is GateKind.CX:
-        m = np.eye(4, dtype=np.complex128)
-        m[2:, 2:] = [[0, 1], [1, 0]]
-        return m
-    if k is GateKind.CZ:
-        return np.diag([1, 1, 1, -1]).astype(np.complex128)
-    if k is GateKind.F:
-        m = np.eye(4, dtype=np.complex128)
-        m[2:, 2:] = _ry_block(t)
-        return m
-    if k is GateKind.GPHASE:
-        return np.array([[_unit_phase(t)]], dtype=np.complex128)
-    raise ValueError(f"unknown gate kind {k!r}")
+    u00, u01, u10, u11 = block_entries(g)
+    if g.kind is GateKind.GPHASE:
+        return np.array([[u00]], dtype=np.complex128)
+    u = np.array([[u00, u01], [u10, u11]], dtype=np.complex128)
+    if g.kind.num_operands == 1:
+        return u
+    m = np.eye(4, dtype=np.complex128)
+    m[2:, 2:] = u
+    return m
 
 
 _ALWAYS_REAL = frozenset(
@@ -162,9 +180,9 @@ def zyz_normalize(g: Gate) -> tuple[float, float, float, float]:
 
 def zyz_matrix(alpha: float, a: float, b: float, c: float) -> np.ndarray:
     """Reconstruct e^{i alpha} rz(a) ry(b) rz(c) as a dense 2x2."""
-    rz_a = np.array([[1, 0], [0, _unit_phase(a)]], dtype=np.complex128)
-    rz_c = np.array([[1, 0], [0, _unit_phase(c)]], dtype=np.complex128)
-    m = rz_a @ _ry_block(b) @ rz_c
+    rz_a = gate_matrix(Gate(GateKind.RZ, (0,), a))
+    rz_c = gate_matrix(Gate(GateKind.RZ, (0,), c))
+    m = rz_a @ gate_matrix(Gate(GateKind.RY, (0,), b)) @ rz_c
     if alpha != 0.0:
         m = _unit_phase(alpha) * m
     return m

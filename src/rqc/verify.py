@@ -9,7 +9,10 @@ AncillaLeakError. lower_ry_pass keeps every angle, so the projected f
 stage normally equals the real stage gate for gate and reuses its run,
 which the deterministic simulator would repeat bit for bit. Comparison
 is full statevector distance after decoding, not only distributions, so
-phase errors that distributions cannot see still fail. Reports
+phase errors that distributions cannot see still fail. The reference
+and every stage run in place (sim's out=) and encoded_distances forms
+both distances in one scratch array, so a call holds three
+register-sized arrays. Reports
 serialize to stable key: value text for golden-file comparison.
 """
 
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
-from .encoding import AncillaLeakError, EncodedLayout, decode, marginal_distribution
-from .sim import check_width, distribution, init_basis, init_basis_real, run_complex, run_real
+from .encoding import AncillaLeakError, EncodedLayout, encoded_distances
+from .sim import RealState, check_width, init_basis, run_complex, run_real
 from .synth import SynthConfig, budget
 from .textio import emit
 from .transpile import (
@@ -203,6 +206,12 @@ def verify_circuit(
     gate that uses the work ancilla other than as the control of f. A
     circuit whose lowered register (data + 2 qubits) is wider than
     sim.MAX_QUBITS is refused before anything runs.
+
+    The reference runs in place in its input, and every stage in one
+    data + tag register that is set to the encoded input before each
+    run. encoding.encoded_distances then allocates its one scratch array
+    after the run's scratch is gone, so at most three arrays the size of
+    the complex reference are live at once.
     """
     require_valid(c)
     if cfg is None:
@@ -210,19 +219,19 @@ def verify_circuit(
     plain = EncodedLayout(c.num_qubits)
     worked = EncodedLayout(c.num_qubits, has_work=True)
     check_width(worked.num_qubits)
-    ref = run_complex(c, init_basis(c.num_qubits, init_basis_index))
-    ref_dist = distribution(ref)
+    ref = init_basis(c.num_qubits, init_basis_index)
+    run_complex(c, ref, out=ref)
     stages = prepare_stages(c, cfg, level)
-    enc = init_basis_real(plain.num_qubits, init_basis_index)
+    # each stage first writes its encoded input here, the basis vector
+    # init_basis_real(n + 1, i) (see measure)
+    reg = RealState(plain.num_qubits, np.empty(1 << plain.num_qubits))
 
     def measure(circuit: Circuit) -> StageResult:
-        final = run_real(circuit, enc)
-        decoded = decode(final, plain)
-        return StageResult(
-            len(circuit.gates),
-            float(np.linalg.norm(decoded.amps - ref.amps)),
-            tv_distance(marginal_distribution(final, plain), ref_dist),
-        )
+        reg.amps.fill(0.0)
+        reg.amps[init_basis_index] = 1.0
+        run_real(circuit, reg, out=reg)
+        # the next stage rewrites reg, which this squares in place
+        return StageResult(len(circuit.gates), *encoded_distances(reg, ref))
 
     real_res = measure(stages.l1)
     f_res = g_res = None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rqc import Circuit, Gate, GateKind, gate_matrix, is_real, zyz_angles, zyz_matrix, zyz_normalize
+from rqc.gates import block_entries
 
 from _oracles import random_unitary_2x2, zyz_product
 
@@ -74,6 +75,23 @@ def test_all_matrices_unitary():
             qubits = (0, 1)[: k.num_operands]
             m = gate_matrix(Gate(k, qubits, param))
             assert np.allclose(m.conj().T @ m, np.eye(len(m)), atol=1e-15)
+
+
+def test_block_entries_equal_the_matrix_entries():
+    # the simulator takes each gate's 2x2 block as Python numbers
+    rng = np.random.default_rng(19)
+    for k in GateKind:
+        angles = [float(rng.uniform(-10, 10)) for _ in range(3)] + [math.pi, 0.0]
+        for param in angles if k.num_params else [None]:
+            g = Gate(k, (0, 1)[: k.num_operands], param)
+            u = block_entries(g)
+            assert all(type(x) in (float, complex) for x in u), g
+            m = gate_matrix(g)
+            if k.num_operands == 0:
+                m = m[0, 0] * np.eye(2)
+            elif k.num_operands == 2:
+                m = m[2:, 2:]
+            assert list(u) == list(m.ravel()), g
 
 
 def test_rz_snaps_to_exact_signs_at_pi_multiples():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rqc import (
     transpile,
 )
 
+import rqc.sim as sim_mod
 from rqc.sim import MAX_QUBITS
 
 from _oracles import dense_apply, dense_run, gather_apply, random_complex_state
@@ -223,6 +225,42 @@ def test_apply_does_not_mutate_the_input():
     assert np.array_equal(r.amps, before)
 
 
+def test_out_receives_the_run():
+    rng = np.random.default_rng(12)
+    c = random_circuit(3, 30, seed=4)
+    lowered, _ = transpile(c, LoweringLevel.REAL_ENCODED)
+    vec = random_complex_state(rng, 3)
+    real_vec = rng.normal(size=16)
+    for run, circuit, cls, amps in (
+        (run_complex, c, ComplexState, vec),
+        (run_real, lowered, RealState, real_vec),
+    ):
+        n = circuit.num_qubits
+        want = run(circuit, cls(n, amps)).amps
+        # out may be init itself: the run then writes over it
+        s = cls(n, amps.copy())
+        assert run(circuit, s, out=s) is s
+        assert np.array_equal(s.amps, want)
+        # a distinct out receives the run and init stays as it was
+        init = cls(n, amps.copy())
+        out = cls(n, np.zeros_like(amps))
+        assert run(circuit, init, out=out) is out
+        assert np.array_equal(out.amps, want)
+        assert np.array_equal(init.amps, amps)
+    with pytest.raises(ValueError, match="out must be a ComplexState of 3 qubit"):
+        run_complex(c, init_basis(3, 0), out=init_basis(4, 0))
+    with pytest.raises(ValueError, match="out must be a ComplexState"):
+        run_complex(c, init_basis(3, 0), out=init_basis_real(3, 0))
+    with pytest.raises(ValueError, match="out must be a RealState of 4 qubit"):
+        run_real(lowered, init_basis_real(4, 0), out=init_basis(4, 0))
+    with pytest.raises(ValueError, match="out must be a RealState"):
+        run_real(lowered, init_basis_real(4, 0), out=init_basis_real(3, 0))
+    # a complex init is refused the same way with out as without
+    for out in (None, init_basis_real(4, 0)):
+        with pytest.raises(ValueError, match="RealState cannot hold complex amplitudes"):
+            run_real(lowered, init_basis(4, 0), out=out)
+
+
 def test_norm_preserved_over_long_runs():
     rng = np.random.default_rng(77)
     c = Circuit(4)
@@ -263,6 +301,13 @@ def test_run_errors_carry_the_gate_index():
     c.gates.append(Gate(GateKind.CX, (1, 1)))
     with pytest.raises(ValueError, match="gate 0: duplicate operands"):
         run_complex(c, init_basis(2, 0))
+    s = init_basis(2, 0)
+    with pytest.raises(ValueError, match="gate 0: duplicate operands"):
+        run_complex(c, s, out=s)
+    c = Circuit(2).h(0).s(1)
+    s = init_basis_real(2, 0)
+    with pytest.raises(ValueError, match="gate 1: non-real gate in real engine: s"):
+        run_real(c, s, out=s)
 
 
 def test_register_size_mismatch():
@@ -315,3 +360,38 @@ def test_large_registers_smoke():
     out = run_real(Circuit(22).x(21), init_basis_real(22, 0))
     assert out.amps[1 << 21] == 1.0
     assert out.norm() == 1.0
+
+
+def _sample_in_one_call(probs, shots, seed):
+    # the whole-array formula: every uniform drawn at once
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    idx = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
+    return np.bincount(np.minimum(idx, len(probs) - 1), minlength=len(probs))
+
+
+def test_sample_in_chunks_equals_one_draw(monkeypatch):
+    rng = np.random.default_rng(5)
+    probs = rng.random(37)
+    probs[[3, 20]] = 0.0
+    chunk = sim_mod.SAMPLE_CHUNK
+    for shots in (0, 1, 4095, chunk - 1, chunk, chunk + 1, 100_000):
+        for seed in (0, 11):
+            got = sample(probs, shots, seed)
+            assert got.dtype == _sample_in_one_call(probs, shots, seed).dtype
+            assert np.array_equal(got, _sample_in_one_call(probs, shots, seed)), shots
+    monkeypatch.setattr(sim_mod, "SAMPLE_CHUNK", 4096)
+    for shots in (4095, 4096, 4097, 100_003):
+        assert np.array_equal(sample(probs, shots, 3), _sample_in_one_call(probs, shots, 3))
+
+
+def test_sample_memory_does_not_grow_with_shots():
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    tracemalloc.start()
+    try:
+        counts = sample(probs, 10**7, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**7
+    assert peak < 16 << 20

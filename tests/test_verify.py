@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,15 +26,19 @@ from rqc import (
     emit,
     encode,
     init_basis,
+    init_basis_real,
     marginal_distribution,
     parse,
     qft,
     random_circuit,
+    run_complex,
+    run_real,
     strip_work_ancilla,
     tv_distance,
     verify_circuit,
 )
 from rqc.cli import EXIT_INVALID, main
+from rqc.encoding import encoded_distances
 
 from _oracles import gather_apply
 
@@ -225,9 +230,9 @@ def test_no_stage_simulates_the_work_ancilla(monkeypatch):
     def recording(name):
         inner = getattr(verify_mod, name)
 
-        def run(circuit, init):
+        def run(circuit, init, **kw):
             calls.append((name, circuit.num_qubits, init.num_qubits))
-            return inner(circuit, init)
+            return inner(circuit, init, **kw)
 
         return run
 
@@ -307,3 +312,57 @@ def test_a_gate_that_moves_the_work_ancilla_is_refused(monkeypatch, tmp_path, ca
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: gate {index}: ") and "work ancilla" in err
+
+
+def _stage_distances(circuit, n, init, ref):
+    # the stage run on its own, measured as decode/norm and the
+    # marginal/tv_distance formulas measure it
+    plain = EncodedLayout(n)
+    final = run_real(circuit, init_basis_real(n + 1, init))
+    state = float(np.linalg.norm(decode(final, plain).amps - ref.amps))
+    return state, tv_distance(marginal_distribution(final, plain), distribution(ref))
+
+
+def test_distances_equal_the_formulas_bit_for_bit():
+    for n in range(1, 9):
+        for seed in range(3):
+            c = random_circuit(n, 4 * n + 4, seed=100 * n + seed)
+            init = (seed * 5) % (1 << n)
+            ref = run_complex(c, init_basis(n, init))
+            cfg = SynthConfig(eps=1e-3)
+            worked = EncodedLayout(n, has_work=True)
+            for level in LoweringLevel:
+                report = verify_circuit(c, init, cfg, level)
+                stages = verify_mod.prepare_stages(c, cfg, level)
+                want = [(report.real, stages.l1)]
+                for res, stage in ((report.f, stages.l2), (report.g, stages.l3)):
+                    if stage is not None:
+                        want.append((res, verify_mod._project_work(stage, worked)))
+                for res, circuit in want:
+                    state, tv = _stage_distances(circuit, n, init, ref)
+                    assert res.state_distance == state, (n, seed, level)
+                    assert res.tv_distance == tv, (n, seed, level)
+
+
+def test_encoded_distances_need_a_data_plus_tag_register():
+    with pytest.raises(ValueError, match="data-plus-tag register"):
+        encoded_distances(init_basis_real(3, 0), init_basis(3, 0))
+
+
+@pytest.mark.parametrize("level", list(LoweringLevel))
+def test_verify_memory_is_a_few_registers(level):
+    # one unit is the complex reference, 16 << n bytes, the size of the
+    # data + tag register too; the reference, the stage register and one
+    # register-sized scratch buffer are live at once
+    n = 14
+    c = random_circuit(n, 24, seed=5)
+    cfg = SynthConfig(eps=1e-3)
+    verify_circuit(c, 3, cfg, level)  # warm the synthesis and template caches
+    tracemalloc.start()
+    try:
+        report = verify_circuit(c, 3, cfg, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 4.5 * (16 << n), peak / (16 << n)
