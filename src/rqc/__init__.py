@@ -18,14 +18,7 @@ from .encoding import (
     strip_work_ancilla,
 )
 from .gates import gate_matrix, is_real, zyz_angles, zyz_matrix, zyz_normalize
-from .library import (
-    bench_suite,
-    controlled_phase,
-    grover_two_qubit,
-    qft,
-    random_circuit,
-    swap,
-)
+from .library import grover_two_qubit, qft, random_circuit
 from .sim import (
     ComplexState,
     RealState,
@@ -63,7 +56,6 @@ from .verify import (
     StageResult,
     VerificationReport,
     circuit_digest,
-    prepare_stages,
     tv_distance,
     verify_circuit,
 )
@@ -90,11 +82,9 @@ __all__ = [
     "VerificationReport",
     "achieved_circuit",
     "add_work_ancilla",
-    "bench_suite",
     "budget",
     "circuit_digest",
     "circular_distance",
-    "controlled_phase",
     "decode",
     "distribution",
     "emit",
@@ -112,7 +102,6 @@ __all__ = [
     "normalize_pass",
     "orbit_angle",
     "parse",
-    "prepare_stages",
     "qft",
     "random_circuit",
     "require_valid",
@@ -120,7 +109,6 @@ __all__ = [
     "run_real",
     "sample",
     "strip_work_ancilla",
-    "swap",
     "synthesis_error_to_gate_error",
     "synthesize",
     "synthesize_all",

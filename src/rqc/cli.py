@@ -56,33 +56,46 @@ class CliConfig:
         return SynthConfig(self.phi, self.eps, self.k_max)
 
 
+# flag -> add_argument keywords, spelled --k-max for k_max
+_FLAGS = {
+    "level": {"choices": ["real", "f", "g"], "help": "lowering level"},
+    "phi": {"type": float, "help": "fixed gate angle"},
+    "eps": {"type": float, "help": "per-gate angular tolerance"},
+    "k_max": {"type": int, "help": "synthesis search cutoff"},
+    "shots": {"type": int, "help": "sample counts instead of probabilities"},
+    "seed": {"type": int, "help": "sampling seed"},
+    "init": {"type": int, "help": "initial basis index"},
+    "out": {"help": "write the primary output to this path"},
+    "config": {"help": "key = value file; flags win"},
+}
+_SYNTH_FLAGS = ("phi", "eps", "k_max")
+_COMMON_FLAGS = ("out", "config")
+
+# subcommand -> (help, the flags it reads); a flag it does not read is a
+# usage error rather than silently ignored
+_SUBCOMMANDS = {
+    "transpile": ("lower a circuit to the requested level", ("level", *_SYNTH_FLAGS)),
+    "run": ("simulate a circuit and print its distribution or counts", ("shots", "seed", "init")),
+    "verify": ("check a circuit against its lowered forms", ("level", *_SYNTH_FLAGS, "init")),
+    "synth": ("approximate one angle by a power of the fixed gate", _SYNTH_FLAGS),
+    "bench": ("run the built-in suite and print a table", _SYNTH_FLAGS),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rqc",
         description="Transpile, simulate, and verify real-amplitude quantum circuits.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("transpile", "lower a circuit to the requested level"),
-        ("run", "simulate a circuit and print its distribution or counts"),
-        ("verify", "check a circuit against its lowered forms"),
-        ("synth", "approximate one angle by a power of the fixed gate"),
-        ("bench", "run the built-in suite and print a table"),
-    ):
+    for name, (doc, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=doc)
         if name == "synth":
             sp.add_argument("theta", type=float, help="target angle in radians")
         elif name != "bench":
             sp.add_argument("input", help="path to a .rqc file")
-        sp.add_argument("--level", choices=["real", "f", "g"], help="lowering level")
-        sp.add_argument("--phi", type=float, help="fixed gate angle")
-        sp.add_argument("--eps", type=float, help="per-gate angular tolerance")
-        sp.add_argument("--k-max", dest="k_max", type=int, help="synthesis search cutoff")
-        sp.add_argument("--shots", type=int, help="sample counts instead of probabilities")
-        sp.add_argument("--seed", type=int, help="sampling seed")
-        sp.add_argument("--init", type=int, help="initial basis index")
-        sp.add_argument("--out", help="write the primary output to this path")
-        sp.add_argument("--config", help="key = value file; flags win")
+        for flag in flags + _COMMON_FLAGS:
+            sp.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag])
     return p
 
 
@@ -110,7 +123,7 @@ def _build_config(args: argparse.Namespace) -> CliConfig:
     cfg.out = args.out
 
     def pick(name: str, cast):
-        flag = getattr(args, name)
+        flag = getattr(args, name, None)
         if flag is not None:
             return flag
         if name in from_file:
@@ -150,13 +163,6 @@ def _write_primary(cfg: CliConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _check_init(cfg: CliConfig, c: Circuit) -> None:
-    if not 0 <= cfg.init < (1 << c.num_qubits):
-        raise ValueError(
-            f"init index {cfg.init} out of range for {c.num_qubits} qubit(s)"
-        )
-
-
 def _report_text(report: TranspileReport) -> str:
     lines = [f"input_gates: {report.input_gate_count}"]
     for level in ("real", "f", "g"):
@@ -192,7 +198,6 @@ def cmd_transpile(cfg: CliConfig) -> int:
 
 def cmd_run(cfg: CliConfig) -> int:
     c = _load_circuit(cfg)
-    _check_init(cfg, c)
     if all(is_real(g) for g in c.gates):
         state = init_basis_real(c.num_qubits, cfg.init)
         run_real(c, state, out=state)
@@ -215,7 +220,6 @@ def cmd_run(cfg: CliConfig) -> int:
 
 def cmd_verify(cfg: CliConfig) -> int:
     c = _load_circuit(cfg)
-    _check_init(cfg, c)
     report = verify_circuit(c, cfg.init, cfg.synth_config, cfg.level)
     _write_primary(cfg, report.to_text())
     return EXIT_OK if report.passed else EXIT_VERIFY

@@ -1,4 +1,4 @@
-"""Lowering pipeline from arbitrary circuits to one fixed gate.
+"""The lowering passes and the one pipeline that runs them.
 
 Stages:
 
@@ -13,12 +13,17 @@ Stages:
 
 The first three stages are exact; only the last one introduces error,
 and it returns a per-gate account plus an l2 budget for the circuit.
+prepare_stages runs the passes once and keeps every stage in a
+TranspileReport. transpile returns its last stage, with level 'g'
+materialized as fixed gates; verify simulates level 'g' as
+achieved_circuit instead, one gate per rotation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -49,19 +54,42 @@ class SynthesizedGate:
 
 @dataclass(frozen=True)
 class TranspileReport:
-    """Counts, ancilla indices, and (level 'g') the synthesis account."""
+    """One circuit lowered as far as `level`, with every stage kept.
+
+    `real` and (levels 'f' and 'g') `f` are the lowered circuits; level
+    'g' adds the synthesis account and its budget but not the fixed-gate
+    circuit, whose size is sum(k). Counts and ancilla indices derive
+    from these fields.
+    """
 
     level: LoweringLevel
     input_gate_count: int
-    gate_counts: dict[str, int]
-    ri_ancilla: int
-    work_ancilla: int | None
+    real: Circuit
+    f: Circuit | None = None
     syntheses: tuple[SynthesizedGate, ...] = ()
     budget: float | None = None
 
     @property
+    def gate_counts(self) -> dict[str, int]:
+        counts = {"real": len(self.real.gates)}
+        if self.f is not None:
+            counts["f"] = len(self.f.gates)
+        if self.level is LoweringLevel.G_ONLY:
+            counts["g"] = sum(s.result.k for s in self.syntheses)
+        return counts
+
+    @property
     def output_gate_count(self) -> int:
         return self.gate_counts[self.level.value]
+
+    # each pass appends its ancilla as the last qubit of its stage
+    @property
+    def ri_ancilla(self) -> int:
+        return self.real.num_qubits - 1
+
+    @property
+    def work_ancilla(self) -> int | None:
+        return None if self.f is None else self.f.num_qubits - 1
 
     @property
     def max_k(self) -> int | None:
@@ -153,7 +181,7 @@ def normalize_pass(c: Circuit) -> Circuit:
     return out
 
 
-def encode_pass(c: Circuit, layout: EncodedLayout | None = None) -> Circuit:
+def encode_pass(c: Circuit) -> Circuit:
     """Rewrite a normalized circuit over n data qubits into a real circuit
     over data plus tag ancilla (level 'real').
 
@@ -161,10 +189,7 @@ def encode_pass(c: Circuit, layout: EncodedLayout | None = None) -> Circuit:
     f(t)[q -> tag], ry and f act the same on both component blocks, and
     gphase becomes the tag-ancilla rotation.
     """
-    if layout is None:
-        layout = EncodedLayout(c.num_qubits)
-    if layout.has_work or layout.num_data != c.num_qubits:
-        raise ValueError("layout does not match the input register")
+    layout = EncodedLayout(c.num_qubits)
     out = Circuit(layout.num_qubits, name=c.name)
     for i, g in enumerate(c.gates):
         if g.kind is GateKind.RZ:
@@ -178,13 +203,10 @@ def encode_pass(c: Circuit, layout: EncodedLayout | None = None) -> Circuit:
     return out
 
 
-def lower_ry_pass(c: Circuit, layout: EncodedLayout | None = None) -> Circuit:
+def lower_ry_pass(c: Circuit) -> Circuit:
     """Rewrite a level-'real' circuit of {ry, f} into f gates only (level
     'f'), with a work ancilla held in |1> controlling every lowered ry."""
-    if layout is None:
-        layout = EncodedLayout(c.num_qubits - 1, has_work=True)
-    if not layout.has_work or layout.num_qubits != c.num_qubits + 1:
-        raise ValueError("layout does not match the input register")
+    layout = EncodedLayout(c.num_qubits - 1, has_work=True)
     out = Circuit(layout.num_qubits, name=c.name)
     for i, g in enumerate(c.gates):
         if g.kind is GateKind.RY:
@@ -220,7 +242,7 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     return out
 
 
-def materialize_fixed(c: Circuit, synths: list[SynthesizedGate], phi: float) -> Circuit:
+def materialize_fixed(c: Circuit, synths: Sequence[SynthesizedGate], phi: float) -> Circuit:
     """Expand each f(theta) of a level-'f' circuit into k copies of the
     one fixed f(phi) gate (level 'g').
 
@@ -234,7 +256,7 @@ def materialize_fixed(c: Circuit, synths: list[SynthesizedGate], phi: float) -> 
     return out
 
 
-def achieved_circuit(c: Circuit, synths: list[SynthesizedGate]) -> Circuit:
+def achieved_circuit(c: Circuit, synths: Sequence[SynthesizedGate]) -> Circuit:
     """The level-'f' circuit with every angle replaced by its synthesized
     k*phi mod 2pi.
 
@@ -249,41 +271,39 @@ def achieved_circuit(c: Circuit, synths: list[SynthesizedGate]) -> Circuit:
     return out
 
 
+def prepare_stages(c: Circuit, cfg: SynthConfig, level: LoweringLevel) -> TranspileReport:
+    """Run the passes through `level`, keeping every stage.
+
+    This is the one pass sequence: transpile and verify_circuit both
+    lower through it. Raises ValueError on an invalid circuit and
+    NotReachable (with .gate_index set) when a level-'g' angle cannot be
+    synthesized; the exact stages cannot fail on valid input.
+    """
+    real = encode_pass(normalize_pass(c))
+    if level is LoweringLevel.REAL_ENCODED:
+        return TranspileReport(level, len(c.gates), real)
+    f = lower_ry_pass(real)
+    if level is LoweringLevel.F_ONLY:
+        return TranspileReport(level, len(c.gates), real, f)
+    synths = tuple(synthesize_all(f, cfg))
+    return TranspileReport(
+        level, len(c.gates), real, f, synths, budget(s.result.error for s in synths)
+    )
+
+
 def transpile(
     c: Circuit,
     level: LoweringLevel = LoweringLevel.G_ONLY,
     cfg: SynthConfig | None = None,
 ) -> tuple[Circuit, TranspileReport]:
-    """Lower a circuit to the requested level.
+    """Lower a circuit to the requested level: the last stage of
+    prepare_stages, materialized as fixed gates at level 'g'.
 
-    Raises ValueError on an invalid circuit and NotReachable (with
-    .gate_index set) when a level-'g' angle cannot be synthesized; the
-    exact stages cannot fail on valid input.
+    Raises as prepare_stages does.
     """
-    require_valid(c)
     if cfg is None:
         cfg = SynthConfig()
-    plain = EncodedLayout(c.num_qubits)
-    worked = EncodedLayout(c.num_qubits, has_work=True)
-    l1 = encode_pass(normalize_pass(c), plain)
-    counts = {"real": len(l1.gates)}
-    if level is LoweringLevel.REAL_ENCODED:
-        return l1, TranspileReport(level, len(c.gates), counts, plain.ri_ancilla, None)
-    l2 = lower_ry_pass(l1, worked)
-    counts["f"] = len(l2.gates)
-    if level is LoweringLevel.F_ONLY:
-        return l2, TranspileReport(
-            level, len(c.gates), counts, worked.ri_ancilla, worked.work_ancilla
-        )
-    synths = synthesize_all(l2, cfg)
-    l3 = materialize_fixed(l2, synths, cfg.phi)
-    counts["g"] = len(l3.gates)
-    return l3, TranspileReport(
-        level,
-        len(c.gates),
-        counts,
-        worked.ri_ancilla,
-        worked.work_ancilla,
-        tuple(synths),
-        budget(s.result.error for s in synths),
-    )
+    report = prepare_stages(c, cfg, level)
+    if level is LoweringLevel.G_ONLY:
+        return materialize_fixed(report.f, report.syntheses, cfg.phi), report
+    return (report.real if report.f is None else report.f), report

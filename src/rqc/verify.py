@@ -1,19 +1,22 @@
 """Equivalence checking between a circuit and its lowered forms.
 
-The reference run uses the complex engine on the original circuit; each
-lowered stage runs on the real engine from the encoded initial state,
-over data + tag. The work ancilla of the f and g stages sits in |1> and
-only controls f, so each f(work -> t) is applied as ry(t) and the
-ancilla is never simulated; a gate that could move it raises
-AncillaLeakError. lower_ry_pass keeps every angle, so the projected f
-stage normally equals the real stage gate for gate and reuses its run,
-which the deterministic simulator would repeat bit for bit. Comparison
-is full statevector distance after decoding, not only distributions, so
-phase errors that distributions cannot see still fail. The reference
-and every stage run in place (sim's out=) and encoded_distances forms
-both distances in one scratch array, so a call holds three
-register-sized arrays. Reports
-serialize to stable key: value text for golden-file comparison.
+The stages come from transpile.prepare_stages, the same pass sequence
+transpile runs; level 'g' is simulated as its achieved_circuit, one
+gate per rotation, instead of sum(k) fixed gates. The reference run
+uses the complex engine on the original circuit; each lowered stage
+runs on the real engine from the encoded initial state, over data +
+tag. The work ancilla of the f and g stages sits in |1> and only
+controls f, so each f(work -> t) is applied as ry(t) and the ancilla is
+never simulated; a gate that could move it raises AncillaLeakError.
+lower_ry_pass keeps every angle, so the projected f stage normally
+equals the real stage gate for gate and reuses its run, which the
+deterministic simulator would repeat bit for bit. Comparison is full
+statevector distance after decoding, not only distributions, so phase
+errors that distributions cannot see still fail. The reference and
+every stage run in place (sim's out=) and encoded_distances forms both
+distances in one scratch array, so a call holds three register-sized
+arrays. Reports serialize to stable key: value text for golden-file
+comparison.
 """
 
 from __future__ import annotations
@@ -26,17 +29,9 @@ import numpy as np
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import AncillaLeakError, EncodedLayout, encoded_distances
 from .sim import RealState, check_width, init_basis, run_complex, run_real
-from .synth import SynthConfig, budget
+from .synth import SynthConfig
 from .textio import emit
-from .transpile import (
-    LoweringLevel,
-    SynthesizedGate,
-    achieved_circuit,
-    encode_pass,
-    lower_ry_pass,
-    normalize_pass,
-    synthesize_all,
-)
+from .transpile import LoweringLevel, achieved_circuit, prepare_stages
 
 # the exact stages must reproduce the reference to accumulation error
 EXACT_STAGE_TOL = 1e-9
@@ -53,47 +48,6 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError("distributions have different outcome counts")
     return 0.5 * float(np.abs(p - q).sum())
-
-
-@dataclass(frozen=True)
-class Stages:
-    """Lowered forms of one circuit, as far down as requested.
-
-    The level-'g' entry is the achieved-angle stand-in for the fixed-gate
-    circuit (see transpile.achieved_circuit); fixed_gate_count records the
-    size the materialized circuit would have.
-    """
-
-    l1: Circuit
-    l2: Circuit | None
-    l3: Circuit | None
-    syntheses: tuple[SynthesizedGate, ...]
-    budget: float | None
-
-    @property
-    def fixed_gate_count(self) -> int | None:
-        if self.l3 is None:
-            return None
-        return sum(s.result.k for s in self.syntheses)
-
-    @property
-    def max_k(self) -> int | None:
-        if not self.syntheses:
-            return None
-        return max(s.result.k for s in self.syntheses)
-
-
-def prepare_stages(c: Circuit, cfg: SynthConfig, level: LoweringLevel) -> Stages:
-    """Transpile through the requested level, keeping every stage."""
-    l1 = encode_pass(normalize_pass(c))
-    if level is LoweringLevel.REAL_ENCODED:
-        return Stages(l1, None, None, (), None)
-    l2 = lower_ry_pass(l1)
-    if level is LoweringLevel.F_ONLY:
-        return Stages(l1, l2, None, (), None)
-    synths = synthesize_all(l2, cfg)
-    l3 = achieved_circuit(l2, synths)
-    return Stages(l1, l2, l3, tuple(synths), budget(s.result.error for s in synths))
 
 
 @dataclass(frozen=True)
@@ -233,18 +187,19 @@ def verify_circuit(
         # the next stage rewrites reg, which this squares in place
         return StageResult(len(circuit.gates), *encoded_distances(reg, ref))
 
-    real_res = measure(stages.l1)
+    real_res = measure(stages.real)
     f_res = g_res = None
-    if stages.l2 is not None:
-        projected = _project_work(stages.l2, worked)
-        if projected.gates == stages.l1.gates:
+    if stages.f is not None:
+        projected = _project_work(stages.f, worked)
+        if projected.gates == stages.real.gates:
             f_res = StageResult(
-                len(stages.l2.gates), real_res.state_distance, real_res.tv_distance
+                len(stages.f.gates), real_res.state_distance, real_res.tv_distance
             )
         else:
             f_res = measure(projected)
-    if stages.l3 is not None:
-        g_res = measure(_project_work(stages.l3, worked))
+    if level is LoweringLevel.G_ONLY:
+        achieved = achieved_circuit(stages.f, stages.syntheses)
+        g_res = measure(_project_work(achieved, worked))
 
     reason = None
     for name, res in (("real", real_res), ("f", f_res)):
@@ -269,7 +224,7 @@ def verify_circuit(
         real=real_res,
         f=f_res,
         g=g_res,
-        fixed_gate_count=stages.fixed_gate_count,
+        fixed_gate_count=stages.gate_counts.get("g"),
         max_k=stages.max_k,
         budget=stages.budget,
         status="FAIL" if reason else "PASS",

@@ -103,7 +103,7 @@ def rule_distance(g, num_qubits, real_vec):
     lay = EncodedLayout(num_qubits)
     c = Circuit(num_qubits)
     c.gates.append(g)
-    enc = encode_pass(c, lay)
+    enc = encode_pass(c)
     s = RealState(lay.num_qubits, real_vec)
     got = decode(run_real(enc, s)).amps
     want = dense_apply(g, decode(s).amps)
@@ -259,11 +259,11 @@ def test_08_verification_catches_a_corrupted_angle(tmp_path, capsys, monkeypatch
 
     def corrupt(c, cfg, level):
         st = inner(c, cfg, level)
-        gates = list(st.l2.gates)
+        gates = list(st.f.gates)
         # gate 1 is the lowered ry of the first hadamard; its control is
         # the work ancilla, so the nudge always shows in the output state
         gates[1] = dataclasses.replace(gates[1], param=gates[1].param + 1e-3)
-        return dataclasses.replace(st, l2=Circuit(st.l2.num_qubits, gates))
+        return dataclasses.replace(st, f=Circuit(st.f.num_qubits, gates))
 
     monkeypatch.setattr(verify_mod, "prepare_stages", corrupt)
     assert main(["verify", str(source)]) == EXIT_VERIFY

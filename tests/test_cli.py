@@ -213,8 +213,24 @@ def test_missing_file_exit_code(capsys):
 
 def test_init_out_of_range_exit_code(tmp_path, capsys):
     path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
-    assert main(["run", path, "--init", "5"]) == EXIT_INVALID
-    assert "init index 5 out of range" in capsys.readouterr().err
+    for command in ("run", "verify"):
+        assert main([command, path, "--init", "5"]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: basis index 5 out of range for 1 qubit(s)\n"
+
+
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
+    for argv in (
+        ["run", path, "--level", "g"],
+        ["synth", "0.5", "--init", "1"],
+        ["bench", "--shots", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_registers_beyond_the_simulator_cap_exit_code(tmp_path, capsys):

@@ -145,13 +145,6 @@ def test_encode_pass_rejects_unnormalized_gates():
         encode_pass(Circuit(1).x(0))
 
 
-def test_encode_pass_layout_mismatch():
-    with pytest.raises(ValueError, match="layout"):
-        encode_pass(Circuit(2).rz(0, 0.1), EncodedLayout(3))
-    with pytest.raises(ValueError, match="layout"):
-        encode_pass(Circuit(2).rz(0, 0.1), EncodedLayout(2, has_work=True))
-
-
 def rule_gates(num_qubits, angles):
     for t in angles:
         for q in range(num_qubits):
@@ -173,7 +166,7 @@ def test_rewrite_rules_are_exact_identities_on_basis_vectors():
         for g in rule_gates(n, angles):
             c = Circuit(n)
             c.gates.append(g)
-            enc = encode_pass(c, lay)
+            enc = encode_pass(c)
             for m in range(1 << lay.num_qubits):
                 e = RealState(lay.num_qubits, np.eye(1 << lay.num_qubits)[m])
                 got = decode(run_real(enc, e)).amps
@@ -189,7 +182,7 @@ def test_rewrite_rules_are_exact_on_random_states():
         for g in rule_gates(n, angles):
             c = Circuit(n)
             c.gates.append(g)
-            enc = encode_pass(c, lay)
+            enc = encode_pass(c)
             vec = random_complex_state(rng, n)
             s = RealState(lay.num_qubits, np.concatenate([vec.real, vec.imag]))
             got = decode(run_real(enc, s)).amps

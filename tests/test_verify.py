@@ -19,6 +19,7 @@ from rqc import (
     LoweringLevel,
     RealState,
     SynthConfig,
+    achieved_circuit,
     add_work_ancilla,
     circuit_digest,
     decode,
@@ -34,11 +35,13 @@ from rqc import (
     run_complex,
     run_real,
     strip_work_ancilla,
+    transpile,
     tv_distance,
     verify_circuit,
 )
 from rqc.cli import EXIT_INVALID, main
 from rqc.encoding import encoded_distances
+from rqc.transpile import prepare_stages
 
 from _oracles import gather_apply
 
@@ -172,9 +175,9 @@ def corrupted_stages(stage_name, delta):
     def wrapper(c, cfg, level):
         st = inner(c, cfg, level)
         if stage_name == "real":
-            return dataclasses.replace(st, l1=nudge(st.l1))
+            return dataclasses.replace(st, real=nudge(st.real))
         if stage_name == "f":
-            return dataclasses.replace(st, l2=nudge(st.l2))
+            return dataclasses.replace(st, f=nudge(st.f))
         return dataclasses.replace(st, budget=0.0)
 
     return wrapper
@@ -272,9 +275,10 @@ def test_projected_stages_match_a_full_work_register_simulation(n, num_gates, se
         ref = gather_apply(g, ref)
     ref_dist = distribution(ComplexState(n, ref))
     plain = EncodedLayout(n)
-    for stage, res in ((stages.l2, report.f), (stages.l3, report.g)):
-        if stage is None:
-            continue
+    staged = [(stages.f, report.f)]
+    if level is LoweringLevel.G_ONLY:
+        staged.append((achieved_circuit(stages.f, stages.syntheses), report.g))
+    for stage, res in staged:
         amps = add_work_ancilla(encode(init_basis(n, init))).amps
         for g in stage.gates:
             amps = gather_apply(g, amps)
@@ -284,11 +288,11 @@ def test_projected_stages_match_a_full_work_register_simulation(n, num_gates, se
 
 
 def leaky_stages(inner, extra):
-    # real stages, with gates appended to l2 that act on the work ancilla
+    # real stages, with gates appended to the f stage that act on the work ancilla
     def wrapper(c, cfg, level):
         st = inner(c, cfg, level)
-        work = st.l2.num_qubits - 1
-        return dataclasses.replace(st, l2=Circuit(st.l2.num_qubits, st.l2.gates + extra(work)))
+        work = st.f.num_qubits - 1
+        return dataclasses.replace(st, f=Circuit(st.f.num_qubits, st.f.gates + extra(work)))
 
     return wrapper
 
@@ -298,7 +302,7 @@ def test_a_gate_that_moves_the_work_ancilla_is_refused(monkeypatch, tmp_path, ca
     source = tmp_path / "c.rqc"
     source.write_text(emit(c))
     inner = verify_mod.prepare_stages
-    n = len(inner(c, SynthConfig(), LoweringLevel.F_ONLY).l2.gates)
+    n = len(inner(c, SynthConfig(), LoweringLevel.F_ONLY).f.gates)
     cases = [
         (lambda work: [Gate(GateKind.F, (1, work), 0.3)], n),
         (lambda work: [Gate(GateKind.F, (work, 1), 0.3), Gate(GateKind.RY, (work,), 0.2)], n + 1),
@@ -334,10 +338,12 @@ def test_distances_equal_the_formulas_bit_for_bit():
             for level in LoweringLevel:
                 report = verify_circuit(c, init, cfg, level)
                 stages = verify_mod.prepare_stages(c, cfg, level)
-                want = [(report.real, stages.l1)]
-                for res, stage in ((report.f, stages.l2), (report.g, stages.l3)):
-                    if stage is not None:
-                        want.append((res, verify_mod._project_work(stage, worked)))
+                want = [(report.real, stages.real)]
+                if stages.f is not None:
+                    want.append((report.f, verify_mod._project_work(stages.f, worked)))
+                if level is LoweringLevel.G_ONLY:
+                    achieved = achieved_circuit(stages.f, stages.syntheses)
+                    want.append((report.g, verify_mod._project_work(achieved, worked)))
                 for res, circuit in want:
                     state, tv = _stage_distances(circuit, n, init, ref)
                     assert res.state_distance == state, (n, seed, level)
@@ -366,3 +372,29 @@ def test_verify_memory_is_a_few_registers(level):
         tracemalloc.stop()
     assert report.passed
     assert peak <= 4.5 * (16 << n), peak / (16 << n)
+
+
+def _verified_lowering(report):
+    # what a verification report says of the lowering it checked
+    counts = {"real": report.real.gate_count}
+    if report.f is not None:
+        counts["f"] = report.f.gate_count
+    if report.g is not None:
+        counts["g"] = report.fixed_gate_count
+    return counts, report.max_k, report.budget
+
+
+def test_transpile_and_verify_report_the_same_lowering():
+    tight = SynthConfig(eps=1e-6, k_max=10**7)
+    for n in range(1, 7):
+        c = random_circuit(n, 5 * n + 3, seed=700 + n)
+        for level in LoweringLevel:
+            out, lowered = transpile(c, level)
+            assert len(out.gates) == lowered.output_gate_count
+            got = (lowered.gate_counts, lowered.max_k, lowered.budget)
+            assert got == _verified_lowering(verify_circuit(c, 0, level=level)), (n, level)
+        # 10^7 to 10^8 fixed gates at this eps, so level g is never materialized
+        stages = prepare_stages(c, tight, LoweringLevel.G_ONLY)
+        got = (stages.gate_counts, stages.max_k, stages.budget)
+        want = _verified_lowering(verify_circuit(c, 0, tight, LoweringLevel.G_ONLY))
+        assert got == want, n
