@@ -10,13 +10,22 @@ controls f, so each f(work -> t) is applied as ry(t) and the ancilla is
 never simulated; a gate that could move it raises AncillaLeakError.
 lower_ry_pass keeps every angle, so the projected f stage normally
 equals the real stage gate for gate and reuses its run, which the
-deterministic simulator would repeat bit for bit. Comparison is full
+deterministic simulator would repeat bit for bit.
+
+A data qubit that no gate of the circuit or of a simulated stage acts
+on stays in its input bit, so the reference runs on the k active data
+qubits alone and each stage on them and the tag, relabelled to 0..k-1
+and k in order. Each run is then written, through a strided view, into
+a full-size register that is zero off the idle qubits' input bits. A
+gate updates each amplitude from itself and its partner by the same
+operations at any width, so every amplitude equals by value the one a
+full-size run gives, and the distances, taken on the full-size
+registers, are bit for bit those of a full-size run. Comparison is full
 statevector distance after decoding, not only distributions, so phase
-errors that distributions cannot see still fail. The reference and
-every stage run in place (sim's out=) and encoded_distances forms both
-distances in one scratch array, so a call holds three register-sized
-arrays. Reports serialize to stable key: value text for golden-file
-comparison.
+errors that distributions cannot see still fail. encoded_distances
+forms both distances in one scratch array, so a call holds three
+register-sized arrays. Reports serialize to stable key: value text for
+golden-file comparison.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import AncillaLeakError, EncodedLayout, encoded_distances
-from .sim import RealState, check_width, init_basis, run_complex, run_real
+from .sim import ComplexState, RealState, check_width, init_basis, run_complex, run_real
 from .synth import SynthConfig
 from .textio import emit
 from .transpile import LoweringLevel, achieved_circuit, prepare_stages
@@ -119,22 +128,47 @@ class VerificationReport:
         return "\n".join(out) + "\n"
 
 
-def _project_work(c: Circuit, layout: EncodedLayout) -> Circuit:
+def _project_work(c: Circuit, layout: EncodedLayout, label: list[int] | None = None) -> Circuit:
     # the stage on the work = 1 block, over data + tag: f(work -> t) acts
-    # there as ry(t), and gates off the work ancilla pass through
+    # there as ry(t), and gates off the work ancilla pass through. With
+    # label, every other operand q becomes label[q], which packs the
+    # active data qubits and the tag at the bottom of the register
     work = layout.work_ancilla
-    out = Circuit(work, name=c.name)
+    tag = layout.ri_ancilla if label is None else label[layout.ri_ancilla]
+    out = Circuit(tag + 1, name=c.name)
     for i, g in enumerate(c.gates):
         if work not in g.qubits:
-            out.gates.append(g)
+            out.gates.append(g if label is None else _relabel(g, label))
         elif g.kind is GateKind.F and g.qubits[0] == work and g.qubits[1] != work:
-            out.gates.append(Gate(GateKind.RY, (g.qubits[1],), g.param))
+            t = g.qubits[1] if label is None else label[g.qubits[1]]
+            out.gates.append(Gate(GateKind.RY, (t,), g.param))
         else:
             raise AncillaLeakError(
                 f"gate {i}: {g.kind.value} on {g.qubits} can move the work ancilla "
                 f"{work}, which may only control f"
             )
     return out
+
+
+def _relabel(g: Gate, label: list[int]) -> Gate:
+    return Gate(g.kind, tuple(map(label.__getitem__, g.qubits)), g.param)
+
+
+def _run_active(run, circuit: Circuit, full: ComplexState | RealState, start: int, at: tuple):
+    # the run of circuit, over the active qubits, from the basis vector
+    # `start`, placed into full: in place when every qubit is active, else
+    # in a compact register that is freed on return. Off the slice that
+    # `at` selects, full is 0 already; at fixes each idle qubit's axis at
+    # its input bit (axis 0 is the top qubit) and keeps the active axes,
+    # which are the compact register's in the same order
+    compact = full
+    if circuit.num_qubits != full.num_qubits:
+        compact = type(full)(circuit.num_qubits, np.empty(1 << circuit.num_qubits, full.amps.dtype))
+    compact.amps.fill(0)
+    compact.amps[start] = 1
+    run(circuit, compact, out=compact)
+    if compact is not full:
+        full.amps.reshape((2,) * len(at))[at] = compact.amps.reshape((2,) * circuit.num_qubits)
 
 
 def circuit_digest(c: Circuit) -> str:
@@ -161,45 +195,73 @@ def verify_circuit(
     circuit whose lowered register (data + 2 qubits) is wider than
     sim.MAX_QUBITS is refused before anything runs.
 
-    The reference runs in place in its input, and every stage in one
-    data + tag register that is set to the encoded input before each
-    run. encoding.encoded_distances then allocates its one scratch array
-    after the run's scratch is gone, so at most three arrays the size of
-    the complex reference are live at once.
+    Only the active data qubits are simulated: those that some gate of
+    c or of a simulated stage acts on. The reference runs on them, and
+    each stage on them and the tag, from the input's bits there; the
+    idle data qubits keep their input bits, and each run is placed into
+    a full-size register, where the distances are taken. When every data
+    qubit is active the runs happen in place in those registers. A
+    compact register and its run's scratch together are at most the size
+    of the complex reference, and encoding.encoded_distances allocates
+    its one scratch array after both are gone, so at most three arrays
+    of that size are live at once.
     """
     require_valid(c)
     if cfg is None:
         cfg = SynthConfig()
-    plain = EncodedLayout(c.num_qubits)
-    worked = EncodedLayout(c.num_qubits, has_work=True)
+    n = c.num_qubits
+    plain = EncodedLayout(n)
+    worked = EncodedLayout(n, has_work=True)
     check_width(worked.num_qubits)
-    ref = init_basis(c.num_qubits, init_basis_index)
-    run_complex(c, ref, out=ref)
+    # the full-size reference, where the distances are taken
+    ref = init_basis(n, init_basis_index)
     stages = prepare_stages(c, cfg, level)
-    # each stage first writes its encoded input here, the basis vector
-    # init_basis_real(n + 1, i) (see measure)
-    reg = RealState(plain.num_qubits, np.empty(1 << plain.num_qubits))
+    projected = achieved = None
+    if stages.f is not None:
+        # refuses a gate that moves the work ancilla before anything runs
+        projected = _project_work(stages.f, worked)
+    if level is LoweringLevel.G_ONLY:
+        achieved = achieved_circuit(stages.f, stages.syntheses)
+    # data qubits some gate acts on; f need not be simulated, but when it
+    # is not, its projection equals the real stage and adds none
+    circuits = [s for s in (c, stages.real, stages.f, achieved) if s is not None]
+    active = sorted({q for s in circuits for g in s.gates for q in g.qubits if q < n})
+    k = len(active)
+    label = None
+    if k < n:
+        label = [None] * n + [k]  # the tag follows the active qubits
+        for j, q in enumerate(active):
+            label[q] = j
+    # each run starts from the input's bits on the active qubits; idle
+    # qubits keep theirs, fixed in the embedding
+    start = sum(((init_basis_index >> q) & 1) << j for j, q in enumerate(active))
+    at = tuple(
+        slice(None) if q in active else (init_basis_index >> q) & 1 for q in range(n - 1, -1, -1)
+    )
+    active_c = c if label is None else Circuit(k, [_relabel(g, label) for g in c.gates])
+    _run_active(run_complex, active_c, ref, start, at)
+    # every stage runs into reg, whose encoded input is the basis vector
+    # init_basis_real(n + 1, init_basis_index)
+    reg = RealState(n + 1, np.zeros(2 << n))
+    at = (slice(None), *at)  # the tag, qubit n, is always active
 
     def measure(circuit: Circuit) -> StageResult:
-        reg.amps.fill(0.0)
-        reg.amps[init_basis_index] = 1.0
-        run_real(circuit, reg, out=reg)
-        # the next stage rewrites reg, which this squares in place
+        _run_active(run_real, circuit, reg, start, at)
+        # the next stage rewrites reg, which this squares in place; off
+        # the slice it stays 0
         return StageResult(len(circuit.gates), *encoded_distances(reg, ref))
 
-    real_res = measure(stages.real)
+    real_res = measure(_project_work(stages.real, plain, label))
     f_res = g_res = None
     if stages.f is not None:
-        projected = _project_work(stages.f, worked)
         if projected.gates == stages.real.gates:
             f_res = StageResult(
                 len(stages.f.gates), real_res.state_distance, real_res.tv_distance
             )
         else:
-            f_res = measure(projected)
-    if level is LoweringLevel.G_ONLY:
-        achieved = achieved_circuit(stages.f, stages.syntheses)
-        g_res = measure(_project_work(achieved, worked))
+            f_res = measure(_project_work(stages.f, worked, label))
+    if achieved is not None:
+        g_res = measure(_project_work(achieved, worked, label))
 
     reason = None
     for name, res in (("real", real_res), ("f", f_res)):

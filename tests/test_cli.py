@@ -204,6 +204,24 @@ def test_parse_error_exit_code_and_location(tmp_path, capsys):
     assert main(["run", path]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err == "error: line 3, column 6: duplicate operands\n"
+    # parse refuses every kind of violation Circuit.validate lists, so no
+    # command validates the circuit again after loading it
+    cases = [
+        ("qubits 0\n", "line 1, column 8: qubit count must be a positive integer, got '0'"),
+        ("qubits 2\nh 0 1\n", "line 2, column 1: 'h' takes 1 operand(s) and 0 angle(s), got 2 token(s)"),
+        ("qubits 2\nh 2\n", "line 2, column 3: operand 2 out of range for 2 qubit(s)"),
+        ("qubits 2\ncx 0 -1\n", "line 2, column 6: operand -1 out of range for 2 qubit(s)"),
+        ("qubits 2\nh 0 0.5\n", "line 2, column 1: 'h' takes 1 operand(s) and 0 angle(s), got 2 token(s)"),
+        ("qubits 2\nrz 0\n", "line 2, column 1: 'rz' takes 1 operand(s) and 1 angle(s), got 1 token(s)"),
+        ("qubits 2\nrz 0 nan\n", "line 2, column 6: angle must be a decimal literal, got 'nan'"),
+        ("qubits 2\nrz 0 1e999\n", "line 2, column 6: angle overflows to infinity"),
+    ]
+    for text, message in cases:
+        path = write(tmp_path, "bad.rqc", text)
+        for command in ("transpile", "run", "verify"):
+            assert main([command, path]) == EXIT_PARSE, (text, command)
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"error: {message}\n"), (text, command)
 
 
 def test_missing_file_exit_code(capsys):

@@ -225,6 +225,48 @@ def test_small_corruptions_below_tolerance_still_pass(monkeypatch):
     assert verify_circuit(c, 0).passed
 
 
+def hiding_stages(inner, stage_name, qubit):
+    # real stages with one more rotation on `qubit`: an ry in the real
+    # stage, or an f(work -> qubit) with its synthesis in the f stage
+    def wrapper(c, cfg, level):
+        st = inner(c, cfg, level)
+        if stage_name == "real":
+            gate = Gate(GateKind.RY, (qubit,), 0.3)
+            return dataclasses.replace(st, real=Circuit(st.real.num_qubits, st.real.gates + [gate]))
+        work = st.f.num_qubits - 1
+        f = Circuit(st.f.num_qubits, st.f.gates + [Gate(GateKind.F, (work, qubit), 0.3)])
+        extra = ()
+        if st.syntheses:
+            extra = (dataclasses.replace(st.syntheses[0], index=len(st.f.gates)),)
+        return dataclasses.replace(st, f=f, syntheses=st.syntheses + extra)
+
+    return wrapper
+
+
+def test_a_stage_cannot_hide_on_an_idle_qubit(monkeypatch):
+    # no gate of c acts on qubit 2, so only the stage's extra gate makes
+    # it active; simulating c's qubits alone would miss that gate
+    c = Circuit(3).h(0).cx(0, 1)
+    inner = verify_mod.prepare_stages
+    for stage_name, levels in (
+        ("real", list(LoweringLevel)),
+        ("f", [LoweringLevel.F_ONLY, LoweringLevel.G_ONLY]),
+    ):
+        fake = hiding_stages(inner, stage_name, 2)
+        monkeypatch.setattr(verify_mod, "prepare_stages", fake)
+        for level in levels:
+            stage = getattr(fake(c, SynthConfig(), level), stage_name)
+            stage = verify_mod._project_work(stage, EncodedLayout(3, has_work=True))
+            for init in (0, 0b100):
+                report = verify_circuit(c, init, level=level)
+                assert report.status == "FAIL", (stage_name, level, init)
+                assert report.reason == f"stage '{stage_name}' distance exceeds 1e-09"
+                res = getattr(report, stage_name)
+                ref = run_complex(c, init_basis(3, init))
+                want = _stage_distances(stage, 3, init, ref)
+                assert (res.state_distance, res.tv_distance) == want, (stage_name, level, init)
+
+
 def test_no_stage_simulates_the_work_ancilla(monkeypatch):
     # every stage runs on data + tag at every level; at level f the f
     # stage reuses the real stage's run instead of simulating again
@@ -252,21 +294,49 @@ def test_no_stage_simulates_the_work_ancilla(monkeypatch):
     assert runs[LoweringLevel.REAL_ENCODED] == ["run_complex", "run_real"]
     assert runs[LoweringLevel.F_ONLY] == ["run_complex", "run_real"]
     assert runs[LoweringLevel.G_ONLY] == ["run_complex", "run_real", "run_real"]
+    # qubits 0, 2, 3 and 5 are idle: the reference runs on the two active
+    # qubits and every stage on them and the tag
+    sparse = Circuit(6).h(1).cx(1, 4).rz(4, 0.3)
+    active = [1, 4]
+    for level in LoweringLevel:
+        calls.clear()
+        assert verify_circuit(sparse, 0b101101, SynthConfig(eps=1e-3), level).passed
+        widths = {"run_complex": len(active), "run_real": len(active) + 1}
+        assert calls == [(name, widths[name], widths[name]) for name in runs[level]]
 
 
-@settings(max_examples=40, deadline=None)
+def _idle_mask(c):
+    # the bits of the data qubits no gate of c acts on
+    mask = (1 << c.num_qubits) - 1
+    for g in c.gates:
+        for q in g.qubits:
+            mask &= ~(1 << q)
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 6),
-    st.integers(0, 40),
+    # dense draws, and few gates on up to 9 qubits, which leave some idle
+    st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(0, 40)),
+        st.tuples(st.integers(1, 9), st.integers(0, 6)),
+    ),
     st.integers(0, 2**32 - 1),
     st.sampled_from([LoweringLevel.F_ONLY, LoweringLevel.G_ONLY]),
+    st.booleans(),
     st.data(),
 )
-def test_projected_stages_match_a_full_work_register_simulation(n, num_gates, seed, level, data):
+def test_projected_stages_match_a_full_work_register_simulation(
+    shape, seed, level, set_idle_bits, data
+):
     # the f and g stages, unprojected, on data + tag + work with the work
-    # ancilla in |1>, applied by index gather and scatter, then stripped
+    # ancilla in |1>, applied by index gather and scatter, then stripped;
+    # verify simulates only the active qubits and must agree bit for bit
+    n, num_gates = shape
     c = random_circuit(n, num_gates, seed)
     init = data.draw(st.integers(0, (1 << n) - 1))
+    if set_idle_bits:
+        init |= _idle_mask(c)
     cfg = SynthConfig(eps=1e-3)
     report = verify_circuit(c, init, cfg, level)
     stages = verify_mod.prepare_stages(c, cfg, level)
@@ -327,27 +397,38 @@ def _stage_distances(circuit, n, init, ref):
     return state, tv_distance(marginal_distribution(final, plain), distribution(ref))
 
 
-def test_distances_equal_the_formulas_bit_for_bit():
+def _distance_cases():
     for n in range(1, 9):
         for seed in range(3):
-            c = random_circuit(n, 4 * n + 4, seed=100 * n + seed)
-            init = (seed * 5) % (1 << n)
-            ref = run_complex(c, init_basis(n, init))
-            cfg = SynthConfig(eps=1e-3)
-            worked = EncodedLayout(n, has_work=True)
-            for level in LoweringLevel:
-                report = verify_circuit(c, init, cfg, level)
-                stages = verify_mod.prepare_stages(c, cfg, level)
-                want = [(report.real, stages.real)]
-                if stages.f is not None:
-                    want.append((report.f, verify_mod._project_work(stages.f, worked)))
-                if level is LoweringLevel.G_ONLY:
-                    achieved = achieved_circuit(stages.f, stages.syntheses)
-                    want.append((report.g, verify_mod._project_work(achieved, worked)))
-                for res, circuit in want:
-                    state, tv = _stage_distances(circuit, n, init, ref)
-                    assert res.state_distance == state, (n, seed, level)
-                    assert res.tv_distance == tv, (n, seed, level)
+            yield random_circuit(n, 4 * n + 4, seed=100 * n + seed), (seed * 5) % (1 << n)
+    # circuits that leave qubits idle, from inputs with the idle bits set
+    for n in range(1, 10):
+        for num_gates in range(7):
+            c = random_circuit(n, num_gates, seed=1000 * n + num_gates)
+            yield c, ((7 * num_gates) % (1 << n)) | _idle_mask(c)
+
+
+def test_distances_equal_the_formulas_bit_for_bit():
+    # verify simulates only the active qubits; the formulas run each
+    # stage on the full data + tag register
+    cfg = SynthConfig(eps=1e-3)
+    for c, init in _distance_cases():
+        n = c.num_qubits
+        ref = run_complex(c, init_basis(n, init))
+        worked = EncodedLayout(n, has_work=True)
+        for level in LoweringLevel:
+            report = verify_circuit(c, init, cfg, level)
+            stages = verify_mod.prepare_stages(c, cfg, level)
+            want = [(report.real, stages.real)]
+            if stages.f is not None:
+                want.append((report.f, verify_mod._project_work(stages.f, worked)))
+            if level is LoweringLevel.G_ONLY:
+                achieved = achieved_circuit(stages.f, stages.syntheses)
+                want.append((report.g, verify_mod._project_work(achieved, worked)))
+            for res, circuit in want:
+                state, tv = _stage_distances(circuit, n, init, ref)
+                assert res.state_distance == state, (emit(c), init, level)
+                assert res.tv_distance == tv, (emit(c), init, level)
 
 
 def test_encoded_distances_need_a_data_plus_tag_register():
