@@ -33,6 +33,8 @@ EXIT_UNREACHABLE = 3
 EXIT_VERIFY = 4
 
 _CONFIG_KEYS = ("level", "phi", "eps", "k_max", "shots", "seed", "init")
+# sample takes about 120 ns a shot over 1024 outcomes: two minutes here
+MAX_SHOTS = 10**9
 
 
 @dataclass
@@ -62,7 +64,7 @@ _FLAGS = {
     "phi": {"type": float, "help": "fixed gate angle"},
     "eps": {"type": float, "help": "per-gate angular tolerance"},
     "k_max": {"type": int, "help": "synthesis search cutoff"},
-    "shots": {"type": int, "help": "sample counts instead of probabilities"},
+    "shots": {"type": int, "help": f"sample counts instead of probabilities, at most {MAX_SHOTS}"},
     "seed": {"type": int, "help": "sampling seed"},
     "init": {"type": int, "help": "initial basis index"},
     "out": {"help": "write the primary output to this path"},
@@ -196,6 +198,8 @@ def cmd_transpile(cfg: CliConfig) -> int:
 
 
 def cmd_run(cfg: CliConfig) -> int:
+    if cfg.shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}")
     c = _load_circuit(cfg)
     if all(is_real(g) for g in c.gates):
         state = init_basis_real(c.num_qubits, cfg.init)

@@ -105,9 +105,11 @@ def encoded_distances(s: RealState, ref: ComplexState) -> tuple[float, float]:
 
     The values equal np.linalg.norm(decode(s).amps - ref.amps) and
     verify.tv_distance(marginal_distribution(s, layout),
-    sim.distribution(ref)) bit for bit: the same float operations in the
-    same order, on the same memory layouts. They share one scratch array
-    the size of ref instead of the half dozen those calls allocate.
+    sim.distribution(ref)) on the same registers bit for bit: the same
+    float operations in the same order, on the same memory layouts.
+    verify_circuit's distances are these formulas on its compact
+    registers. They share one scratch array the size of ref instead of
+    the half dozen those calls allocate.
     """
     half = len(ref.amps)
     if len(s.amps) != 2 * half:

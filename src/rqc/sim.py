@@ -39,8 +39,9 @@ from .gates import block_entries, is_real
 # a run holds two register-sized arrays, the state and two half-register
 # scratch rows, and a third when it copies init instead of taking out=:
 # about 8 GiB, or 12 GiB with the copy, for run_complex at 28 qubits.
-# verify_circuit holds three (see its docstring). No run at the cap
-# itself has been measured
+# verify_circuit holds three the size of its compact reference and caps
+# its active data qubits plus 2, whatever the declared width (see its
+# docstring). No run at the cap itself has been measured
 MAX_QUBITS = 28
 # uniforms drawn per step of sample: 1 MiB of float64
 SAMPLE_CHUNK = 1 << 17

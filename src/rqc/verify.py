@@ -15,17 +15,18 @@ deterministic simulator would repeat bit for bit.
 A data qubit that no gate of the circuit or of a simulated stage acts
 on stays in its input bit, so the reference runs on the k active data
 qubits alone and each stage on them and the tag, relabelled to 0..k-1
-and k in order. Each run is then written, through a strided view, into
-a full-size register that is zero off the idle qubits' input bits. A
-gate updates each amplitude from itself and its partner by the same
-operations at any width, so every amplitude equals by value the one a
-full-size run gives, and the distances, taken on the full-size
-registers, are bit for bit those of a full-size run. Comparison is full
+and k in order, and the distances are taken on those compact
+registers. Off the idle qubits' input bits a full-size run would hold
+only zeros, and a gate updates each amplitude from itself and its
+partner by the same operations at any width, so every term of the
+distances is the one a full-size run gives. Only the grouping of the
+sums differs, which moves a distance by a few ulps. Comparison is full
 statevector distance after decoding, not only distributions, so phase
 errors that distributions cannot see still fail. encoded_distances
 forms both distances in one scratch array, so a call holds three
-register-sized arrays. Reports serialize to stable key: value text for
-golden-file comparison.
+compact arrays, and memory follows the active width, not the declared
+one. Reports serialize to stable key: value text for golden-file
+comparison.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import AncillaLeakError, EncodedLayout, encoded_distances
-from .sim import ComplexState, RealState, check_width, init_basis, run_complex, run_real
+from .sim import RealState, check_width, init_basis, run_complex, run_real
 from .synth import SynthConfig
 from .textio import emit
 from .transpile import LoweringLevel, achieved_circuit, prepare_stages
@@ -128,7 +129,9 @@ class VerificationReport:
         return "\n".join(out) + "\n"
 
 
-def _project_work(c: Circuit, layout: EncodedLayout, label: list[int] | None = None) -> Circuit:
+def _project_work(
+    c: Circuit, layout: EncodedLayout, label: dict[int, int] | None = None
+) -> Circuit:
     # the stage on the work = 1 block, over data + tag: f(work -> t) acts
     # there as ry(t), and gates off the work ancilla pass through. With
     # label, every other operand q becomes label[q], which packs the
@@ -150,25 +153,8 @@ def _project_work(c: Circuit, layout: EncodedLayout, label: list[int] | None = N
     return out
 
 
-def _relabel(g: Gate, label: list[int]) -> Gate:
+def _relabel(g: Gate, label: dict[int, int]) -> Gate:
     return Gate(g.kind, tuple(map(label.__getitem__, g.qubits)), g.param)
-
-
-def _run_active(run, circuit: Circuit, full: ComplexState | RealState, start: int, at: tuple):
-    # the run of circuit, over the active qubits, from the basis vector
-    # `start`, placed into full: in place when every qubit is active, else
-    # in a compact register that is freed on return. Off the slice that
-    # `at` selects, full is 0 already; at fixes each idle qubit's axis at
-    # its input bit (axis 0 is the top qubit) and keeps the active axes,
-    # which are the compact register's in the same order
-    compact = full
-    if circuit.num_qubits != full.num_qubits:
-        compact = type(full)(circuit.num_qubits, np.empty(1 << circuit.num_qubits, full.amps.dtype))
-    compact.amps.fill(0)
-    compact.amps[start] = 1
-    run(circuit, compact, out=compact)
-    if compact is not full:
-        full.amps.reshape((2,) * len(at))[at] = compact.amps.reshape((2,) * circuit.num_qubits)
 
 
 def circuit_digest(c: Circuit) -> str:
@@ -191,30 +177,35 @@ def verify_circuit(
     f and g stages hold the work ancilla in |1> as a classical control,
     and the f stage reuses the real stage's distances when its projection
     equals the real stage gate for gate. AncillaLeakError names the first
-    gate that uses the work ancilla other than as the control of f. A
-    circuit whose lowered register (data + 2 qubits) is wider than
-    sim.MAX_QUBITS is refused before anything runs.
+    gate that uses the work ancilla other than as the control of f.
 
     Only the active data qubits are simulated: those that some gate of
     c or of a simulated stage acts on. The reference runs on them, and
-    each stage on them and the tag, from the input's bits there; the
-    idle data qubits keep their input bits, and each run is placed into
-    a full-size register, where the distances are taken. When every data
-    qubit is active the runs happen in place in those registers. A
-    compact register and its run's scratch together are at most the size
-    of the complex reference, and encoding.encoded_distances allocates
-    its one scratch array after both are gone, so at most three arrays
-    of that size are live at once.
+    each stage on them and the tag, from the input's bits there, and the
+    distances are taken on those compact registers; the idle data qubits
+    keep their input bits. The width cap applies to the active qubits: a
+    circuit whose active data qubits plus 2 exceed sim.MAX_QUBITS is
+    refused before anything runs, however many qubits it declares. An
+    invalid circuit reports its validation error first, and an input
+    index out of range for the declared qubits is refused before
+    anything is allocated. A call holds three arrays the size of the
+    compact reference at once: the reference, the stage register, and
+    either a run's scratch or encoding.encoded_distances' one scratch
+    array.
     """
     require_valid(c)
     if cfg is None:
         cfg = SynthConfig()
     n = c.num_qubits
+    # init_basis below sees only the bits of the active qubits
+    if init_basis_index < 0 or init_basis_index >> n:
+        raise ValueError(f"basis index {init_basis_index} out of range for {n} qubit(s)")
+    # the lowered register of c's active qubits, work ancilla included,
+    # is refused before anything is lowered
+    active = {q for g in c.gates for q in g.qubits}
+    check_width(len(active) + 2)
     plain = EncodedLayout(n)
     worked = EncodedLayout(n, has_work=True)
-    check_width(worked.num_qubits)
-    # the full-size reference, where the distances are taken
-    ref = init_basis(n, init_basis_index)
     stages = prepare_stages(c, cfg, level)
     projected = achieved = None
     if stages.f is not None:
@@ -224,31 +215,28 @@ def verify_circuit(
         achieved = achieved_circuit(stages.f, stages.syntheses)
     # data qubits some gate acts on; f need not be simulated, but when it
     # is not, its projection equals the real stage and adds none
-    circuits = [s for s in (c, stages.real, stages.f, achieved) if s is not None]
-    active = sorted({q for s in circuits for g in s.gates for q in g.qubits if q < n})
+    circuits = [s for s in (stages.real, stages.f, achieved) if s is not None]
+    active = sorted(active.union(q for s in circuits for g in s.gates for q in g.qubits if q < n))
     k = len(active)
+    check_width(k + 2)  # in case a stage acts on more data qubits
     label = None
     if k < n:
-        label = [None] * n + [k]  # the tag follows the active qubits
-        for j, q in enumerate(active):
-            label[q] = j
+        label = {q: j for j, q in enumerate(active)}
+        label[n] = k  # the tag follows the active qubits
     # each run starts from the input's bits on the active qubits; idle
-    # qubits keep theirs, fixed in the embedding
+    # qubits keep theirs and take no part in any distance
     start = sum(((init_basis_index >> q) & 1) << j for j, q in enumerate(active))
-    at = tuple(
-        slice(None) if q in active else (init_basis_index >> q) & 1 for q in range(n - 1, -1, -1)
-    )
+    ref = init_basis(k, start)
     active_c = c if label is None else Circuit(k, [_relabel(g, label) for g in c.gates])
-    _run_active(run_complex, active_c, ref, start, at)
-    # every stage runs into reg, whose encoded input is the basis vector
-    # init_basis_real(n + 1, init_basis_index)
-    reg = RealState(n + 1, np.zeros(2 << n))
-    at = (slice(None), *at)  # the tag, qubit n, is always active
+    run_complex(active_c, ref, out=ref)
+    # every stage runs in reg from the encoded input, the basis vector
+    # start with the tag at 0
+    reg = RealState(k + 1, np.empty(2 << k))
 
     def measure(circuit: Circuit) -> StageResult:
-        _run_active(run_real, circuit, reg, start, at)
-        # the next stage rewrites reg, which this squares in place; off
-        # the slice it stays 0
+        reg.amps.fill(0)
+        reg.amps[start] = 1
+        run_real(circuit, reg, out=reg)
         return StageResult(len(circuit.gates), *encoded_distances(reg, ref))
 
     real_res = measure(_project_work(stages.real, plain, label))

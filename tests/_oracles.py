@@ -2,10 +2,10 @@
 
 Everything here recomputes results through a different route than the
 package: gate application walks basis states one amplitude at a time
-or gathers and scatters whole index arrays,
-the orbit table is evaluated per entry in high-precision arithmetic,
-the synthesis window and orbit angles are formed in mpmath,
-the transform matrices come from their defining formulas, and .rqc text
+or gathers and scatters whole index arrays, distances are summed
+exactly by math.fsum, the orbit table is evaluated per entry in
+high-precision arithmetic, the synthesis window and orbit angles are
+formed in mpmath, the transform matrices come from their defining formulas, and .rqc text
 is tokenized, parsed and emitted one character and one line at a time.
 """
 
@@ -106,6 +106,24 @@ def gather_apply(gate: Gate, amps: np.ndarray) -> np.ndarray:
         for r, i in enumerate(idx):
             amps[i] = m[r, 0] * a[0] + m[r, 1] * a[1] + m[r, 2] * a[2] + m[r, 3] * a[3]
     return amps
+
+
+def fsum_distances(amps: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
+    """State and total variation distance of a data + tag register from a
+    complex reference, as encoding.encoded_distances defines them.
+
+    Each term is rounded as the package rounds it, one float operation at
+    a time, but every sum is exact: math.fsum rounds it once.
+    """
+    half = len(ref)
+    re, im = amps[:half].tolist(), amps[half:].tolist()
+    ref_re, ref_im = ref.real.tolist(), ref.imag.tolist()
+    diffs = [a - b for a, b in zip(re + im, ref_re + ref_im)]
+    state = math.sqrt(math.fsum(d * d for d in diffs))
+    tv = math.fsum(
+        abs((a * a + b * b) - (c * c + d * d)) for a, b, c, d in zip(re, im, ref_re, ref_im)
+    )
+    return state, 0.5 * tv
 
 
 def dense_run(c: Circuit, vec: np.ndarray) -> np.ndarray:

@@ -121,6 +121,26 @@ def test_run_negative_shots_exit_code(tmp_path, capsys):
     assert capsys.readouterr().out == "0 0.5\n1 0.5\n"
 
 
+def test_run_shots_above_the_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # about 120 ns a shot: 10^15 shots would run for years
+    path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
+    config = write(tmp_path, "rqc.cfg", "shots = 1000000000000000\n")
+
+    def never(probs, shots, seed):
+        raise AssertionError(f"sampled {shots} shots")
+
+    monkeypatch.setattr(cli_mod, "sample", never)
+    for flags in (["--shots", str(cli_mod.MAX_SHOTS + 1)], ["--config", config]):
+        assert main(["run", path, *flags]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: shots must be at most {cli_mod.MAX_SHOTS}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert f"at most {cli_mod.MAX_SHOTS}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_run_complex_circuit(tmp_path, capsys):
     # s changes the phase but not the distribution
     path = write(tmp_path, "c.rqc", "qubits 1\nh 0\ns 0\n")
@@ -253,11 +273,19 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
 
 def test_registers_beyond_the_simulator_cap_exit_code(tmp_path, capsys):
     # refused before any amplitude array exists: tracemalloc sees numpy's
-    # allocations, and 2^27 amplitudes alone would be 2 GiB
+    # allocations, and 2^27 amplitudes alone would be 2 GiB. verify's cap
+    # applies to its 27 active qubits with the tag and the work ancilla
+    every_qubit = "".join(f"h {q}\n" for q in range(27))
     cases = (
         (["run"], "qubits 29\nh 0\n", 29),
         (["run"], "qubits 64\nh 63\n", 64),
-        (["verify", "--level", "f"], "qubits 27\nh 0\n", 29),
+        (["verify", "--level", "f"], "qubits 27\n" + every_qubit, 29),
+        # refused before the lowering, whose synthesis cannot reach 0.5
+        (
+            ["verify", "--k-max", "10", "--eps", "1e-12"],
+            "qubits 27\n" + every_qubit + "rz 0 0.5\n",
+            29,
+        ),
     )
     tracemalloc.start()
     try:
@@ -269,6 +297,32 @@ def test_registers_beyond_the_simulator_cap_exit_code(tmp_path, capsys):
         assert tracemalloc.get_traced_memory()[1] < 16 << 20
     finally:
         tracemalloc.stop()
+
+
+def test_verify_width_cap_applies_to_the_active_qubits(tmp_path, capsys):
+    # 40 declared qubits, 2 of them active
+    tracemalloc.start()
+    try:
+        path = write(tmp_path, "wide.rqc", "qubits 40\nh 0\ncx 0 1\nrz 1 0.3\n")
+        assert main(["verify", path, "--init", str(1 << 39 | 2)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "num_qubits: 40\n" in out and out.endswith("status: PASS\n")
+        # the input index is checked against all 40, and nothing is allocated
+        for index in (1 << 40, -1):
+            assert main(["verify", path, "--init", str(index)]) == EXIT_INVALID
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: basis index {index} out of range for 40 qubit(s)\n"
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # invalid and too wide: the parser refuses it first, with its location
+    every_qubit = "".join(f"h {q}\n" for q in range(40))
+    path = write(tmp_path, "bad.rqc", "qubits 40\n" + every_qubit + "rz 0\n")
+    assert main(["verify", path]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line 42") and "exceed" not in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

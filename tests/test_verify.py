@@ -43,7 +43,7 @@ from rqc.cli import EXIT_INVALID, main
 from rqc.encoding import encoded_distances
 from rqc.transpile import prepare_stages
 
-from _oracles import gather_apply
+from _oracles import fsum_distances, gather_apply
 
 
 def test_tv_distance():
@@ -158,10 +158,23 @@ def test_budget_scales_with_eps():
 def test_verify_rejects_bad_inputs():
     with pytest.raises(ValueError, match="out of range"):
         verify_circuit(Circuit(2).h(0), init_basis_index=9)
+    for index in (-1, 1 << 40):
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range for 40 qubit"):
+            verify_circuit(Circuit(40).h(0), init_basis_index=index)
     bad = Circuit(1)
     bad.gates.append(Gate(GateKind.RZ, (0,)))
     with pytest.raises(ValueError, match="needs an angle"):
         verify_circuit(bad)
+    # invalid and, on 40 active qubits, too wide: the validation error wins
+    wide = Circuit(40)
+    for q in range(40):
+        wide.h(q)
+    wide.gates.append(Gate(GateKind.RZ, (0,)))
+    with pytest.raises(ValueError, match="needs an angle"):
+        verify_circuit(wide)
+    wide.gates.pop()
+    with pytest.raises(ValueError, match="^42 qubit"):
+        verify_circuit(wide)
 
 
 def corrupted_stages(stage_name, delta):
@@ -255,15 +268,16 @@ def test_a_stage_cannot_hide_on_an_idle_qubit(monkeypatch):
         fake = hiding_stages(inner, stage_name, 2)
         monkeypatch.setattr(verify_mod, "prepare_stages", fake)
         for level in levels:
-            stage = getattr(fake(c, SynthConfig(), level), stage_name)
-            stage = verify_mod._project_work(stage, EncodedLayout(3, has_work=True))
+            stage = _stages_of(c, SynthConfig(), level)[stage_name]
             for init in (0, 0b100):
                 report = verify_circuit(c, init, level=level)
                 assert report.status == "FAIL", (stage_name, level, init)
                 assert report.reason == f"stage '{stage_name}' distance exceeds 1e-09"
                 res = getattr(report, stage_name)
-                ref = run_complex(c, init_basis(3, init))
-                want = _stage_distances(stage, 3, init, ref)
+                k, start, pack = _compact(3, init, [c, stage])
+                assert k == 3
+                ref = run_complex(pack(c), init_basis(k, start))
+                want = _stage_distances(pack(stage), k, start, ref)
                 assert (res.state_distance, res.tv_distance) == want, (stage_name, level, init)
 
 
@@ -314,6 +328,52 @@ def _idle_mask(c):
     return mask
 
 
+def _stages_of(c, cfg, level):
+    # each stage verify measures, by name, projected onto data + tag
+    stages = verify_mod.prepare_stages(c, cfg, level)
+    worked = EncodedLayout(c.num_qubits, has_work=True)
+    out = {"real": stages.real}
+    if stages.f is not None:
+        out["f"] = verify_mod._project_work(stages.f, worked)
+    if level is LoweringLevel.G_ONLY:
+        achieved = achieved_circuit(stages.f, stages.syntheses)
+        out["g"] = verify_mod._project_work(achieved, worked)
+    return out
+
+
+def _active(n, circuits):
+    # the data qubits some gate of the circuits acts on, in order
+    return sorted({q for s in circuits for g in s.gates for q in g.qubits if q < n})
+
+
+def _compact(n, init, circuits):
+    # verify's compact registers: the active data qubits at 0..k-1 in
+    # order, the tag (qubit n) at k, and the input's bits there; pack
+    # moves a circuit over n data qubits, or over data + tag, onto them
+    active = _active(n, circuits)
+    k = len(active)
+    pos = {q: j for j, q in enumerate(active)}
+    pos[n] = k
+    start = sum(((init >> q) & 1) << j for j, q in enumerate(active))
+
+    def pack(circuit):
+        gates = [Gate(g.kind, tuple(pos[q] for q in g.qubits), g.param) for g in circuit.gates]
+        return Circuit(k + circuit.num_qubits - n, gates)
+
+    return k, start, pack
+
+
+def _slice(amps, n, init, active):
+    # the amplitudes of a register over n qubits, or over n data qubits
+    # and the tag n, that keep every idle data qubit at its input bit,
+    # as a compact register (axis 0 of the view is the top qubit)
+    width = len(amps).bit_length() - 1
+    at = tuple(
+        slice(None) if q == n or q in active else (init >> q) & 1 for q in range(width - 1, -1, -1)
+    )
+    return amps.reshape((2,) * width)[at].reshape(-1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     # dense draws, and few gates on up to 9 qubits, which leave some idle
@@ -331,7 +391,9 @@ def test_projected_stages_match_a_full_work_register_simulation(
 ):
     # the f and g stages, unprojected, on data + tag + work with the work
     # ancilla in |1>, applied by index gather and scatter, then stripped;
-    # verify simulates only the active qubits and must agree bit for bit
+    # verify simulates only the active qubits, and its distances must
+    # equal bit for bit the formulas on the slice of the idle qubits'
+    # input bits
     n, num_gates = shape
     c = random_circuit(n, num_gates, seed)
     init = data.draw(st.integers(0, (1 << n) - 1))
@@ -340,19 +402,23 @@ def test_projected_stages_match_a_full_work_register_simulation(
     cfg = SynthConfig(eps=1e-3)
     report = verify_circuit(c, init, cfg, level)
     stages = verify_mod.prepare_stages(c, cfg, level)
-    ref = init_basis(n, init).amps
-    for g in c.gates:
-        ref = gather_apply(g, ref)
-    ref_dist = distribution(ComplexState(n, ref))
-    plain = EncodedLayout(n)
     staged = [(stages.f, report.f)]
     if level is LoweringLevel.G_ONLY:
         staged.append((achieved_circuit(stages.f, stages.syntheses), report.g))
+    active = _active(n, [c, stages.real] + [stage for stage, _ in staged])
+    k = len(active)
+    ref = init_basis(n, init).amps
+    for g in c.gates:
+        ref = gather_apply(g, ref)
+    ref = _slice(ref, n, init, active)
+    ref_dist = distribution(ComplexState(k, ref))
+    plain = EncodedLayout(k)
     for stage, res in staged:
         amps = add_work_ancilla(encode(init_basis(n, init))).amps
         for g in stage.gates:
             amps = gather_apply(g, amps)
         final = strip_work_ancilla(RealState(n + 2, amps))
+        final = RealState(k + 1, _slice(final.amps, n, init, active))
         assert res.state_distance == float(np.linalg.norm(decode(final, plain).amps - ref))
         assert res.tv_distance == tv_distance(marginal_distribution(final, plain), ref_dist)
 
@@ -409,26 +475,57 @@ def _distance_cases():
 
 
 def test_distances_equal_the_formulas_bit_for_bit():
-    # verify simulates only the active qubits; the formulas run each
-    # stage on the full data + tag register
+    # the formulas run the reference and each stage on verify's compact
+    # registers, the active data qubits and the tag, which define the
+    # distances
+    cfg = SynthConfig(eps=1e-3)
+    for c, init in _distance_cases():
+        for level in LoweringLevel:
+            report = verify_circuit(c, init, cfg, level)
+            stages = _stages_of(c, cfg, level)
+            k, start, pack = _compact(c.num_qubits, init, [c, *stages.values()])
+            ref = run_complex(pack(c), init_basis(k, start))
+            for name, stage in stages.items():
+                res = getattr(report, name)
+                state, tv = _stage_distances(pack(stage), k, start, ref)
+                assert res.state_distance == state, (emit(c), init, level, name)
+                assert res.tv_distance == tv, (emit(c), init, level, name)
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(a, b))
+
+
+def _full_size_runs():
+    # every distance verify reports, with the stage's and the reference's
+    # final states on the full data + tag and data registers
     cfg = SynthConfig(eps=1e-3)
     for c, init in _distance_cases():
         n = c.num_qubits
         ref = run_complex(c, init_basis(n, init))
-        worked = EncodedLayout(n, has_work=True)
         for level in LoweringLevel:
             report = verify_circuit(c, init, cfg, level)
-            stages = verify_mod.prepare_stages(c, cfg, level)
-            want = [(report.real, stages.real)]
-            if stages.f is not None:
-                want.append((report.f, verify_mod._project_work(stages.f, worked)))
-            if level is LoweringLevel.G_ONLY:
-                achieved = achieved_circuit(stages.f, stages.syntheses)
-                want.append((report.g, verify_mod._project_work(achieved, worked)))
-            for res, circuit in want:
-                state, tv = _stage_distances(circuit, n, init, ref)
-                assert res.state_distance == state, (emit(c), init, level)
-                assert res.tv_distance == tv, (emit(c), init, level)
+            for name, stage in _stages_of(c, cfg, level).items():
+                final = run_real(stage, init_basis_real(n + 1, init))
+                yield getattr(report, name), final, ref, (emit(c), init, level, name)
+
+
+def test_distances_are_within_a_few_ulps_of_a_full_size_run():
+    # the compact registers leave out only zeros, so the sums differ only
+    # in how numpy's pairwise summation groups the terms
+    for res, final, ref, case in _full_size_runs():
+        plain = EncodedLayout(ref.num_qubits)
+        state = float(np.linalg.norm(decode(final, plain).amps - ref.amps))
+        tv = tv_distance(marginal_distribution(final, plain), distribution(ref))
+        assert _ulps(res.state_distance, state) <= 4, case
+        assert _ulps(res.tv_distance, tv) <= 4, case
+
+
+def test_distances_are_within_a_few_ulps_of_exact_sums():
+    for res, final, ref, case in _full_size_runs():
+        state, tv = fsum_distances(final.amps, ref.amps)
+        assert _ulps(res.state_distance, state) <= 4, case
+        assert _ulps(res.tv_distance, tv) <= 4, case
 
 
 def test_encoded_distances_need_a_data_plus_tag_register():
@@ -438,11 +535,14 @@ def test_encoded_distances_need_a_data_plus_tag_register():
 
 @pytest.mark.parametrize("level", list(LoweringLevel))
 def test_verify_memory_is_a_few_registers(level):
-    # one unit is the complex reference, 16 << n bytes, the size of the
-    # data + tag register too; the reference, the stage register and one
-    # register-sized scratch buffer are live at once
+    # one unit is the compact complex reference, 16 << k bytes for k
+    # active data qubits, the size of the data + tag register too; the
+    # reference, the stage register and one register-sized scratch
+    # buffer are live at once, next to the lowered circuits' gates
     n = 14
     c = random_circuit(n, 24, seed=5)
+    k = len(_active(n, [c]))
+    assert k == n - 1
     cfg = SynthConfig(eps=1e-3)
     verify_circuit(c, 3, cfg, level)  # warm the synthesis and template caches
     tracemalloc.start()
@@ -452,7 +552,23 @@ def test_verify_memory_is_a_few_registers(level):
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak <= 4.5 * (16 << n), peak / (16 << n)
+    assert peak <= 4.5 * (16 << k), peak / (16 << k)
+
+
+@pytest.mark.parametrize("n", [26, 10**7])
+def test_verify_memory_follows_the_active_width(n):
+    # 2 active qubits: full-size registers at 26 qubits would take over
+    # 1 GiB, and nothing may be sized by the declared 10^7 either
+    c = Circuit(n).h(0).cx(0, 1)
+    verify_circuit(c)  # warm the synthesis and template caches
+    tracemalloc.start()
+    try:
+        report = verify_circuit(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 32 << 10, peak
 
 
 def _verified_lowering(report):
