@@ -6,7 +6,7 @@ both forms on dual statevector engines, and verifies equivalence
 numerically at every stage.
 """
 
-from .circuit import Circuit, Gate, GateKind, circular_distance, require_valid
+from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import (
     AncillaLeakError,
     EncodedLayout,
@@ -17,7 +17,7 @@ from .encoding import (
     marginal_distribution,
     strip_work_ancilla,
 )
-from .gates import gate_matrix, is_real, zyz_angles, zyz_matrix, zyz_normalize
+from .gates import gate_matrix, is_real, zyz_angles
 from .library import grover_two_qubit, qft, random_circuit
 from .sim import (
     ComplexState,
@@ -84,7 +84,6 @@ __all__ = [
     "add_work_ancilla",
     "budget",
     "circuit_digest",
-    "circular_distance",
     "decode",
     "distribution",
     "emit",
@@ -116,6 +115,4 @@ __all__ = [
     "tv_distance",
     "verify_circuit",
     "zyz_angles",
-    "zyz_matrix",
-    "zyz_normalize",
 ]

@@ -2,8 +2,9 @@
 
 Register convention, fixed here for every other module: qubit 0 is the
 least significant bit of a basis-state index, so |q1 q0> = |10> is index 2.
-Angles are radians, stored un-normalized; angle comparisons always go
-through circular_distance. Two-qubit gates list control first.
+Angles are radians, stored un-normalized; nothing here reduces them, and
+the synthesizer reduces each target exactly (see synth). Two-qubit gates
+list control first.
 """
 
 from __future__ import annotations
@@ -11,12 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two angles on the circle, in [0, pi]."""
-    d = math.fmod(abs(a - b), math.tau)
-    return min(d, math.tau - d)
 
 
 class GateKind(Enum):

@@ -68,7 +68,7 @@ _FLAGS = {
     "seed": {"type": int, "help": "sampling seed"},
     "init": {"type": int, "help": "initial basis index"},
     "out": {"help": "write the primary output to this path"},
-    "config": {"help": "key = value file; flags win"},
+    "config": {"help": "key = value file; flags win; every subcommand checks every key"},
 }
 _SYNTH_FLAGS = ("phi", "eps", "k_max")
 _COMMON_FLAGS = ("out", "config")

@@ -160,29 +160,3 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     else:
         c = _wrap(_arg(-u[0, 1]) - alpha)
     return (alpha, a, b, c)
-
-
-def zyz_normalize(g: Gate) -> tuple[float, float, float, float]:
-    """(alpha, a, b, c) with gate_matrix(g) = e^{i alpha} rz(a) ry(b) rz(c),
-    rz(c) applied first in time.
-
-    ry and rz come back as identity embeddings; every other single-qubit
-    kind goes through the generic matrix path.
-    """
-    if g.kind is GateKind.RY:
-        return (0.0, 0.0, g.param, 0.0)
-    if g.kind is GateKind.RZ:
-        return (0.0, g.param, 0.0, 0.0)
-    if g.kind.num_operands != 1:
-        raise ValueError(f"zyz_normalize needs a single-qubit gate, got {g.kind.value}")
-    return zyz_angles(gate_matrix(g))
-
-
-def zyz_matrix(alpha: float, a: float, b: float, c: float) -> np.ndarray:
-    """Reconstruct e^{i alpha} rz(a) ry(b) rz(c) as a dense 2x2."""
-    rz_a = gate_matrix(Gate(GateKind.RZ, (0,), a))
-    rz_c = gate_matrix(Gate(GateKind.RZ, (0,), c))
-    m = rz_a @ gate_matrix(Gate(GateKind.RY, (0,), b)) @ rz_c
-    if alpha != 0.0:
-        m = _unit_phase(alpha) * m
-    return m

@@ -2,18 +2,22 @@
 
 For irrational phi/2pi the orbit {k*phi mod 2pi} is dense, so some power
 F(phi)^k = F(k*phi mod 2pi) lands within any eps of a target angle.
-synthesize never lists the orbit: with phi/2pi mod 1 held as a / 2^P and
-the eps window (plus a 1e-12 margin) as an integer range mod 2^P, a
-Euclid recursion on (a, 2^P), the integer form of the continued-fraction
-walk, gives the first k with a*k mod 2^P in range in O(P) steps. Checks
-in high precision in increasing k make k, the achieved angle and the
-error those of a brute-force scan.
 
-The search runs on Python integers alone. A small context per value of
-(phi, k_max) holds 2^P, a and 2^P/2pi in fixed point; the window comes from
-the exact ratios of the target and eps, and orbit_angle reduces k*phi by
-a fixed-point 2pi. mpmath only builds those constants, once per context
-or width, and the exact distance of a closest miss.
+synthesize accepts k by one rule, decided in integers: the circular
+distance from k*phi to theta is <= eps. Angles are held in fixed point
+with w fraction bits, where w covers the exponents of phi, eps and theta,
+the bits of k_max and 128 guard bits, so phi, eps and theta are exact;
+2pi is floor(2pi * 2^w). k*phi - theta is reduced once by that 2pi. The
+distance is then exact wherever no multiple of 2pi enters, as on every
+tie with eps (pi is irrational), and within 2^-128 of eps elsewhere. In
+these units a Euclid recursion on (phi mod 2pi, 2pi), the integer form of
+the continued-fraction walk, gives the least k at distance <= eps in O(w)
+steps. The first-hit window is the rule itself: no candidate is
+re-checked and no margin is walked.
+
+The search runs on Python integers alone, and orbit_angle reduces k*phi
+by the same fixed-point 2pi. mpmath only builds that constant, and
+rebuilds it twice as wide when a wider one is asked for.
 """
 
 from __future__ import annotations
@@ -22,20 +26,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mp, mpf
-
-from .circuit import circular_distance
+from mpmath import mp
 
 DEFAULT_PHI = math.tau * (math.sqrt(5.0) - 1.0) / 2.0
 
-_MARGIN = 1e-12
-_MARGIN_NUM, _MARGIN_DEN = _MARGIN.as_integer_ratio()
-# bits beyond those of k_max and of a small phi: for every k <= k_max,
-# a*k / 2^P is then within 2^-128 turns (and 2^-128 steps) of k*phi/2pi
+# bits beyond those the operands need: a fixed-point distance is then
+# within 2^-128 of eps, and an orbit angle within 2^-127 of k*phi mod 2pi
 _GUARD_BITS = 128
-# fraction bits of the fixed-point 2^P/2pi: the window ends then sit within
-# 2^-60 steps of their exact values
-_FRACTION_BITS = 64
+# targets with an exponent of at most 64 in magnitude need no wider 2pi
+_THETA_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -108,14 +107,6 @@ def orbit_angle(k: int, phi: float) -> float:
     return ((k * p << w) // q % _two_pi(w)) / (1 << w)
 
 
-def _exact_distance(k: int, phi: float, target: float) -> float:
-    """Circular distance from k*phi to target, formed exactly, rounded once."""
-    e_phi, e_target = math.frexp(phi)[1], math.frexp(target)[1]
-    with mp.workprec(k.bit_length() + abs(e_phi) + abs(e_target) + _GUARD_BITS):
-        d = mp.fmod(abs(k * mpf(phi) - target), 2 * mp.pi)
-        return float(min(d, 2 * mp.pi - d))
-
-
 def _least_multiple(a: int, m: int, lo: int, hi: int) -> int | None:
     """Least x >= 0 with lo <= a*x mod m <= hi, given 0 < lo <= hi < m.
 
@@ -161,53 +152,61 @@ def _closest_k(a: int, m: int, r: int, k_max: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _context(phi: float, k_max: int) -> tuple[int, int, int]:
-    """(m, a, per_radian) for (phi, k_max): m = 2^P, phi/2pi mod 1 as a / m,
-    and m/2pi in fixed point with _FRACTION_BITS fraction bits.
+def _context(phi: float, eps: float, k_max: int) -> tuple[int, int, int]:
+    """(width, phi * 2^width, eps * 2^width) for one (phi, eps, k_max), both
+    products exact integers: width covers the exponents of phi and eps, the
+    bits of k_max and the guard bits; synthesize adds theta's exponent.
 
     Keyed on values, not on a SynthConfig: callers build a fresh one per
-    call. Also widens the cached 2pi for every orbit angle up to k_max.
+    call. Also widens the cached 2pi for every target below 2^_THETA_BITS
+    and every orbit angle up to k_max.
     """
-    exponent = math.frexp(phi)[1]
-    bits = k_max.bit_length() + max(-exponent, 0) + _GUARD_BITS
-    with mp.workprec(bits + max(exponent, 0) + 64):
-        a = int(mp.nint(phi * (mp.ldexp(1, bits) / (2 * mp.pi)))) % (1 << bits)
-    with mp.workprec(bits + _FRACTION_BITS + 64):
-        per_radian = int(mp.nint(mp.ldexp(1, bits + _FRACTION_BITS) / (2 * mp.pi)))
-    _two_pi(_orbit_width(k_max, phi))
-    return 1 << bits, a, per_radian
+    # the 2 extra bits cover eps down to half its power of two, and the
+    # count of 2pi folds in k*phi - theta up to twice its larger term
+    width = (
+        k_max.bit_length()
+        + abs(math.frexp(phi)[1])
+        + abs(math.frexp(eps)[1])
+        + _GUARD_BITS
+        + 2
+    )
+    _two_pi(width + _THETA_BITS)
+    p, q = phi.as_integer_ratio()
+    e, d = eps.as_integer_ratio()
+    return width, (p << width) // q, (e << width) // d
+
+
+def _distance(a: int, m: int, t: int, k: int) -> int:
+    """Circular distance from a*k to t modulo m."""
+    r = (a * k - t) % m
+    return min(r, m - r)
 
 
 def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
-    """Smallest k in [1, k_max] with k*phi mod 2pi within eps of theta,
-    exactly the brute-force minimum; failing that, NotReachable names the
-    least k <= k_max at the least exact distance.
+    """Smallest k in [1, k_max] with k*phi within eps of theta on the circle;
+    failing that, NotReachable names the least k <= k_max at the least
+    distance. error is that distance, rounded once; achieved is
+    orbit_angle(k, phi). theta is taken as it is, not reduced in float64.
     """
     if cfg is None:
         cfg = SynthConfig()
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    target = theta % math.tau
-    m, a, per_radian = _context(cfg.phi, cfg.k_max)
-    # target and eps + margin over one power-of-two denominator, exactly
-    t_num, t_den = target.as_integer_ratio()
-    e_num, e_den = cfg.eps.as_integer_ratio()
-    den = max(t_den, e_den, _MARGIN_DEN)
-    center = t_num * (den // t_den)
-    half_width = e_num * (den // e_den) + _MARGIN_NUM * (den // _MARGIN_DEN)
-    scale = den << _FRACTION_BITS
-    lo = (center - half_width) * per_radian // scale
-    hi = -(-(center + half_width) * per_radian // scale)
-    k = _first_hit(a, m, lo, hi, 1)
-    while k is not None and k <= cfg.k_max:
-        achieved = orbit_angle(k, cfg.phi)
-        error = circular_distance(achieved, target)
-        if error <= cfg.eps:
-            return SynthesisResult(k, achieved, error)
-        k = _first_hit(a, m, lo, hi, k + 1)
-    r = (2 * center * per_radian + scale) // (2 * scale)
-    best_k = _closest_k(a, m, r, cfg.k_max)
-    raise NotReachable(theta, best_k, _exact_distance(best_k, cfg.phi, target))
+    width, phi_units, eps_units = _context(cfg.phi, cfg.eps, cfg.k_max)
+    # theta's exponent widens the units: theta is exact in them, and its
+    # reduction by the fixed-point 2pi stays within 2^-128 of eps
+    shift = abs(math.frexp(theta)[1])
+    w = width + shift
+    m = _two_pi(w)
+    a = (phi_units << shift) % m
+    t_num, t_den = theta.as_integer_ratio()
+    t = (t_num << w) // t_den % m
+    e = eps_units << shift
+    k = _first_hit(a, m, t - e, t + e, 1)
+    if k is not None and k <= cfg.k_max:
+        return SynthesisResult(k, orbit_angle(k, cfg.phi), _distance(a, m, t, k) / (1 << w))
+    best_k = _closest_k(a, m, t, cfg.k_max)
+    raise NotReachable(theta, best_k, _distance(a, m, t, best_k) / (1 << w))
 
 
 def synthesis_error_to_gate_error(delta: float) -> float:

@@ -4,9 +4,11 @@ Everything here recomputes results through a different route than the
 package: gate application walks basis states one amplitude at a time
 or gathers and scatters whole index arrays, distances are summed
 exactly by math.fsum, the orbit table is evaluated per entry in
-high-precision arithmetic, the synthesis window and orbit angles are
-formed in mpmath, the transform matrices come from their defining formulas, and .rqc text
-is tokenized, parsed and emitted one character and one line at a time.
+high-precision arithmetic, the synthesis window is formed in mpmath in
+units of 2^-P turns and every angular distance is taken in mpmath from
+the unreduced target, the transform matrices come from their defining
+formulas, and .rqc text is tokenized, parsed and emitted one character
+and one line at a time.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from rqc import (
     ParseError,
     SynthConfig,
     SynthesisResult,
-    circular_distance,
     gate_matrix,
 )
-from rqc.synth import _closest_k, _exact_distance, _first_hit
+from rqc.synth import _closest_k, _first_hit
 
 
 def random_complex_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:
@@ -169,34 +170,48 @@ def exact_orbit_table(phi: float, k_max: int) -> np.ndarray:
     return out
 
 
-def exact_circular_distance(k: int, phi: float, theta: float) -> float:
-    """Circular distance between k*phi and theta, in high precision."""
-    with mp.workdps(40):
+def mp_distance(k: int, phi: float, theta: float, eps: float = 1.0) -> mpf:
+    """Circular distance between k*phi and the unreduced theta, not rounded.
+
+    k*phi - theta is formed exactly, and reduced by a 2pi whose working
+    precision is scaled by the exponents of phi, theta and eps and the
+    bits of k, so the distance is resolved far below eps at any magnitude.
+    Every k below 2^64 gets the same precision, so equal distances (phi 0)
+    compare equal.
+    """
+    prec = max(k.bit_length(), 64) + sum(abs(math.frexp(x)[1]) for x in (phi, theta, eps)) + 256
+    with mp.workprec(prec):
         d = mp.fmod(abs(k * mpf(phi) - mpf(theta)), 2 * mp.pi)
-        return float(min(d, 2 * mp.pi - d))
+        return min(d, 2 * mp.pi - d)
+
+
+def mp_reduce(theta: float) -> float:
+    """theta mod 2pi in [0, 2pi), reduced at a precision scaled by theta's
+    exponent and rounded once."""
+    with mp.workprec(abs(math.frexp(theta)[1]) + 256):
+        v = mp.fmod(mpf(theta), 2 * mp.pi)
+        return float(v + 2 * mp.pi if v < 0 else v)
 
 
 def brute_force_min_k(
     theta: float, phi: float, eps: float, k_max: int, table: np.ndarray | None = None
 ) -> tuple[int, float] | None:
-    """Smallest k with exact circular distance <= eps, or None.
+    """Smallest k with circular distance <= eps, and that distance rounded
+    once; None if no k <= k_max has one.
 
-    The float64 table (exact per entry) prefilters with a 1e-12 margin;
-    candidates are confirmed in order by exact evaluation, so the result
-    is the true minimum.
+    The float64 table (exact per entry) prefilters against the exactly
+    reduced target with a 1e-12 margin; candidates are confirmed in order
+    by mp_distance to the unreduced theta, so the result is the true minimum.
     """
     if table is None:
         table = exact_orbit_table(phi, k_max)
-    target = math.fmod(theta, math.tau)
-    if target < 0.0:
-        target += math.tau
-    d = np.abs(table[:k_max] - target)
+    d = np.abs(table[:k_max] - mp_reduce(theta))
     d = np.minimum(d, math.tau - d)
     for idx in np.flatnonzero(d <= eps + 1e-12):
         k = int(idx) + 1
-        err = exact_circular_distance(k, phi, target)
+        err = mp_distance(k, phi, theta, eps)
         if err <= eps:
-            return k, err
+            return k, float(err)
     return None
 
 
@@ -209,27 +224,38 @@ def mp_orbit_angle(k: int, phi: float) -> float:
 
 
 def mp_synthesize(theta: float, cfg: SynthConfig) -> SynthesisResult:
-    """synthesize with the window, a and the orbit angles formed in mpmath
-    for every call; the integer first-hit solver is the package's."""
-    target = theta % math.tau
-    exponent = math.frexp(cfg.phi)[1]
-    bits = cfg.k_max.bit_length() + max(-exponent, 0) + 128
+    """synthesize by another route, sharing only the integer first-hit
+    solver and the bisection for the closest miss.
+
+    The orbit is held over 2^P turns, with a and the window formed in
+    mpmath from the unreduced theta. The window is widened on each side by
+    the drift of a*k over k <= k_max, and its candidates are confirmed in
+    increasing k by mp_distance.
+    """
+    e_phi, e_theta = math.frexp(cfg.phi)[1], math.frexp(theta)[1]
+    bits = cfg.k_max.bit_length() + max(-e_phi, 0) + 128
     m = 1 << bits
-    with mp.workprec(bits + max(exponent, 0) + 64):
+    # a is within 1/2 of m*phi/2pi, so a*k drifts by at most k/2; the
+    # window ends round by less than 1
+    slack = cfg.k_max // 2 + 2
+    with mp.workprec(bits + max(e_phi, 0) + max(e_theta, 0) + 64):
         per_radian = mp.ldexp(1, bits) / (2 * mp.pi)
         a = int(mp.nint(cfg.phi * per_radian)) % m
-        center = target * per_radian
-        half_width = (cfg.eps + mpf(1e-12)) * per_radian
-        lo, hi = int(mp.floor(center - half_width)), int(mp.ceil(center + half_width))
-        k = _first_hit(a, m, lo, hi, 1)
-        while k is not None and k <= cfg.k_max:
-            achieved = mp_orbit_angle(k, cfg.phi)
-            error = circular_distance(achieved, target)
-            if error <= cfg.eps:
-                return SynthesisResult(k, achieved, error)
-            k = _first_hit(a, m, lo, hi, k + 1)
-        best_k = _closest_k(a, m, int(mp.nint(center)), cfg.k_max)
-    raise NotReachable(theta, best_k, _exact_distance(best_k, cfg.phi, target))
+        center = theta * per_radian
+        half_width = cfg.eps * per_radian
+        lo = int(mp.floor(center - half_width)) - slack
+        hi = int(mp.ceil(center + half_width)) + slack
+        r = int(mp.nint(center)) % m
+    k = _first_hit(a, m, lo, hi, 1)
+    while k is not None and k <= cfg.k_max:
+        d = mp_distance(k, cfg.phi, theta, cfg.eps)
+        if d <= cfg.eps:
+            return SynthesisResult(k, mp_orbit_angle(k, cfg.phi), float(d))
+        if a == 0:  # phi 0: every power lands on the same angle
+            break
+        k = _first_hit(a, m, lo, hi, k + 1)
+    best_k = _closest_k(a, m, r, cfg.k_max)
+    raise NotReachable(theta, best_k, float(mp_distance(best_k, cfg.phi, theta, cfg.eps)))
 
 
 _MNEMONICS = {k.value: k for k in GateKind}

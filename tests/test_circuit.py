@@ -2,24 +2,7 @@ import math
 
 import pytest
 
-from rqc import Circuit, Gate, GateKind, circular_distance, require_valid
-
-
-def test_circular_distance_basics():
-    assert circular_distance(0.0, 0.0) == 0.0
-    assert circular_distance(0.0, math.tau) == pytest.approx(0.0, abs=1e-15)
-    assert circular_distance(math.pi, -math.pi) == pytest.approx(0.0, abs=1e-15)
-    assert circular_distance(0.1, math.tau - 0.1) == pytest.approx(0.2, abs=1e-15)
-    assert circular_distance(0.0, math.pi) == pytest.approx(math.pi)
-
-
-def test_circular_distance_symmetric_and_bounded():
-    vals = [0.0, 0.3, -2.7, math.pi, 5.9, 13.4, -100.0]
-    for a in vals:
-        for b in vals:
-            d = circular_distance(a, b)
-            assert d == circular_distance(b, a)
-            assert 0.0 <= d <= math.pi + 1e-12
+from rqc import Circuit, Gate, GateKind, require_valid
 
 
 def test_kind_arity_table():

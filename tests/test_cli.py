@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -176,6 +177,19 @@ def test_synth_deep_k_max(capsys):
     assert out.splitlines()[0] == f"k: {want.k}"
 
 
+@pytest.mark.parametrize("k_max", [2061998, 10**12])
+def test_synth_on_a_degenerate_orbit_ends_quickly(capsys, k_max):
+    # every power of phi = 5e-324 lies within 1e-317 of 0, and 0 is one ulp
+    # of theta more than eps from theta: no k is in reach, and the search
+    # must not walk the k_max powers lying just outside the window
+    argv = ["synth", "3.6787017845701716e-10", "--phi", "5e-324",
+            "--eps", "3.678701784570171e-10", "--k-max", str(k_max)]
+    t0 = time.process_time()
+    assert main(argv) == EXIT_UNREACHABLE
+    assert time.process_time() - t0 < 1.0
+    assert f"(closest: k={k_max}, " in capsys.readouterr().err
+
+
 def test_synth_rejects_non_finite(capsys):
     assert main(["synth", "nan"]) == EXIT_INVALID
     assert "finite" in capsys.readouterr().err
@@ -209,6 +223,18 @@ def test_verify_fail_exit_code(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "status: FAIL\n" in out
     assert "reason: stage 'f' distance exceeds 1e-09\n" in out
+
+
+@pytest.mark.parametrize(
+    "angle, flags",
+    [("1e6", ["--eps", "1e-6", "--k-max", "10000000"]), ("1e10", []), ("1e14", []), ("1e300", [])],
+)
+def test_verify_passes_on_large_angles(tmp_path, capsys, angle, flags):
+    # the simulator reduces ry's angle by the true 2pi, so the synthesized
+    # power must approximate that reduction, not one by a float64 2pi
+    path = write(tmp_path, "c.rqc", f"qubits 1\nry 0 {angle}\n")
+    assert main(["verify", path, *flags]) == EXIT_OK
+    assert "status: PASS\n" in capsys.readouterr().out
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -363,9 +389,14 @@ def test_config_file_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad2.cfg", "eps\n")
     assert main(["run", circuit, "--config", bad]) == EXIT_INVALID
     assert "expected 'key = value'" in capsys.readouterr().err
-    bad = write(tmp_path, "bad3.cfg", "level = q\n")
-    assert main(["run", circuit, "--config", bad]) == EXIT_INVALID
-    assert "level must be one of real, f, g" in capsys.readouterr().err
+    # the file is checked as a whole, so a key that a subcommand does not
+    # read (run has no --level) is still refused when it is invalid
+    bad = write(tmp_path, "bad3.cfg", "level = bogus\n")
+    for argv in (["run", circuit], ["synth", "1.0"], ["transpile", circuit], ["verify", circuit], ["bench"]):
+        assert main([*argv, "--config", bad]) == EXIT_INVALID, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "level must be one of real, f, g; got 'bogus'" in err
 
 
 def test_bench_table(capsys):

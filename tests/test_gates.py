@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rqc import Circuit, Gate, GateKind, gate_matrix, is_real, zyz_angles, zyz_matrix, zyz_normalize
+from rqc import Gate, GateKind, gate_matrix, is_real, zyz_angles
 from rqc.gates import block_entries
 
 from _oracles import random_unitary_2x2, zyz_product
@@ -188,9 +188,7 @@ def test_zyz_reconstruction_on_random_unitaries():
     for _ in range(300):
         u = random_unitary_2x2(rng)
         angles = zyz_angles(u)
-        worst = max(worst, float(np.abs(zyz_matrix(*angles) - u).max()))
-        # the in-package reconstruction and the from-scratch product agree
-        assert np.allclose(zyz_product(*angles), u, atol=1e-12)
+        worst = max(worst, float(np.abs(zyz_product(*angles) - u).max()))
     assert worst <= 1e-12
 
 
@@ -202,21 +200,7 @@ def test_zyz_reconstruction_on_every_front_end_gate():
         for _ in range(4):
             g = g1(k, float(rng.uniform(-7, 7)) if k.num_params else None)
             u = gate_matrix(g)
-            assert np.allclose(zyz_matrix(*zyz_normalize(g)), u, atol=1e-12)
-
-
-def test_zyz_normalize_embeds_ry_and_rz_exactly():
-    assert zyz_normalize(g1(GateKind.RY, 0.7)) == (0.0, 0.0, 0.7, 0.0)
-    assert zyz_normalize(g1(GateKind.RZ, -0.3)) == (0.0, -0.3, 0.0, 0.0)
-    # embeddings skip the matrix path, so out-of-range angles survive
-    assert zyz_normalize(g1(GateKind.RY, 9.9)) == (0.0, 0.0, 9.9, 0.0)
-
-
-def test_zyz_normalize_rejects_non_single_qubit_gates():
-    with pytest.raises(ValueError, match="single-qubit"):
-        zyz_normalize(Gate(GateKind.CX, (0, 1)))
-    with pytest.raises(ValueError, match="single-qubit"):
-        zyz_normalize(Gate(GateKind.GPHASE, (), 0.5))
+            assert np.allclose(zyz_product(*zyz_angles(u)), u, atol=1e-12)
 
 
 def test_zyz_no_negative_zero_angles():

@@ -16,7 +16,6 @@ from rqc import (
     NotReachable,
     SynthConfig,
     budget,
-    circular_distance,
     gate_matrix,
     orbit_angle,
     synthesis_error_to_gate_error,
@@ -26,9 +25,10 @@ from rqc import (
 import rqc.synth
 from _oracles import (
     brute_force_min_k,
-    exact_circular_distance,
     exact_orbit_table,
+    mp_distance,
     mp_orbit_angle,
+    mp_reduce,
     mp_synthesize,
 )
 
@@ -83,7 +83,7 @@ def test_soundness_against_exact_recomputation():
         r = synthesize(theta, cfg)
         assert r.error <= cfg.eps
         assert r.achieved == orbit_angle(r.k, DEFAULT_PHI)
-        assert abs(exact_circular_distance(r.k, DEFAULT_PHI, theta) - r.error) <= 5e-15
+        assert abs(float(mp_distance(r.k, DEFAULT_PHI, theta)) - r.error) <= 5e-15
 
 
 def test_minimality_against_the_brute_force_oracle():
@@ -120,7 +120,7 @@ def test_not_reachable_reports_the_closest_miss():
     assert err.best_error > 1e-15
     assert err.gate_index is None
     assert "raise k_max or eps" in str(err)
-    assert abs(err.best_error - exact_circular_distance(err.best_k, DEFAULT_PHI, 1.0)) <= 1e-12
+    assert abs(err.best_error - float(mp_distance(err.best_k, DEFAULT_PHI, 1.0))) <= 1e-12
     # and no k in range actually does better
     table = exact_orbit_table(DEFAULT_PHI, 200)
     d = np.abs(table - 1.0)
@@ -134,29 +134,12 @@ PHIS = st.one_of(
     st.sampled_from([DEFAULT_PHI, 0.0, math.pi, 0.5 * math.pi, math.tau, -2.5, 1e5]),
     st.floats(-1e3, 1e3),
 )
-THETAS = st.floats(-1e3, 1e3)
+THETAS = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300))
 
 
 @functools.lru_cache(maxsize=None)
 def cached_orbit_table(phi):
     return exact_orbit_table(phi, 4096)
-
-
-def folded(theta):
-    target = math.fmod(theta, math.tau)
-    return target + math.tau if target < 0.0 else target
-
-
-def exact_distances(phi, target, k_max):
-    """Circular distance from k*phi to target for k = 1..k_max, not
-    rounded, at a precision that resolves k*phi - (k+1)*phi."""
-    with mp.workprec(256 + abs(math.frexp(phi)[1])):
-        two_pi = 2 * mp.pi
-        out = []
-        for k in range(1, k_max + 1):
-            d = mp.fmod(abs(k * mpf(phi) - mpf(target)), two_pi)
-            out.append(min(d, two_pi - d))
-        return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,12 +151,6 @@ def exact_distances(phi, target, k_max):
 )
 def test_first_hit_matches_the_brute_force_oracle(phi, theta, eps, k_max):
     table = cached_orbit_table(phi)
-    # within float64 rounding of eps the synthesizer's rule (distance of
-    # the rounded angle) and the oracle's (exact distance, rounded) can
-    # decide one orbit point differently; keep such draws out
-    d = np.abs(table[:k_max] - folded(theta))
-    d = np.minimum(d, math.tau - d)
-    assume(not np.any(np.abs(d - eps) <= 1e-14))
     want = brute_force_min_k(theta, phi, eps, k_max, table)
     cfg = SynthConfig(phi=phi, eps=eps, k_max=k_max)
     if want is None:
@@ -190,8 +167,7 @@ def test_first_hit_matches_the_brute_force_oracle(phi, theta, eps, k_max):
 @given(phi=PHIS, theta=THETAS, k_max=st.integers(1, 512))
 def test_not_reachable_names_the_exact_closest_miss(phi, theta, k_max):
     eps = 1e-12
-    target = folded(theta)
-    dists = exact_distances(phi, target, k_max)
+    dists = [mp_distance(k, phi, theta, eps) for k in range(1, k_max + 1)]
     best = min(dists)
     assume(best > 2 * eps)
     with pytest.raises(NotReachable) as e:
@@ -199,7 +175,7 @@ def test_not_reachable_names_the_exact_closest_miss(phi, theta, k_max):
     assert e.value.best_k == dists.index(best) + 1
     assert e.value.best_error == float(best)
     # the same minimum over the orbit table, up to its per-entry rounding
-    d = np.abs(cached_orbit_table(phi)[:k_max] - target)
+    d = np.abs(cached_orbit_table(phi)[:k_max] - mp_reduce(theta))
     d = np.minimum(d, math.tau - d)
     assert abs(e.value.best_error - d.min()) <= 2e-15
 
@@ -222,11 +198,6 @@ def outcome(f, theta, cfg):
     k_max=st.one_of(st.integers(1, 10**4), st.integers(1, 10**12)),
 )
 def test_synthesize_equals_the_mpmath_reference(phi, theta, eps, k_max):
-    # every orbit point up to k_max lies within 1e-12 of 0 when phi is 0 or
-    # tiny; a target just beyond eps of 0 then puts each k in the window's
-    # margin and both searches reject them one at a time, up to 10^12 times
-    if abs(phi) * k_max < 1e-12:
-        assume(not eps < circular_distance(folded(theta), 0.0) <= eps + 2e-12)
     cfg = SynthConfig(phi=phi, eps=eps, k_max=k_max)
     assert outcome(synthesize, theta, cfg) == outcome(mp_synthesize, theta, cfg)
 

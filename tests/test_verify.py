@@ -146,6 +146,28 @@ def test_tv_never_exceeds_state_distance():
             assert stage.tv_distance <= stage.state_distance + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([GateKind.RY, GateKind.RZ, GateKind.RX, GateKind.F, GateKind.GPHASE]),
+        min_size=1,
+        max_size=4,
+    ),
+    st.data(),
+)
+def test_level_g_passes_at_any_finite_angle(kinds, data):
+    # the simulator reduces every angle by the true 2pi; each synthesized
+    # power must approximate that reduction, up to |angle| = 1e300
+    angles = st.one_of(st.floats(-1e300, 1e300), st.floats(-10.0, 10.0))
+    c = Circuit(2)
+    for kind in kinds:
+        q = data.draw(st.integers(0, 1))
+        operands = {0: (), 1: (q,), 2: (q, 1 - q)}[kind.num_operands]
+        c.append(kind, *operands, param=data.draw(angles))
+    report = verify_circuit(c, data.draw(st.integers(0, 3)), level=LoweringLevel.G_ONLY)
+    assert report.passed, report.to_text()
+
+
 def test_budget_scales_with_eps():
     c = qft(3)
     loose = verify_circuit(c, 0, SynthConfig(eps=1e-3))
