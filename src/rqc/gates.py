@@ -1,4 +1,4 @@
-"""Gate matrices, realness classification, and ZYZ normal form.
+"""Gate matrices, the realness predicate read off them, and ZYZ normal form.
 
 Matrix conventions (the encoding rewrite rules are exact identities only
 under these):
@@ -29,8 +29,8 @@ _TDG_PHASE = cmath.exp(-0.25j * math.pi)
 
 
 def _unit_phase(t: float) -> complex:
-    # exact +-1 at floating-point multiples of pi, so is_real and the
-    # matrix entries can never disagree about realness
+    # exact +-1 at floating-point multiples of pi: this snap is what makes
+    # rz and gphase real there, for is_real and the real engine alike
     if math.remainder(t, math.pi) == 0.0:
         return complex(1.0) if math.cos(t) > 0.0 else complex(-1.0)
     return complex(math.cos(t), math.sin(t))
@@ -99,29 +99,11 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return m
 
 
-_ALWAYS_REAL = frozenset(
-    {GateKind.X, GateKind.Z, GateKind.H, GateKind.RY, GateKind.CX, GateKind.CZ, GateKind.F}
-)
-_NEVER_REAL = frozenset(
-    {GateKind.Y, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG}
-)
-
-
 def is_real(g: Gate) -> bool:
-    """True iff every entry of gate_matrix(g) is exactly real.
-
-    Classification is symbolic per kind; rz and gphase are real exactly
-    when the angle is a floating-point multiple of pi (where the matrix
-    builder snaps e^{it} to +-1), rx only at angle 0 where sin(t/2) is
-    exactly zero.
-    """
-    if g.kind in _ALWAYS_REAL:
-        return True
-    if g.kind in _NEVER_REAL:
-        return False
-    if g.kind is GateKind.RX:
-        return g.param == 0.0
-    return math.remainder(g.param, math.pi) == 0.0
+    """True iff every entry of gate_matrix(g) is exactly real, read off
+    the same block_entries the matrix is built from."""
+    u00, u01, u10, u11 = block_entries(g)
+    return not (u00.imag or u01.imag or u10.imag or u11.imag)
 
 
 def _arg(z: complex) -> float:

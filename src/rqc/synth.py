@@ -23,6 +23,7 @@ rebuilds it twice as wide when a wider one is asked for.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +53,10 @@ class SynthConfig:
             raise ValueError("eps must be finite")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
+        try:
+            object.__setattr__(self, "k_max", operator.index(self.k_max))
+        except TypeError:
+            raise ValueError("k_max must be an integer") from None
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
 

@@ -2,10 +2,12 @@
 
 Stages:
 
-    normalize           single-qubit gates become rz/ry chains via their
-                        ZYZ angles, with gphase items for unit factors;
-                        cx and cz become verified expansions over
-                        {rz, ry, f(pi/2), gphase}
+    normalize           rx becomes an rz/ry chain via its ZYZ angles, with
+                        a gphase item for a unit factor; every constant
+                        kind (x ... tdg, cx, cz) expands by one literal
+                        table over {rz, ry, f(pi/2), gphase}, whose rows
+                        the tests pin bit for bit and check against an
+                        independent unitary oracle
     encode   ('real')   rz(t)@q -> f(t)[q -> tag]; ry and f pass through;
                         gphase(a) -> ry(a) on the tag ancilla
     lower ry ('f')      ry(t)@q -> f(t)[work -> q], work ancilla in |1>
@@ -25,13 +27,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-
-import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import EncodedLayout, global_phase_gate
-from .gates import _wrap, gate_matrix, zyz_angles
+from .gates import gate_matrix, zyz_angles
 from .synth import NotReachable, SynthConfig, SynthesisResult, budget, synthesize
 
 
@@ -100,67 +99,34 @@ class TranspileReport:
 
 _NORMAL_KINDS = frozenset({GateKind.RZ, GateKind.RY, GateKind.F, GateKind.GPHASE})
 
-# conjugates the target block of f(pi/2), a quarter-turn plane rotation,
-# into the phase matrix -iZ; this turns the controlled rotation into a
-# controlled phase, the seed of the cz and cx expansions below
-_A = np.array([[1j, 1.0], [-1j, 1.0]], dtype=np.complex128) * math.sqrt(0.5)
-
-
-def _rotation_items(u: np.ndarray) -> tuple[list[tuple[GateKind, float]], float]:
-    # temporal rz/ry item list for a 2x2 unitary, plus its unit-phase angle
-    alpha, a, b, c = zyz_angles(u)
-    items = []
-    if c != 0.0:
-        items.append((GateKind.RZ, c))
-    if b != 0.0:
-        items.append((GateKind.RY, b))
-    if a != 0.0:
-        items.append((GateKind.RZ, a))
-    return items, alpha
-
-
-def _embedded(kind: GateKind, role: str, param: float) -> np.ndarray:
-    m = gate_matrix(Gate(kind, (0, 1) if role == "ct" else (0,) * len(role), param))
-    if role == "ct":
-        return m
-    if role == "c":
-        return np.kron(m, np.eye(2))
-    if role == "t":
-        return np.kron(np.eye(2), m)
-    return m[0, 0] * np.eye(4)
-
-
-@lru_cache(maxsize=None)
-def _two_qubit_template(kind: GateKind) -> tuple[tuple[GateKind, str, float], ...]:
-    """cx/cz over {rz, ry, f(pi/2), gphase}, in temporal order over operand
-    roles 'c'/'t'/'ct', verified against the exact 4x4 matrix on build."""
-    dag_items, dag_phase = _rotation_items(_A.conj().T)
-    a_items, a_phase = _rotation_items(_A)
-    seq = [(k, "t", v) for k, v in dag_items]
-    seq.append((GateKind.F, "ct", 0.5 * math.pi))
-    seq += [(k, "t", v) for k, v in a_items]
-    seq.append((GateKind.RZ, "c", 0.5 * math.pi))
-    phase = _wrap(dag_phase + a_phase)
-    if phase != 0.0:
-        seq.append((GateKind.GPHASE, "", phase))
-    if kind is GateKind.CX:
-        seq.append((GateKind.F, "ct", 0.5 * math.pi))
-    total = np.eye(4, dtype=np.complex128)
-    for item in seq:
-        total = _embedded(*item) @ total
-    want = gate_matrix(Gate(kind, (0, 1)))
-    if not np.allclose(total, want, atol=1e-12):
-        raise AssertionError(f"{kind.value} expansion failed its matrix check")
-    return tuple(seq)
-
-
-_ROLE_OPERANDS = {"c": (0,), "t": (1,), "ct": (0, 1), "": ()}
-
-
-def _instantiate(seq, control: int, target: int):
-    pair = (control, target)
-    for kind, role, param in seq:
-        yield Gate(kind, tuple(pair[i] for i in _ROLE_OPERANDS[role]), param)
+_Q = 0.25 * math.pi  # pi/4; the multiples below are exact
+# every constant kind over {rz, ry, f, gphase}: (kind, operand positions,
+# angle) items in temporal order, positions indexing the gate's qubits
+# (control first). The single-qubit rows are the ZYZ angles zyz_angles
+# gives for each matrix; cz conjugates the target block of f(pi/2), a
+# quarter-turn plane rotation, into the phase -iZ, and cx is cz then
+# f(pi/2). tests/test_transpile.py pins every row bit for bit and checks
+# its unitary against an independent oracle
+_EXPANSIONS = {
+    GateKind.X: ((GateKind.RZ, (0,), 4 * _Q), (GateKind.RY, (0,), 2 * _Q)),
+    GateKind.Y: ((GateKind.RY, (0,), 2 * _Q), (GateKind.GPHASE, (), 2 * _Q)),
+    GateKind.Z: ((GateKind.RZ, (0,), 4 * _Q),),
+    GateKind.H: ((GateKind.RZ, (0,), 4 * _Q), (GateKind.RY, (0,), _Q)),
+    GateKind.S: ((GateKind.RZ, (0,), 2 * _Q),),
+    GateKind.SDG: ((GateKind.RZ, (0,), -2 * _Q),),
+    GateKind.T: ((GateKind.RZ, (0,), _Q),),
+    GateKind.TDG: ((GateKind.RZ, (0,), -_Q),),
+    GateKind.CZ: (
+        (GateKind.RY, (1,), _Q),
+        (GateKind.RZ, (1,), 2 * _Q),
+        (GateKind.F, (0, 1), 2 * _Q),
+        (GateKind.RZ, (1,), 2 * _Q),
+        (GateKind.RY, (1,), _Q),
+        (GateKind.RZ, (1,), -4 * _Q),
+        (GateKind.RZ, (0,), 2 * _Q),
+    ),
+}
+_EXPANSIONS[GateKind.CX] = _EXPANSIONS[GateKind.CZ] + ((GateKind.F, (0, 1), 2 * _Q),)
 
 
 def normalize_pass(c: Circuit) -> Circuit:
@@ -171,13 +137,20 @@ def normalize_pass(c: Circuit) -> Circuit:
     for g in c.gates:
         if g.kind in _NORMAL_KINDS:
             out.gates.append(g)
-        elif g.kind in (GateKind.CX, GateKind.CZ):
-            out.gates.extend(_instantiate(_two_qubit_template(g.kind), *g.qubits))
-        else:
-            items, alpha = _rotation_items(gate_matrix(g))
-            out.gates.extend(Gate(kind, g.qubits, v) for kind, v in items)
+        elif g.kind is GateKind.RX:
+            alpha, a, b, cc = zyz_angles(gate_matrix(g))
+            out.gates.extend(
+                Gate(kind, g.qubits, v)
+                for kind, v in ((GateKind.RZ, cc), (GateKind.RY, b), (GateKind.RZ, a))
+                if v != 0.0
+            )
             if alpha != 0.0:
                 out.gates.append(Gate(GateKind.GPHASE, (), alpha))
+        else:
+            out.gates.extend(
+                Gate(kind, tuple(g.qubits[i] for i in pos), v)
+                for kind, pos, v in _EXPANSIONS[g.kind]
+            )
     return out
 
 

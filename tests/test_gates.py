@@ -4,7 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from rqc import Gate, GateKind, gate_matrix, is_real, zyz_angles
+from rqc import (
+    Circuit,
+    Gate,
+    GateKind,
+    gate_matrix,
+    init_basis,
+    init_basis_real,
+    is_real,
+    run_complex,
+    run_real,
+    zyz_angles,
+)
 from rqc.gates import block_entries
 
 from _oracles import random_unitary_2x2, zyz_product
@@ -132,11 +143,19 @@ def test_is_real_agrees_with_the_matrix_exactly():
         qubits = (0, 1)[: k.num_operands]
         if k.num_params:
             gates += [Gate(k, qubits, p) for p in
-                      (0.0, math.pi, -math.pi, 0.3, float(rng.uniform(-7, 7)))]
+                      (0.0, math.pi, -math.pi, 0.3, float(rng.uniform(-7, 7)),
+                       5e-324, -5e-324)]
         else:
             gates.append(Gate(k, qubits))
     for g in gates:
-        assert is_real(g) == bool(np.all(gate_matrix(g).imag == 0.0))
+        assert is_real(g) == bool(np.all(gate_matrix(g).imag == 0.0)), g
+    # sin(2.5e-324) rounds to 0, so rx(5e-324) is exactly real and the
+    # real engine must accept it with the reference amplitudes
+    c = Circuit(1)
+    c.gates.append(Gate(GateKind.RX, (0,), 5e-324))
+    for init in (0, 1):
+        got = run_real(c, init_basis_real(1, init)).amps
+        assert np.array_equal(got, run_complex(c, init_basis(1, init)).amps)
 
 
 GOLDEN_ZYZ = {

@@ -52,6 +52,17 @@ def test_config_validation():
         SynthConfig(k_max=0)
 
 
+def test_k_max_must_be_an_integer():
+    # a float k_max would otherwise fail only later, inside every synthesis
+    for bad in (1e6, "1000000"):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            SynthConfig(k_max=bad)
+    cfg = SynthConfig(k_max=np.int64(10**6))
+    assert type(cfg.k_max) is int and cfg == SynthConfig(k_max=10**6)
+    for theta in (0.5, -2.0, 1e6):
+        assert synthesize(theta, cfg) == synthesize(theta, SynthConfig(k_max=10**6))
+
+
 def test_phi_itself_needs_one_gate():
     r = synthesize(DEFAULT_PHI, SynthConfig(eps=1e-12))
     assert r.k == 1

@@ -64,6 +64,20 @@ def test_normalize_golden_expansions():
         Gate(GateKind.GPHASE, (), 0.5 * PI),
     ]
     assert normalize_pass(Circuit(1).t(0)).gates == [Gate(GateKind.RZ, (0,), 0.25 * PI)]
+    assert normalize_pass(Circuit(1).sdg(0)).gates == [Gate(GateKind.RZ, (0,), -0.5 * PI)]
+    assert normalize_pass(Circuit(1).tdg(0)).gates == [Gate(GateKind.RZ, (0,), -0.25 * PI)]
+    # control 1, target 0: the rotations sit on the target, one rz on the control
+    cz = [
+        Gate(GateKind.RY, (0,), 0.25 * PI),
+        Gate(GateKind.RZ, (0,), 0.5 * PI),
+        Gate(GateKind.F, (1, 0), 0.5 * PI),
+        Gate(GateKind.RZ, (0,), 0.5 * PI),
+        Gate(GateKind.RY, (0,), 0.25 * PI),
+        Gate(GateKind.RZ, (0,), -PI),
+        Gate(GateKind.RZ, (1,), 0.5 * PI),
+    ]
+    assert normalize_pass(Circuit(2).cz(1, 0)).gates == cz
+    assert normalize_pass(Circuit(2).cx(1, 0)).gates == cz + [Gate(GateKind.F, (1, 0), 0.5 * PI)]
 
 
 def test_normalize_preserves_the_full_unitary():
