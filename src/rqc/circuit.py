@@ -122,7 +122,7 @@ class Circuit:
     def validate(self) -> list[str]:
         """Return human-readable violations; an empty list means valid."""
         out: list[str] = []
-        if not isinstance(self.num_qubits, int) or self.num_qubits < 1:
+        if not _is_int(self.num_qubits) or self.num_qubits < 1:
             out.append("num_qubits must be a positive integer")
         for i, g in enumerate(self.gates):
             k = g.kind
@@ -133,7 +133,7 @@ class Circuit:
                 )
             else:
                 for q in g.qubits:
-                    if not isinstance(q, int) or q < 0 or q >= self.num_qubits:
+                    if not _is_int(q) or q < 0 or q >= self.num_qubits:
                         out.append(
                             f"gate {i}: operand {q} out of range for "
                             f"{self.num_qubits} qubit(s)"
@@ -148,6 +148,11 @@ class Circuit:
             elif not isinstance(g.param, float) or not math.isfinite(g.param):
                 out.append(f"gate {i}: angle must be a finite number")
         return out
+
+
+def _is_int(x: object) -> bool:
+    # bool is an int subclass, but emit would write True, which parse refuses
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def require_valid(c: Circuit) -> None:

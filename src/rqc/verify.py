@@ -12,32 +12,34 @@ lower_ry_pass keeps every angle, so the projected f stage normally
 equals the real stage gate for gate and reuses its run, which the
 deterministic simulator would repeat bit for bit.
 
-A data qubit that no gate of the circuit or of a simulated stage acts
-on stays in its input bit, so the reference runs on the k active data
-qubits alone and each stage on them and the tag, relabelled to 0..k-1
-and k in order, and the distances are taken on those compact
-registers. Off the idle qubits' input bits a full-size run would hold
-only zeros, and a gate updates each amplitude from itself and its
-partner by the same operations at any width, so every term of the
-distances is the one a full-size run gives. Only the grouping of the
-sums differs, which moves a distance by a few ulps. Comparison is full
-statevector distance after decoding, not only distributions, so phase
-errors that distributions cannot see still fail. encoded_distances
-forms both distances in one scratch array, so a call holds three
-compact arrays, and memory follows the active width, not the declared
-one. Reports serialize to stable key: value text for golden-file
-comparison.
+A data qubit that no gate of the circuit acts on stays in its input
+bit. Every pass rewrites each gate on its own operands and adds only
+the tag and the work ancilla, so the circuit is packed once onto its k
+active data qubits, relabelled to 0..k-1 in order, and lowered there:
+the reference runs on those k qubits, each stage on them and the tag
+k, and the distances are taken on those compact registers. Off the
+idle qubits' input bits a full-size run would hold only zeros, and a
+gate updates each amplitude from itself and its partner by the same
+operations at any width, so every term of the distances is the one a
+full-size run gives. Only the grouping of the sums differs, which moves
+a distance by a few ulps. Comparison is full statevector distance after
+decoding, not only distributions, so phase errors that distributions
+cannot see still fail. encoded_distances forms both distances in one
+scratch array, so a call holds three compact arrays, and memory follows
+the active width, not the declared one. Reports serialize to stable
+key: value text for golden-file comparison.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
-from .encoding import AncillaLeakError, EncodedLayout, encoded_distances
+from .encoding import AncillaLeakError, encoded_distances
 from .sim import RealState, check_width, init_basis, run_complex, run_real
 from .synth import SynthConfig
 from .textio import emit
@@ -129,32 +131,22 @@ class VerificationReport:
         return "\n".join(out) + "\n"
 
 
-def _project_work(
-    c: Circuit, layout: EncodedLayout, label: dict[int, int] | None = None
-) -> Circuit:
+def _project_work(c: Circuit) -> Circuit:
     # the stage on the work = 1 block, over data + tag: f(work -> t) acts
-    # there as ry(t), and gates off the work ancilla pass through. With
-    # label, every other operand q becomes label[q], which packs the
-    # active data qubits and the tag at the bottom of the register
-    work = layout.work_ancilla
-    tag = layout.ri_ancilla if label is None else label[layout.ri_ancilla]
-    out = Circuit(tag + 1, name=c.name)
+    # there as ry(t), and gates off the work ancilla pass through
+    work = c.num_qubits - 1
+    out = Circuit(work, name=c.name)
     for i, g in enumerate(c.gates):
         if work not in g.qubits:
-            out.gates.append(g if label is None else _relabel(g, label))
+            out.gates.append(g)
         elif g.kind is GateKind.F and g.qubits[0] == work and g.qubits[1] != work:
-            t = g.qubits[1] if label is None else label[g.qubits[1]]
-            out.gates.append(Gate(GateKind.RY, (t,), g.param))
+            out.gates.append(Gate(GateKind.RY, (g.qubits[1],), g.param))
         else:
             raise AncillaLeakError(
                 f"gate {i}: {g.kind.value} on {g.qubits} can move the work ancilla "
                 f"{work}, which may only control f"
             )
     return out
-
-
-def _relabel(g: Gate, label: dict[int, int]) -> Gate:
-    return Gate(g.kind, tuple(map(label.__getitem__, g.qubits)), g.param)
 
 
 def circuit_digest(c: Circuit) -> str:
@@ -180,14 +172,17 @@ def verify_circuit(
     gate that uses the work ancilla other than as the control of f.
 
     Only the active data qubits are simulated: those that some gate of
-    c or of a simulated stage acts on. The reference runs on them, and
-    each stage on them and the tag, from the input's bits there, and the
-    distances are taken on those compact registers; the idle data qubits
-    keep their input bits. The width cap applies to the active qubits: a
-    circuit whose active data qubits plus 2 exceed sim.MAX_QUBITS is
-    refused before anything runs, however many qubits it declares. An
-    invalid circuit reports its validation error first, and an input
-    index out of range for the declared qubits is refused before
+    c acts on, or qubit 0 if none does. c is packed onto them in order
+    and lowered there, so the reference runs on them and each stage on
+    them and the tag, from the input's bits there, and the distances are
+    taken on those compact registers; the idle data qubits keep their
+    input bits. AncillaLeakError keeps the gate's index in its stage but
+    names its operands on the packed register. The width cap applies to
+    the active qubits: a circuit whose active data qubits plus 2 exceed
+    sim.MAX_QUBITS is refused before anything is lowered, however many
+    qubits it declares. An invalid circuit reports its validation error
+    first, before packing could move a bad operand into range, and an
+    input index out of range for the declared qubits is refused before
     anything is allocated. A call holds three arrays the size of the
     compact reference at once: the reference, the stage register, and
     either a run's scratch or encoding.encoded_distances' one scratch
@@ -197,38 +192,35 @@ def verify_circuit(
     if cfg is None:
         cfg = SynthConfig()
     n = c.num_qubits
+    init_basis_index = operator.index(init_basis_index)
     # init_basis below sees only the bits of the active qubits
     if init_basis_index < 0 or init_basis_index >> n:
         raise ValueError(f"basis index {init_basis_index} out of range for {n} qubit(s)")
-    # the lowered register of c's active qubits, work ancilla included,
-    # is refused before anything is lowered
-    active = {q for g in c.gates for q in g.qubits}
-    check_width(len(active) + 2)
-    plain = EncodedLayout(n)
-    worked = EncodedLayout(n, has_work=True)
-    stages = prepare_stages(c, cfg, level)
+    # a circuit with no active qubit keeps qubit 0, as Circuit(0) is invalid
+    active = sorted({q for g in c.gates for q in g.qubits}) or [0]
+    k = len(active)
+    # the lowered register, work ancilla included, is refused before
+    # anything is lowered
+    check_width(k + 2)
+    packed = c
+    if k < n:
+        # every pass rewrites each gate on its own operands, so the stages
+        # of the packed circuit are those of c relabelled
+        label = {q: j for j, q in enumerate(active)}
+        gates = [Gate(g.kind, tuple(map(label.__getitem__, g.qubits)), g.param) for g in c.gates]
+        packed = Circuit(k, gates)
+    stages = prepare_stages(packed, cfg, level)
     projected = achieved = None
     if stages.f is not None:
         # refuses a gate that moves the work ancilla before anything runs
-        projected = _project_work(stages.f, worked)
+        projected = _project_work(stages.f)
     if level is LoweringLevel.G_ONLY:
-        achieved = achieved_circuit(stages.f, stages.syntheses)
-    # data qubits some gate acts on; f need not be simulated, but when it
-    # is not, its projection equals the real stage and adds none
-    circuits = [s for s in (stages.real, stages.f, achieved) if s is not None]
-    active = sorted(active.union(q for s in circuits for g in s.gates for q in g.qubits if q < n))
-    k = len(active)
-    check_width(k + 2)  # in case a stage acts on more data qubits
-    label = None
-    if k < n:
-        label = {q: j for j, q in enumerate(active)}
-        label[n] = k  # the tag follows the active qubits
+        achieved = _project_work(achieved_circuit(stages.f, stages.syntheses))
     # each run starts from the input's bits on the active qubits; idle
     # qubits keep theirs and take no part in any distance
     start = sum(((init_basis_index >> q) & 1) << j for j, q in enumerate(active))
     ref = init_basis(k, start)
-    active_c = c if label is None else Circuit(k, [_relabel(g, label) for g in c.gates])
-    run_complex(active_c, ref, out=ref)
+    run_complex(packed, ref, out=ref)
     # every stage runs in reg from the encoded input, the basis vector
     # start with the tag at 0
     reg = RealState(k + 1, np.empty(2 << k))
@@ -239,17 +231,17 @@ def verify_circuit(
         run_real(circuit, reg, out=reg)
         return StageResult(len(circuit.gates), *encoded_distances(reg, ref))
 
-    real_res = measure(_project_work(stages.real, plain, label))
+    real_res = measure(stages.real)
     f_res = g_res = None
-    if stages.f is not None:
+    if projected is not None:
         if projected.gates == stages.real.gates:
             f_res = StageResult(
                 len(stages.f.gates), real_res.state_distance, real_res.tv_distance
             )
         else:
-            f_res = measure(_project_work(stages.f, worked, label))
+            f_res = measure(projected)
     if achieved is not None:
-        g_res = measure(_project_work(achieved, worked, label))
+        g_res = measure(achieved)
 
     reason = None
     for name, res in (("real", real_res), ("f", f_res)):

@@ -60,6 +60,7 @@ def test_name_does_not_affect_equality():
 def test_validate_num_qubits():
     assert Circuit(0).validate() == ["num_qubits must be a positive integer"]
     assert "positive integer" in Circuit(-3).validate()[0]
+    assert Circuit(True).validate() == ["num_qubits must be a positive integer"]
 
 
 def test_validate_operand_errors():
@@ -68,11 +69,14 @@ def test_validate_operand_errors():
     c.gates.append(Gate(GateKind.H, (5,)))
     c.gates.append(Gate(GateKind.CX, (1, 1)))
     c.gates.append(Gate(GateKind.CX, (0,)))
+    # True == 1, but emit would write "cx True 0", which parse refuses
+    c.gates.append(Gate(GateKind.CX, (True, 0)))
     assert c.validate() == [
         "gate 0: h takes 1 operand(s), got 2",
         "gate 1: operand 5 out of range for 2 qubit(s)",
         "gate 2: duplicate operands",
         "gate 3: cx takes 2 operand(s), got 1",
+        "gate 4: operand True out of range for 2 qubit(s)",
     ]
 
 

@@ -123,6 +123,10 @@ def test_report_text_layout():
     assert f"digest: {circuit_digest(c)}\n" in text
     assert "level: g\n" in text
     assert "init_index: 1\n" in text
+    # True indexes as 1, and the report says 1, as for the int input
+    report = verify_circuit(c, True, SynthConfig(eps=1e-3))
+    assert type(report.init_index) is int
+    assert report.to_text() == text
 
 
 def test_verify_at_exact_levels_only():
@@ -187,6 +191,11 @@ def test_verify_rejects_bad_inputs():
     bad.gates.append(Gate(GateKind.RZ, (0,)))
     with pytest.raises(ValueError, match="needs an angle"):
         verify_circuit(bad)
+    # an operand out of range is refused, not packed into range
+    far = Circuit(3)
+    far.gates.append(Gate(GateKind.H, (5,)))
+    with pytest.raises(ValueError, match="^gate 0: operand 5 out of range for 3 qubit"):
+        verify_circuit(far)
     # invalid and, on 40 active qubits, too wide: the validation error wins
     wide = Circuit(40)
     for q in range(40):
@@ -260,7 +269,7 @@ def test_small_corruptions_below_tolerance_still_pass(monkeypatch):
     assert verify_circuit(c, 0).passed
 
 
-def hiding_stages(inner, stage_name, qubit):
+def appended_stages(inner, stage_name, qubit):
     # real stages with one more rotation on `qubit`: an ry in the real
     # stage, or an f(work -> qubit) with its synthesis in the f stage
     def wrapper(c, cfg, level):
@@ -278,28 +287,40 @@ def hiding_stages(inner, stage_name, qubit):
     return wrapper
 
 
-def test_a_stage_cannot_hide_on_an_idle_qubit(monkeypatch):
-    # no gate of c acts on qubit 2, so only the stage's extra gate makes
-    # it active; simulating c's qubits alone would miss that gate
-    c = Circuit(3).h(0).cx(0, 1)
+def test_stages_are_lowered_from_the_packed_circuit(monkeypatch):
+    # no gate of c acts on qubit 1, so c is packed onto qubits 0 and 1
+    # (c's qubit 2) and prepare_stages lowers only that, once per call
+    c = Circuit(3).h(0).cx(0, 2)
+    packed = Circuit(2).h(0).cx(0, 1)
     inner = verify_mod.prepare_stages
+    seen = []
+
+    def recording(circuit, cfg, level):
+        seen.append(circuit)
+        return inner(circuit, cfg, level)
+
+    monkeypatch.setattr(verify_mod, "prepare_stages", recording)
+    for level in LoweringLevel:
+        seen.clear()
+        assert verify_circuit(c, 0b111, level=level).passed
+        assert seen == [packed], level
+    # a gate appended to a stage is measured on the packed register
     for stage_name, levels in (
         ("real", list(LoweringLevel)),
         ("f", [LoweringLevel.F_ONLY, LoweringLevel.G_ONLY]),
     ):
-        fake = hiding_stages(inner, stage_name, 2)
-        monkeypatch.setattr(verify_mod, "prepare_stages", fake)
+        monkeypatch.setattr(verify_mod, "prepare_stages", appended_stages(inner, stage_name, 1))
         for level in levels:
-            stage = _stages_of(c, SynthConfig(), level)[stage_name]
-            for init in (0, 0b100):
+            stage = _stages_of(packed, SynthConfig(), level)[stage_name]
+            for init in (0, 0b100, 0b110):
                 report = verify_circuit(c, init, level=level)
                 assert report.status == "FAIL", (stage_name, level, init)
                 assert report.reason == f"stage '{stage_name}' distance exceeds 1e-09"
                 res = getattr(report, stage_name)
-                k, start, pack = _compact(3, init, [c, stage])
-                assert k == 3
-                ref = run_complex(pack(c), init_basis(k, start))
-                want = _stage_distances(pack(stage), k, start, ref)
+                k, start, pack = _compact(3, init, [c])
+                assert pack(c) == packed
+                ref = run_complex(packed, init_basis(k, start))
+                want = _stage_distances(stage, k, start, ref)
                 assert (res.state_distance, res.tv_distance) == want, (stage_name, level, init)
 
 
@@ -339,6 +360,15 @@ def test_no_stage_simulates_the_work_ancilla(monkeypatch):
         assert verify_circuit(sparse, 0b101101, SynthConfig(eps=1e-3), level).passed
         widths = {"run_complex": len(active), "run_real": len(active) + 1}
         assert calls == [(name, widths[name], widths[name]) for name in runs[level]]
+    # with no gate on any qubit, qubit 0 is kept: the reference runs on 1
+    # qubit, from the input's bit there, whatever the top bit
+    for n in (1, 3, 40):
+        for c in (Circuit(n), Circuit(n).gphase(0.7)):
+            for level in LoweringLevel:
+                calls.clear()
+                assert verify_circuit(c, 1 << (n - 1), SynthConfig(eps=1e-3), level).passed
+                widths = {"run_complex": 1, "run_real": 2}
+                assert calls == [(name, widths[name], widths[name]) for name in runs[level]]
 
 
 def _idle_mask(c):
@@ -353,13 +383,11 @@ def _idle_mask(c):
 def _stages_of(c, cfg, level):
     # each stage verify measures, by name, projected onto data + tag
     stages = verify_mod.prepare_stages(c, cfg, level)
-    worked = EncodedLayout(c.num_qubits, has_work=True)
     out = {"real": stages.real}
     if stages.f is not None:
-        out["f"] = verify_mod._project_work(stages.f, worked)
+        out["f"] = verify_mod._project_work(stages.f)
     if level is LoweringLevel.G_ONLY:
-        achieved = achieved_circuit(stages.f, stages.syntheses)
-        out["g"] = verify_mod._project_work(achieved, worked)
+        out["g"] = verify_mod._project_work(achieved_circuit(stages.f, stages.syntheses))
     return out
 
 
