@@ -13,7 +13,6 @@ import numpy as np
 from rqc import (
     Circuit,
     ComplexState,
-    EncodedLayout,
     decode,
     distribution,
     encode,
@@ -36,11 +35,10 @@ print("  tag=0 (Re):", np.round(enc.amps[:4], 6))
 print("  tag=1 (Im):", np.round(enc.amps[4:], 6))
 
 # norms and distributions survive the trip
-layout = EncodedLayout(2)
 print("\nnorm before:", state.norm())
 print("norm after: ", enc.norm())
 print("distribution before:", np.round(distribution(state), 6))
-print("marginal after:     ", np.round(marginal_distribution(enc, layout), 6))
+print("marginal after:     ", np.round(marginal_distribution(enc), 6))
 
 # and decode is the exact inverse
 back = decode(enc)

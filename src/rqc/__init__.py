@@ -9,11 +9,9 @@ numerically at every stage.
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import (
     AncillaLeakError,
-    EncodedLayout,
     add_work_ancilla,
     decode,
     encode,
-    global_phase_gate,
     marginal_distribution,
     strip_work_ancilla,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "Circuit",
     "ComplexState",
     "DEFAULT_PHI",
-    "EncodedLayout",
     "Gate",
     "GateKind",
     "LoweringLevel",
@@ -90,7 +87,6 @@ __all__ = [
     "encode",
     "encode_pass",
     "gate_matrix",
-    "global_phase_gate",
     "grover_two_qubit",
     "init_basis",
     "init_basis_real",

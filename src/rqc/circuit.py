@@ -120,9 +120,15 @@ class Circuit:
         return self.append(GateKind.GPHASE, param=float(alpha))
 
     def validate(self) -> list[str]:
-        """Return human-readable violations; an empty list means valid."""
+        """Return human-readable violations; an empty list means valid.
+
+        Never raises on a field of the wrong type: an operand is checked
+        against the register only once both are integers.
+        """
         out: list[str] = []
-        if not _is_int(self.num_qubits) or self.num_qubits < 1:
+        n = self.num_qubits
+        n_is_int = _is_int(n)
+        if not n_is_int or n < 1:
             out.append("num_qubits must be a positive integer")
         for i, g in enumerate(self.gates):
             k = g.kind
@@ -133,11 +139,10 @@ class Circuit:
                 )
             else:
                 for q in g.qubits:
-                    if not _is_int(q) or q < 0 or q >= self.num_qubits:
-                        out.append(
-                            f"gate {i}: operand {q} out of range for "
-                            f"{self.num_qubits} qubit(s)"
-                        )
+                    if not _is_int(q):
+                        out.append(f"gate {i}: operand {q!r} must be an integer")
+                    elif n_is_int and not 0 <= q < n:
+                        out.append(f"gate {i}: operand {q} out of range for {n} qubit(s)")
                 if k.num_operands == 2 and g.qubits[0] == g.qubits[1]:
                     out.append(f"gate {i}: duplicate operands")
             if k.num_params == 0:
@@ -145,7 +150,9 @@ class Circuit:
                     out.append(f"gate {i}: {k.value} takes no angle")
             elif g.param is None:
                 out.append(f"gate {i}: {k.value} needs an angle")
-            elif not isinstance(g.param, float) or not math.isfinite(g.param):
+            elif not isinstance(g.param, float):
+                out.append(f"gate {i}: angle must be a float, got {type(g.param).__name__}")
+            elif not math.isfinite(g.param):
                 out.append(f"gate {i}: angle must be a finite number")
         return out
 

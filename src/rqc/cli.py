@@ -21,7 +21,7 @@ from .circuit import Circuit
 from .gates import is_real
 from .library import bench_suite
 from .sim import distribution, init_basis, init_basis_real, run_complex, run_real, sample
-from .synth import DEFAULT_PHI, NotReachable, SynthConfig, synthesize
+from .synth import NotReachable, SynthConfig, synthesize
 from .textio import ParseError, emit, parse
 from .transpile import LoweringLevel, TranspileReport, transpile
 from .verify import verify_circuit
@@ -35,6 +35,7 @@ EXIT_VERIFY = 4
 _CONFIG_KEYS = ("level", "phi", "eps", "k_max", "shots", "seed", "init")
 # sample takes about 120 ns a shot over 1024 outcomes: two minutes here
 MAX_SHOTS = 10**9
+_SYNTH_DEFAULTS = SynthConfig()
 
 
 @dataclass
@@ -45,9 +46,9 @@ class CliConfig:
     input_path: str | None = None
     theta: float | None = None
     level: LoweringLevel = LoweringLevel.G_ONLY
-    phi: float = DEFAULT_PHI
-    eps: float = 1e-3
-    k_max: int = 10**6
+    phi: float = _SYNTH_DEFAULTS.phi
+    eps: float = _SYNTH_DEFAULTS.eps
+    k_max: int = _SYNTH_DEFAULTS.k_max
     shots: int = 0
     seed: int = 0
     init: int = 0

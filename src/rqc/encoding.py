@@ -2,40 +2,21 @@
 
 A complex amplitude vector of length 2^n maps to a real vector of length
 2^{n+1}: the lower half holds real parts, the upper half imaginary parts.
-Seen as a register, a tag ancilla at index num_data reads 0 for the real
-component of each amplitude and 1 for the imaginary one, and data qubits
-keep their original indices. Lowered circuits add one more ancilla at
-num_data + 1, held in |1> and used only as a control.
+Seen as a register, the tag ancilla is the top qubit, index n: it reads
+0 for the real component of each amplitude and 1 for the imaginary one,
+and data qubits keep their original indices. Lowering to f adds one more
+ancilla on top, at n + 1, held in |1> and used only as a control. The
+passes that add the two ancillas (transpile.encode_pass and
+transpile.lower_ry_pass) are the only code that places them; the
+functions here read a register of data qubits and the tag, and
+strip_work_ancilla takes the work ancilla off first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .circuit import Gate, GateKind
 from .sim import ComplexState, RealState
-
-
-@dataclass(frozen=True)
-class EncodedLayout:
-    """Register bookkeeping for encoded circuits."""
-
-    num_data: int
-    has_work: bool = False
-
-    @property
-    def ri_ancilla(self) -> int:
-        return self.num_data
-
-    @property
-    def work_ancilla(self) -> int | None:
-        return self.num_data + 1 if self.has_work else None
-
-    @property
-    def num_qubits(self) -> int:
-        return self.num_data + (2 if self.has_work else 1)
 
 
 class AncillaLeakError(ValueError):
@@ -53,14 +34,13 @@ def encode(s: ComplexState) -> RealState:
     return RealState(s.num_qubits + 1, np.concatenate([s.amps.real, s.amps.imag]))
 
 
-def decode(s: RealState, layout: EncodedLayout | None = None) -> ComplexState:
-    """Exact inverse of encode; the input must not carry a work ancilla."""
-    if layout is None:
-        layout = EncodedLayout(s.num_qubits - 1)
-    if layout.has_work or layout.num_qubits != s.num_qubits:
-        raise ValueError("decode expects a data-plus-tag register")
-    half = 1 << layout.num_data
-    return ComplexState(layout.num_data, s.amps[:half] + 1j * s.amps[half:])
+def decode(s: RealState) -> ComplexState:
+    """Exact inverse of encode on a data + tag register, the tag on top.
+
+    A register that still carries the work ancilla goes through
+    strip_work_ancilla first."""
+    half = len(s.amps) >> 1
+    return ComplexState(s.num_qubits - 1, s.amps[:half] + 1j * s.amps[half:])
 
 
 def add_work_ancilla(s: RealState) -> RealState:
@@ -79,24 +59,17 @@ def strip_work_ancilla(s: RealState, tol: float = 1e-9) -> RealState:
     return RealState(s.num_qubits - 1, s.amps[half:].copy())
 
 
-def marginal_distribution(s: RealState, layout: EncodedLayout) -> np.ndarray:
-    """Distribution over data outcomes with ancilla outcomes summed out.
+def marginal_distribution(s: RealState) -> np.ndarray:
+    """Distribution over data outcomes of a data + tag register, the tag
+    outcome summed out.
 
-    Matches distribution(decode(s)) on encoded states. With a work
-    ancilla present, its weight must sit entirely on |1> (within 1e-9);
-    anything else means a lowered circuit moved it.
+    Matches distribution(decode(s)) on encoded states. A register that
+    still carries the work ancilla goes through strip_work_ancilla first,
+    which refuses it if the ancilla left |1>.
     """
-    if layout.num_qubits != s.num_qubits:
-        raise ValueError("layout does not match the state register")
     p = s.amps ** 2
-    if layout.has_work:
-        half = len(p) >> 1
-        leak = float(p[:half].sum())
-        if leak > 1e-9:
-            raise AncillaLeakError(f"work-ancilla leaked: probability {leak:.3e} on |0>")
-        p = p[:half] + p[half:]
-    n = 1 << layout.num_data
-    return p[:n] + p[n:]
+    half = len(p) >> 1
+    return p[:half] + p[half:]
 
 
 def encoded_distances(s: RealState, ref: ComplexState) -> tuple[float, float]:
@@ -104,7 +77,7 @@ def encoded_distances(s: RealState, ref: ComplexState) -> tuple[float, float]:
     a complex reference, squaring s.amps in place.
 
     The values equal np.linalg.norm(decode(s).amps - ref.amps) and
-    verify.tv_distance(marginal_distribution(s, layout),
+    verify.tv_distance(marginal_distribution(s),
     sim.distribution(ref)) on the same registers bit for bit: the same
     float operations in the same order, on the same memory layouts.
     verify_circuit's distances are these formulas on its compact
@@ -132,13 +105,3 @@ def encoded_distances(s: RealState, ref: ComplexState) -> tuple[float, float]:
     np.abs(q, out=q)
     return state_distance, 0.5 * float(q.sum())
 
-
-def global_phase_gate(alpha: float, layout: EncodedLayout) -> Gate:
-    """ry(alpha) on the tag ancilla.
-
-    The tag-ancilla rotation turns every (Re, Im) pair by alpha, which is
-    exactly multiplication of the decoded state by e^{i alpha}. This
-    identity is not part of the translation rules proper and is pinned by
-    its own oracle test.
-    """
-    return Gate(GateKind.RY, (layout.ri_ancilla,), float(alpha))

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, GateKind, require_valid
-from .encoding import EncodedLayout, global_phase_gate
 from .gates import gate_matrix, zyz_angles
 from .synth import NotReachable, SynthConfig, SynthesisResult, budget, synthesize
 
@@ -156,21 +155,22 @@ def normalize_pass(c: Circuit) -> Circuit:
 
 def encode_pass(c: Circuit) -> Circuit:
     """Rewrite a normalized circuit over n data qubits into a real circuit
-    over data plus tag ancilla (level 'real').
+    over data plus tag ancilla (level 'real'), the tag appended as qubit n.
 
     Every rule is an exact identity on encoded states: rz(t)@q becomes
     f(t)[q -> tag], ry and f act the same on both component blocks, and
-    gphase becomes the tag-ancilla rotation.
+    gphase(a) becomes ry(a) on the tag, which turns every (Re, Im) pair by
+    a: multiplication of the decoded state by e^{ia}.
     """
-    layout = EncodedLayout(c.num_qubits)
-    out = Circuit(layout.num_qubits, name=c.name)
+    tag = c.num_qubits
+    out = Circuit(tag + 1, name=c.name)
     for i, g in enumerate(c.gates):
         if g.kind is GateKind.RZ:
-            out.gates.append(Gate(GateKind.F, (g.qubits[0], layout.ri_ancilla), g.param))
+            out.gates.append(Gate(GateKind.F, (g.qubits[0], tag), g.param))
         elif g.kind in (GateKind.RY, GateKind.F):
             out.gates.append(g)
         elif g.kind is GateKind.GPHASE:
-            out.gates.append(global_phase_gate(g.param, layout))
+            out.gates.append(Gate(GateKind.RY, (tag,), g.param))
         else:
             raise ValueError(f"gate {i}: {g.kind.value} is not a normalized kind")
     return out
@@ -178,12 +178,13 @@ def encode_pass(c: Circuit) -> Circuit:
 
 def lower_ry_pass(c: Circuit) -> Circuit:
     """Rewrite a level-'real' circuit of {ry, f} into f gates only (level
-    'f'), with a work ancilla held in |1> controlling every lowered ry."""
-    layout = EncodedLayout(c.num_qubits - 1, has_work=True)
-    out = Circuit(layout.num_qubits, name=c.name)
+    'f'), with a work ancilla held in |1>, appended as the top qubit,
+    controlling every lowered ry."""
+    work = c.num_qubits
+    out = Circuit(work + 1, name=c.name)
     for i, g in enumerate(c.gates):
         if g.kind is GateKind.RY:
-            out.gates.append(Gate(GateKind.F, (layout.work_ancilla, g.qubits[0]), g.param))
+            out.gates.append(Gate(GateKind.F, (work, g.qubits[0]), g.param))
         elif g.kind is GateKind.F:
             out.gates.append(g)
         else:

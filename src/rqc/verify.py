@@ -131,10 +131,9 @@ class VerificationReport:
         return "\n".join(out) + "\n"
 
 
-def _project_work(c: Circuit) -> Circuit:
+def _project_work(c: Circuit, work: int) -> Circuit:
     # the stage on the work = 1 block, over data + tag: f(work -> t) acts
     # there as ry(t), and gates off the work ancilla pass through
-    work = c.num_qubits - 1
     out = Circuit(work, name=c.name)
     for i, g in enumerate(c.gates):
         if work not in g.qubits:
@@ -213,9 +212,11 @@ def verify_circuit(
     projected = achieved = None
     if stages.f is not None:
         # refuses a gate that moves the work ancilla before anything runs
-        projected = _project_work(stages.f)
+        projected = _project_work(stages.f, stages.work_ancilla)
     if level is LoweringLevel.G_ONLY:
-        achieved = _project_work(achieved_circuit(stages.f, stages.syntheses))
+        achieved = _project_work(
+            achieved_circuit(stages.f, stages.syntheses), stages.work_ancilla
+        )
     # each run starts from the input's bits on the active qubits; idle
     # qubits keep theirs and take no part in any distance
     start = sum(((init_basis_index >> q) & 1) << j for j, q in enumerate(active))

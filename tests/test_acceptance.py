@@ -17,7 +17,6 @@ from rqc import (
     Circuit,
     ComplexState,
     DEFAULT_PHI,
-    EncodedLayout,
     Gate,
     GateKind,
     LoweringLevel,
@@ -76,7 +75,7 @@ def test_01_encoding_preserves_distributions():
         n = 1 + i % 6
         vec = random_complex_state(rng, n)
         s = ComplexState(n, vec)
-        got = marginal_distribution(encode(s), EncodedLayout(n))
+        got = marginal_distribution(encode(s))
         worst = max(worst, float(np.max(np.abs(got - distribution(s)))))
         if i % 97 == 0:
             assert np.array_equal(decode(encode(s)).amps, vec)
@@ -100,11 +99,10 @@ def rule_instances(num_qubits, angles):
 
 def rule_distance(g, num_qubits, real_vec):
     # l2 gap between the encoded rewrite and the gate itself
-    lay = EncodedLayout(num_qubits)
     c = Circuit(num_qubits)
     c.gates.append(g)
     enc = encode_pass(c)
-    s = RealState(lay.num_qubits, real_vec)
+    s = RealState(num_qubits + 1, real_vec)
     got = decode(run_real(enc, s)).amps
     want = dense_apply(g, decode(s).amps)
     return float(np.linalg.norm(got - want))
@@ -190,7 +188,7 @@ def test_06_canonical_algorithms_verify():
         assert report.passed
         assert report.real.state_distance <= 1e-9
         assert report.f.state_distance <= 1e-9
-        got = marginal_distribution(run_real(l1, encode(init_basis(3, j))), EncodedLayout(3))
+        got = marginal_distribution(run_real(l1, encode(init_basis(3, j))))
         assert float(np.abs(got - analytic).max()) <= 1e-9
         full = verify_circuit(c, j, SynthConfig(eps=1e-3))
         assert full.passed and full.g.state_distance <= full.budget
@@ -199,7 +197,7 @@ def test_06_canonical_algorithms_verify():
         report = verify_circuit(c, 0, level=LoweringLevel.F_ONLY)
         assert report.passed
         l1, _ = transpile(c, LoweringLevel.REAL_ENCODED)
-        got = marginal_distribution(run_real(l1, encode(init_basis(2, 0))), EncodedLayout(2))
+        got = marginal_distribution(run_real(l1, encode(init_basis(2, 0))))
         want = np.eye(4)[marked]
         assert float(np.abs(got - want).max()) <= 1e-9
         assert verify_circuit(c, 0, SynthConfig(eps=1e-3)).passed

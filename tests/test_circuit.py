@@ -61,6 +61,10 @@ def test_validate_num_qubits():
     assert Circuit(0).validate() == ["num_qubits must be a positive integer"]
     assert "positive integer" in Circuit(-3).validate()[0]
     assert Circuit(True).validate() == ["num_qubits must be a positive integer"]
+    # a register size of the wrong type is listed, not raised on
+    for n in ("3", None):
+        c = Circuit(n, [Gate(GateKind.X, (0,))])
+        assert c.validate() == ["num_qubits must be a positive integer"]
 
 
 def test_validate_operand_errors():
@@ -71,12 +75,16 @@ def test_validate_operand_errors():
     c.gates.append(Gate(GateKind.CX, (0,)))
     # True == 1, but emit would write "cx True 0", which parse refuses
     c.gates.append(Gate(GateKind.CX, (True, 0)))
+    c.gates.append(Gate(GateKind.X, (1.5,)))
+    c.gates.append(Gate(GateKind.X, ("a",)))
     assert c.validate() == [
         "gate 0: h takes 1 operand(s), got 2",
         "gate 1: operand 5 out of range for 2 qubit(s)",
         "gate 2: duplicate operands",
         "gate 3: cx takes 2 operand(s), got 1",
-        "gate 4: operand True out of range for 2 qubit(s)",
+        "gate 4: operand True must be an integer",
+        "gate 5: operand 1.5 must be an integer",
+        "gate 6: operand 'a' must be an integer",
     ]
 
 
@@ -86,11 +94,13 @@ def test_validate_angle_errors():
     c.gates.append(Gate(GateKind.RZ, (0,)))
     c.gates.append(Gate(GateKind.RZ, (0,), math.nan))
     c.gates.append(Gate(GateKind.RZ, (0,), math.inf))
+    c.gates.append(Gate(GateKind.RY, (0,), 1))
     assert c.validate() == [
         "gate 0: h takes no angle",
         "gate 1: rz needs an angle",
         "gate 2: angle must be a finite number",
         "gate 3: angle must be a finite number",
+        "gate 4: angle must be a float, got int",
     ]
 
 

@@ -161,6 +161,11 @@ def test_synth_matches_the_library(capsys):
     want = synthesize(0.5 * PI, SynthConfig(eps=1e-4))
     assert out.splitlines()[0] == f"k: {want.k}"
     assert out.splitlines()[1] == f"achieved: {want.achieved:.17g}"
+    # without flags the CLI takes the library's defaults
+    assert main(["synth", "1.5707963267948966"]) == EXIT_OK
+    out = capsys.readouterr().out
+    want = synthesize(0.5 * PI)
+    assert out == f"k: {want.k}\nachieved: {want.achieved:.17g}\nerror: {want.error:.17g}\n"
 
 
 def test_synth_unreachable_exit_code(capsys):

@@ -9,13 +9,11 @@ from rqc import (
     AncillaLeakError,
     Circuit,
     ComplexState,
-    EncodedLayout,
     RealState,
     add_work_ancilla,
     decode,
     distribution,
     encode,
-    global_phase_gate,
     init_basis,
     init_basis_real,
     marginal_distribution,
@@ -29,10 +27,6 @@ S2 = math.sqrt(0.5)
 
 
 def test_layout_indices():
-    lay = EncodedLayout(3)
-    assert (lay.ri_ancilla, lay.work_ancilla, lay.num_qubits) == (3, None, 4)
-    lay = EncodedLayout(3, has_work=True)
-    assert (lay.ri_ancilla, lay.work_ancilla, lay.num_qubits) == (3, 4, 5)
     # the tag ancilla reads 0 on real parts: a real state keeps its index
     assert np.flatnonzero(encode(init_basis(3, 5)).amps).tolist() == [5]
     assert np.array_equal(encode(init_basis(3, 5)).amps, init_basis_real(4, 5).amps)
@@ -70,7 +64,7 @@ def test_encode_preserves_norm_and_distribution():
         s = ComplexState(n, random_complex_state(rng, n))
         enc = encode(s)
         assert enc.norm() == pytest.approx(s.norm(), abs=1e-15)
-        got = marginal_distribution(enc, EncodedLayout(n))
+        got = marginal_distribution(enc)
         assert np.max(np.abs(got - distribution(s))) <= 1e-15
 
 
@@ -84,11 +78,6 @@ def test_encoded_basis_vectors_decode_to_axis_states(index, imag):
     want = np.zeros(16, dtype=complex)
     want[index] = 1j if imag else 1.0
     assert np.array_equal(dec.amps, want)
-
-
-def test_decode_rejects_work_registers():
-    with pytest.raises(ValueError, match="data-plus-tag"):
-        decode(RealState(3, np.eye(8)[0]), EncodedLayout(1, has_work=True))
 
 
 def test_work_ancilla_round_trip():
@@ -140,34 +129,10 @@ def test_marginal_distribution_with_work_ancilla():
     s = ComplexState(2, random_complex_state(rng, 2))
     enc = encode(s)
     worked = add_work_ancilla(enc)
-    got = marginal_distribution(worked, EncodedLayout(2, has_work=True))
+    got = marginal_distribution(strip_work_ancilla(worked))
     assert np.allclose(got, distribution(s), atol=1e-15)
     bad = worked.copy()
     bad.amps[0] = 0.5
     with pytest.raises(AncillaLeakError):
-        marginal_distribution(bad, EncodedLayout(2, has_work=True))
+        marginal_distribution(strip_work_ancilla(bad))
 
-
-def test_marginal_layout_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
-        marginal_distribution(RealState(3, np.eye(8)[0]), EncodedLayout(3))
-
-
-def test_global_phase_gate_is_multiplication_by_a_unit():
-    # ry on the tag ancilla rotates every (Re, Im) pair; decoded, that is
-    # exactly multiplication by e^{i alpha}
-    rng = np.random.default_rng(18)
-    for _ in range(40):
-        n = int(rng.integers(1, 5))
-        alpha = float(rng.uniform(-7, 7))
-        vec = random_complex_state(rng, n)
-        lay = EncodedLayout(n)
-        phase = Circuit(n + 1, [global_phase_gate(alpha, lay)])
-        out = decode(run_real(phase, encode(ComplexState(n, vec))))
-        assert np.max(np.abs(out.amps - np.exp(1j * alpha) * vec)) <= 1e-14
-
-
-def test_global_phase_gate_targets_the_tag():
-    g = global_phase_gate(0.4, EncodedLayout(3))
-    assert g.qubits == (3,)
-    assert g.param == 0.4

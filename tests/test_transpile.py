@@ -7,7 +7,6 @@ import pytest
 from rqc import (
     Circuit,
     DEFAULT_PHI,
-    EncodedLayout,
     Gate,
     GateKind,
     LoweringLevel,
@@ -176,13 +175,12 @@ def test_rewrite_rules_are_exact_identities_on_basis_vectors():
     # for every basis vector of the encoded register
     angles = (0.0, 0.3, 0.5 * PI, PI, -2.5)
     for n in (1, 2):
-        lay = EncodedLayout(n)
         for g in rule_gates(n, angles):
             c = Circuit(n)
             c.gates.append(g)
             enc = encode_pass(c)
-            for m in range(1 << lay.num_qubits):
-                e = RealState(lay.num_qubits, np.eye(1 << lay.num_qubits)[m])
+            for m in range(2 << n):
+                e = RealState(n + 1, np.eye(2 << n)[m])
                 got = decode(run_real(enc, e)).amps
                 want = dense_apply(g, decode(e).amps)
                 assert np.max(np.abs(got - want)) <= 1e-15, (g, m)
@@ -192,13 +190,12 @@ def test_rewrite_rules_are_exact_on_random_states():
     rng = np.random.default_rng(52)
     angles = tuple(float(a) for a in rng.uniform(-7, 7, size=4))
     for n in (1, 3):
-        lay = EncodedLayout(n)
         for g in rule_gates(n, angles):
             c = Circuit(n)
             c.gates.append(g)
             enc = encode_pass(c)
             vec = random_complex_state(rng, n)
-            s = RealState(lay.num_qubits, np.concatenate([vec.real, vec.imag]))
+            s = RealState(n + 1, np.concatenate([vec.real, vec.imag]))
             got = decode(run_real(enc, s)).amps
             want = dense_apply(g, vec)
             assert np.max(np.abs(got - want)) <= 1e-14, g

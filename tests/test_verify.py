@@ -13,7 +13,6 @@ from rqc import (
     AncillaLeakError,
     Circuit,
     ComplexState,
-    EncodedLayout,
     Gate,
     GateKind,
     LoweringLevel,
@@ -385,9 +384,11 @@ def _stages_of(c, cfg, level):
     stages = verify_mod.prepare_stages(c, cfg, level)
     out = {"real": stages.real}
     if stages.f is not None:
-        out["f"] = verify_mod._project_work(stages.f)
+        out["f"] = verify_mod._project_work(stages.f, stages.work_ancilla)
     if level is LoweringLevel.G_ONLY:
-        out["g"] = verify_mod._project_work(achieved_circuit(stages.f, stages.syntheses))
+        out["g"] = verify_mod._project_work(
+            achieved_circuit(stages.f, stages.syntheses), stages.work_ancilla
+        )
     return out
 
 
@@ -462,15 +463,14 @@ def test_projected_stages_match_a_full_work_register_simulation(
         ref = gather_apply(g, ref)
     ref = _slice(ref, n, init, active)
     ref_dist = distribution(ComplexState(k, ref))
-    plain = EncodedLayout(k)
     for stage, res in staged:
         amps = add_work_ancilla(encode(init_basis(n, init))).amps
         for g in stage.gates:
             amps = gather_apply(g, amps)
         final = strip_work_ancilla(RealState(n + 2, amps))
         final = RealState(k + 1, _slice(final.amps, n, init, active))
-        assert res.state_distance == float(np.linalg.norm(decode(final, plain).amps - ref))
-        assert res.tv_distance == tv_distance(marginal_distribution(final, plain), ref_dist)
+        assert res.state_distance == float(np.linalg.norm(decode(final).amps - ref))
+        assert res.tv_distance == tv_distance(marginal_distribution(final), ref_dist)
 
 
 def leaky_stages(inner, extra):
@@ -507,10 +507,9 @@ def test_a_gate_that_moves_the_work_ancilla_is_refused(monkeypatch, tmp_path, ca
 def _stage_distances(circuit, n, init, ref):
     # the stage run on its own, measured as decode/norm and the
     # marginal/tv_distance formulas measure it
-    plain = EncodedLayout(n)
     final = run_real(circuit, init_basis_real(n + 1, init))
-    state = float(np.linalg.norm(decode(final, plain).amps - ref.amps))
-    return state, tv_distance(marginal_distribution(final, plain), distribution(ref))
+    state = float(np.linalg.norm(decode(final).amps - ref.amps))
+    return state, tv_distance(marginal_distribution(final), distribution(ref))
 
 
 def _distance_cases():
@@ -564,9 +563,8 @@ def test_distances_are_within_a_few_ulps_of_a_full_size_run():
     # the compact registers leave out only zeros, so the sums differ only
     # in how numpy's pairwise summation groups the terms
     for res, final, ref, case in _full_size_runs():
-        plain = EncodedLayout(ref.num_qubits)
-        state = float(np.linalg.norm(decode(final, plain).amps - ref.amps))
-        tv = tv_distance(marginal_distribution(final, plain), distribution(ref))
+        state = float(np.linalg.norm(decode(final).amps - ref.amps))
+        tv = tv_distance(marginal_distribution(final), distribution(ref))
         assert _ulps(res.state_distance, state) <= 4, case
         assert _ulps(res.tv_distance, tv) <= 4, case
 
