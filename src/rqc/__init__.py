@@ -15,7 +15,7 @@ from .encoding import (
     marginal_distribution,
     strip_work_ancilla,
 )
-from .gates import gate_matrix, is_real, zyz_angles
+from .gates import gate_matrix, is_real
 from .library import grover_two_qubit, qft, random_circuit
 from .sim import (
     ComplexState,
@@ -110,5 +110,4 @@ __all__ = [
     "transpile",
     "tv_distance",
     "verify_circuit",
-    "zyz_angles",
 ]

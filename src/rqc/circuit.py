@@ -122,8 +122,10 @@ class Circuit:
     def validate(self) -> list[str]:
         """Return human-readable violations; an empty list means valid.
 
-        Never raises on a field of the wrong type: an operand is checked
-        against the register only once both are integers.
+        Never raises on a field of the wrong type: an entry must be a Gate
+        with a GateKind and a tuple of operands before its fields are
+        read, and an operand is checked against the register only once
+        both are integers.
         """
         out: list[str] = []
         n = self.num_qubits
@@ -131,8 +133,18 @@ class Circuit:
         if not n_is_int or n < 1:
             out.append("num_qubits must be a positive integer")
         for i, g in enumerate(self.gates):
+            if not isinstance(g, Gate):
+                out.append(f"gate {i}: {g!r} is not a Gate")
+                continue
             k = g.kind
-            if len(g.qubits) != k.num_operands:
+            if not isinstance(k, GateKind):
+                out.append(f"gate {i}: kind {k!r} is not a GateKind")
+                continue
+            if not isinstance(g.qubits, tuple):
+                out.append(
+                    f"gate {i}: operands must be a tuple, got {type(g.qubits).__name__}"
+                )
+            elif len(g.qubits) != k.num_operands:
                 out.append(
                     f"gate {i}: {k.value} takes {k.num_operands} operand(s), "
                     f"got {len(g.qubits)}"

@@ -1,4 +1,4 @@
-"""Gate matrices, the realness predicate read off them, and ZYZ normal form.
+"""Gate matrices and the realness predicate read off them.
 
 Matrix conventions (the encoding rewrite rules are exact identities only
 under these):
@@ -104,41 +104,3 @@ def is_real(g: Gate) -> bool:
     the same block_entries the matrix is built from."""
     u00, u01, u10, u11 = block_entries(g)
     return not (u00.imag or u01.imag or u10.imag or u11.imag)
-
-
-def _arg(z: complex) -> float:
-    # +0.0 components so the phase of -1 - 0j comes out +pi, not -pi
-    return cmath.phase(complex(z.real + 0.0, z.imag + 0.0))
-
-
-def _wrap(t: float) -> float:
-    """Wrap an angle into [-pi, pi], normalizing away -0.0."""
-    return math.remainder(t, math.tau) + 0.0
-
-
-def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
-    """ZYZ angles of a 2x2 unitary: u = e^{i alpha} rz(a) ry(b) rz(c).
-
-    Branch selection is deterministic. Diagonal input fixes b = 0, c = 0;
-    anti-diagonal input fixes b = pi/2, a = 0 (which keeps plain bit
-    flips free of gphase items: x comes out as ry(pi/2) after rz(pi)).
-
-    The phases of u[0,0], u[1,0] and u[1,1] are alpha, alpha + a and
-    alpha + a + c, and that of -u[0,1] is alpha + c. c comes from the
-    larger of u[1,1] and u[0,1], so an entry that is only rounding noise
-    never sets the phase of one that carries weight.
-    """
-    if abs(u[1, 0]) == 0.0:
-        alpha = _arg(u[0, 0])
-        return (alpha, _wrap(_arg(u[1, 1]) - alpha), 0.0, 0.0)
-    if abs(u[0, 0]) == 0.0:
-        alpha = _arg(u[1, 0])
-        return (alpha, 0.0, 0.5 * math.pi, _wrap(_arg(-u[0, 1]) - alpha))
-    b = math.atan2(abs(u[1, 0]), abs(u[0, 0]))
-    alpha = _arg(u[0, 0])
-    a = _wrap(_arg(u[1, 0]) - alpha)
-    if abs(u[1, 1]) > abs(u[0, 1]):
-        c = _wrap(_arg(u[1, 1]) - _arg(u[1, 0]))
-    else:
-        c = _wrap(_arg(-u[0, 1]) - alpha)
-    return (alpha, a, b, c)

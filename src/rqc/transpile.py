@@ -2,12 +2,13 @@
 
 Stages:
 
-    normalize           rx becomes an rz/ry chain via its ZYZ angles, with
-                        a gphase item for a unit factor; every constant
-                        kind (x ... tdg, cx, cz) expands by one literal
-                        table over {rz, ry, f(pi/2), gphase}, whose rows
-                        the tests pin bit for bit and check against an
-                        independent unitary oracle
+    normalize           rx(t) becomes rz(pi/2), ry(t/2), rz(-pi/2), that
+                        is s, ry(t/2), sdg in time, exactly and with no
+                        global phase; every constant kind (x ... tdg, cx,
+                        cz) expands by one literal table over {rz, ry,
+                        f(pi/2), gphase}. The tests pin every row bit for
+                        bit and check it against an independent unitary
+                        oracle
     encode   ('real')   rz(t)@q -> f(t)[q -> tag]; ry and f pass through;
                         gphase(a) -> ry(a) on the tag ancilla
     lower ry ('f')      ry(t)@q -> f(t)[work -> q], work ancilla in |1>
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, GateKind, require_valid
-from .gates import gate_matrix, zyz_angles
 from .synth import NotReachable, SynthConfig, SynthesisResult, budget, synthesize
 
 
@@ -101,11 +101,12 @@ _NORMAL_KINDS = frozenset({GateKind.RZ, GateKind.RY, GateKind.F, GateKind.GPHASE
 _Q = 0.25 * math.pi  # pi/4; the multiples below are exact
 # every constant kind over {rz, ry, f, gphase}: (kind, operand positions,
 # angle) items in temporal order, positions indexing the gate's qubits
-# (control first). The single-qubit rows are the ZYZ angles zyz_angles
-# gives for each matrix; cz conjugates the target block of f(pi/2), a
-# quarter-turn plane rotation, into the phase -iZ, and cx is cz then
-# f(pi/2). tests/test_transpile.py pins every row bit for bit and checks
-# its unitary against an independent oracle
+# (control first). The single-qubit rows are ZYZ factorizations
+# e^{i alpha} rz(a) ry(b) rz(c) of each matrix (N&C 4.2); cz conjugates
+# the target block of f(pi/2), a quarter-turn plane rotation, into the
+# phase -iZ, and cx is cz then f(pi/2). tests/test_transpile.py pins
+# every row bit for bit and checks its unitary against an independent
+# oracle
 _EXPANSIONS = {
     GateKind.X: ((GateKind.RZ, (0,), 4 * _Q), (GateKind.RY, (0,), 2 * _Q)),
     GateKind.Y: ((GateKind.RY, (0,), 2 * _Q), (GateKind.GPHASE, (), 2 * _Q)),
@@ -137,14 +138,10 @@ def normalize_pass(c: Circuit) -> Circuit:
         if g.kind in _NORMAL_KINDS:
             out.gates.append(g)
         elif g.kind is GateKind.RX:
-            alpha, a, b, cc = zyz_angles(gate_matrix(g))
-            out.gates.extend(
-                Gate(kind, g.qubits, v)
-                for kind, v in ((GateKind.RZ, cc), (GateKind.RY, b), (GateKind.RZ, a))
-                if v != 0.0
-            )
-            if alpha != 0.0:
-                out.gates.append(Gate(GateKind.GPHASE, (), alpha))
+            # rx(t) = sdg ry(t/2) s as matrices: the s and sdg rows around ry
+            out.gates.append(Gate(GateKind.RZ, g.qubits, 2 * _Q))
+            out.gates.append(Gate(GateKind.RY, g.qubits, 0.5 * g.param))
+            out.gates.append(Gate(GateKind.RZ, g.qubits, -2 * _Q))
         else:
             out.gates.extend(
                 Gate(kind, tuple(g.qubits[i] for i in pos), v)

@@ -13,7 +13,6 @@ and one line at a time.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 
@@ -37,12 +36,6 @@ def random_complex_state(rng: np.random.Generator, num_qubits: int) -> np.ndarra
     """Haar-ish normalized complex vector of length 2^num_qubits."""
     v = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return v / np.linalg.norm(v)
-
-
-def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    """QR of a complex Gaussian matrix with the standard phase fix."""
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def dense_apply(gate: Gate, vec: np.ndarray) -> np.ndarray:
@@ -145,14 +138,6 @@ def dft_matrix(num_qubits: int) -> np.ndarray:
     dim = 1 << num_qubits
     j, k = np.meshgrid(np.arange(dim), np.arange(dim))
     return np.exp(2j * np.pi * j * k / dim) / math.sqrt(dim)
-
-
-def zyz_product(alpha: float, a: float, b: float, c: float) -> np.ndarray:
-    """e^{i alpha} rz(a) ry(b) rz(c) from the defining formulas."""
-    rz_a = np.array([[1, 0], [0, cmath.exp(1j * a)]])
-    rz_c = np.array([[1, 0], [0, cmath.exp(1j * c)]])
-    ry_b = np.array([[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]])
-    return cmath.exp(1j * alpha) * (rz_a @ ry_b @ rz_c)
 
 
 def exact_orbit_table(phi: float, k_max: int) -> np.ndarray:

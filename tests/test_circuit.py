@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rqc import Circuit, Gate, GateKind, require_valid
+from rqc import Circuit, Gate, GateKind, require_valid, transpile
 
 
 def test_kind_arity_table():
@@ -77,6 +77,12 @@ def test_validate_operand_errors():
     c.gates.append(Gate(GateKind.CX, (True, 0)))
     c.gates.append(Gate(GateKind.X, (1.5,)))
     c.gates.append(Gate(GateKind.X, ("a",)))
+    # malformed records are listed, not raised on; a list of operands
+    # would pass every check and then fail to hash in materialize_fixed
+    c.gates.append(Gate(GateKind.X, 0))
+    c.gates.append(Gate(GateKind.F, [0, 1], 0.5))
+    c.gates.append(Gate("x", (0,)))
+    c.gates.append(("x", 0))
     assert c.validate() == [
         "gate 0: h takes 1 operand(s), got 2",
         "gate 1: operand 5 out of range for 2 qubit(s)",
@@ -85,7 +91,14 @@ def test_validate_operand_errors():
         "gate 4: operand True must be an integer",
         "gate 5: operand 1.5 must be an integer",
         "gate 6: operand 'a' must be an integer",
+        "gate 7: operands must be a tuple, got int",
+        "gate 8: operands must be a tuple, got list",
+        "gate 9: kind 'x' is not a GateKind",
+        "gate 10: ('x', 0) is not a Gate",
     ]
+    bad_operands = Circuit(2, [Gate(GateKind.F, [0, 1], 0.5)])
+    with pytest.raises(ValueError, match="^gate 0: operands must be a tuple, got list$"):
+        transpile(bad_operands)
 
 
 def test_validate_angle_errors():

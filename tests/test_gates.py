@@ -2,7 +2,6 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
 from rqc import (
     Circuit,
@@ -14,11 +13,8 @@ from rqc import (
     is_real,
     run_complex,
     run_real,
-    zyz_angles,
 )
 from rqc.gates import block_entries
-
-from _oracles import random_unitary_2x2, zyz_product
 
 S2 = math.sqrt(0.5)
 
@@ -156,101 +152,3 @@ def test_is_real_agrees_with_the_matrix_exactly():
     for init in (0, 1):
         got = run_real(c, init_basis_real(1, init)).amps
         assert np.array_equal(got, run_complex(c, init_basis(1, init)).amps)
-
-
-GOLDEN_ZYZ = {
-    GateKind.X: (0.0, 0.0, 0.5 * math.pi, math.pi),
-    GateKind.Y: (0.5 * math.pi, 0.0, 0.5 * math.pi, 0.0),
-    GateKind.Z: (0.0, math.pi, 0.0, 0.0),
-    GateKind.H: (0.0, 0.0, 0.25 * math.pi, math.pi),
-    GateKind.S: (0.0, 0.5 * math.pi, 0.0, 0.0),
-    GateKind.SDG: (0.0, -0.5 * math.pi, 0.0, 0.0),
-    GateKind.T: (0.0, 0.25 * math.pi, 0.0, 0.0),
-    GateKind.TDG: (0.0, -0.25 * math.pi, 0.0, 0.0),
-}
-
-
-def test_zyz_golden_values():
-    for kind, want in GOLDEN_ZYZ.items():
-        got = zyz_angles(gate_matrix(g1(kind)))
-        assert got == pytest.approx(want, abs=1e-15), kind
-
-
-def test_zyz_identity():
-    assert zyz_angles(np.eye(2)) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_zyz_branch_shapes():
-    # diagonal inputs pin b = c = 0, anti-diagonal inputs pin a = 0, b = pi/2
-    alpha, a, b, c = zyz_angles(np.diag([cmath.exp(0.4j), cmath.exp(-1.1j)]))
-    assert (b, c) == (0.0, 0.0)
-    assert alpha == pytest.approx(0.4)
-    anti = np.array([[0, cmath.exp(0.2j)], [cmath.exp(0.9j), 0]])
-    alpha, a, b, c = zyz_angles(anti)
-    assert a == 0.0 and b == 0.5 * math.pi
-    assert alpha == pytest.approx(0.9)
-
-
-def test_zyz_angle_ranges():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        alpha, a, b, c = zyz_angles(random_unitary_2x2(rng))
-        assert -math.pi <= a <= math.pi
-        assert -math.pi <= c <= math.pi
-        assert 0.0 <= b <= 0.5 * math.pi + 1e-12
-        assert -math.pi <= alpha <= math.pi
-
-
-def test_zyz_reconstruction_on_random_unitaries():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(300):
-        u = random_unitary_2x2(rng)
-        angles = zyz_angles(u)
-        worst = max(worst, float(np.abs(zyz_product(*angles) - u).max()))
-    assert worst <= 1e-12
-
-
-def test_zyz_reconstruction_on_every_front_end_gate():
-    rng = np.random.default_rng(31)
-    for k in GateKind:
-        if k.num_operands != 1:
-            continue
-        for _ in range(4):
-            g = g1(k, float(rng.uniform(-7, 7)) if k.num_params else None)
-            u = gate_matrix(g)
-            assert np.allclose(zyz_product(*zyz_angles(u)), u, atol=1e-12)
-
-
-def test_zyz_no_negative_zero_angles():
-    for kind in GOLDEN_ZYZ:
-        for v in zyz_angles(gate_matrix(g1(kind))):
-            assert not (v == 0.0 and math.copysign(1.0, v) < 0.0)
-
-
-def _near_products(rng):
-    # products of random unitaries, plus ones a rounding step away from
-    # diagonal (u @ u^dagger) or anti-diagonal (x @ u @ u^dagger), where
-    # |u[1,0]| or |u[0,0]| is float64 noise rather than an exact zero
-    h = gate_matrix(g1(GateKind.H))
-    x = gate_matrix(g1(GateKind.X))
-    yield h @ h
-    yield x @ h @ h
-    for _ in range(100):
-        u, v, w = (random_unitary_2x2(rng) for _ in range(3))
-        d = np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 2)))
-        yield u @ v @ w
-        yield d @ u @ u.conj().T
-        yield x @ d @ u @ u.conj().T
-        small = zyz_product(*rng.uniform(-math.pi, math.pi, 2), 10.0 ** rng.uniform(-18, -6), 0.3)
-        yield small
-        yield small @ x
-
-
-def test_zyz_reconstruction_on_near_diagonal_products():
-    # every phase must come from an entry that carries weight; the noise
-    # phase of a ~1e-17 entry once set a + c and turned h @ h into z
-    rng = np.random.default_rng(47)
-    for u in _near_products(rng):
-        angles = zyz_angles(u)
-        assert np.allclose(zyz_product(*angles), u, rtol=0.0, atol=1e-12), (u, angles)

@@ -77,6 +77,14 @@ def test_normalize_golden_expansions():
     ]
     assert normalize_pass(Circuit(2).cz(1, 0)).gates == cz
     assert normalize_pass(Circuit(2).cx(1, 0)).gates == cz + [Gate(GateKind.F, (1, 0), 0.5 * PI)]
+    # rx(t) is s, ry(t/2), sdg at every angle: no phase item, no dropped
+    # zero, no reduction of t
+    for t, half in ((1.25, 0.625), (4.0, 2.0), (-2.5, -1.25), (-0.0, -0.0), (1e300, 5e299)):
+        assert normalize_pass(Circuit(2).rx(1, t)).gates == [
+            Gate(GateKind.RZ, (1,), 0.5 * PI),
+            Gate(GateKind.RY, (1,), half),
+            Gate(GateKind.RZ, (1,), -0.5 * PI),
+        ]
 
 
 def test_normalize_preserves_the_full_unitary():
@@ -85,8 +93,11 @@ def test_normalize_preserves_the_full_unitary():
     for k in GateKind:
         if k.num_operands != 1:
             continue
-        for _ in range(4):
-            g = Gate(k, (0,), float(rng.uniform(-7, 7)) if k.num_params else None)
+        params = [float(rng.uniform(-7, 7)) if k.num_params else None for _ in range(4)]
+        if k is GateKind.RX:
+            params += [5e-324, -5e-324, PI, -PI, 1e300, -1e300]
+        for param in params:
+            g = Gate(k, (0,), param)
             c = Circuit(1)
             c.gates.append(g)
             got = dense_unitary(normalize_pass(c))
@@ -277,15 +288,25 @@ def test_transpile_levels_nest():
 
 
 def test_gate_count_linear_bound():
-    # each 1q gate costs at most 4 level-'real' gates (3 rotations plus a
-    # phase item), cx/cz at most 8, rz/ry/f/gphase exactly 1
+    # each 1q gate costs at most 3 level-'real' gates (rx), cx/cz at most
+    # 8, rz/ry/f/gphase exactly 1
     for seed in range(8):
         c = random_circuit(1 + seed % 4, 30, seed=80 + seed)
         n1 = sum(1 for g in c.gates if g.kind.num_operands == 1)
         n2 = sum(1 for g in c.gates if g.kind.num_operands == 2)
         n0 = sum(1 for g in c.gates if g.kind.num_operands == 0)
         _, report = transpile(c, LoweringLevel.REAL_ENCODED)
-        assert report.gate_counts["real"] <= 4 * n1 + 8 * n2 + n0
+        assert report.gate_counts["real"] <= 3 * n1 + 8 * n2 + n0
+    # every rx costs exactly 3, whatever its angle: the row has no
+    # angle-dependent item, zero angles included
+    rng = np.random.default_rng(52)
+    angles = [0.0, -0.0, PI, 1e300] + [float(t) for t in rng.uniform(-20, 20, 6)]
+    for k in (1, 3, len(angles)):
+        c = Circuit(2)
+        for t in angles[:k]:
+            c.rx(int(rng.integers(2)), t)
+        lowered, _ = transpile(c, LoweringLevel.F_ONLY)
+        assert len(lowered.gates) == 3 * k
 
 
 def test_transpile_angle_already_on_the_orbit():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rqc.verify as verify_mod
@@ -152,22 +152,26 @@ def test_tv_never_exceeds_state_distance():
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
-        st.sampled_from([GateKind.RY, GateKind.RZ, GateKind.RX, GateKind.F, GateKind.GPHASE]),
+        st.tuples(
+            st.sampled_from([GateKind.RY, GateKind.RZ, GateKind.RX, GateKind.F, GateKind.GPHASE]),
+            st.integers(0, 1),
+            st.one_of(st.floats(-1e300, 1e300), st.floats(-10.0, 10.0)),
+        ),
         min_size=1,
         max_size=4,
     ),
-    st.data(),
+    st.integers(0, 3),
 )
-def test_level_g_passes_at_any_finite_angle(kinds, data):
+@example([(GateKind.RX, 0, 5e-324)], 0)
+@example([(GateKind.RX, 1, 1e300)], 3)
+def test_level_g_passes_at_any_finite_angle(gates, init):
     # the simulator reduces every angle by the true 2pi; each synthesized
     # power must approximate that reduction, up to |angle| = 1e300
-    angles = st.one_of(st.floats(-1e300, 1e300), st.floats(-10.0, 10.0))
     c = Circuit(2)
-    for kind in kinds:
-        q = data.draw(st.integers(0, 1))
+    for kind, q, angle in gates:
         operands = {0: (), 1: (q,), 2: (q, 1 - q)}[kind.num_operands]
-        c.append(kind, *operands, param=data.draw(angles))
-    report = verify_circuit(c, data.draw(st.integers(0, 3)), level=LoweringLevel.G_ONLY)
+        c.append(kind, *operands, param=angle)
+    report = verify_circuit(c, init, level=LoweringLevel.G_ONLY)
     assert report.passed, report.to_text()
 
 
