@@ -3,6 +3,13 @@
 Exit codes: 0 success, 1 parse error, 2 validation or usage error,
 3 synthesis target not reachable, 4 verification FAIL.
 
+_SETTINGS has one row per setting (cast, default, help). The row gives
+its --flag (--k-max for k_max), its --config key and the cast of either
+value; a flag beats the file, and the file the default. _SUBCOMMANDS has
+one row per subcommand (function, help, the settings it takes as flags).
+Any other flag is a usage error, while every subcommand checks every key
+of the file. A command takes the argparse namespace, settings resolved.
+
 cmd_transpile writes the lowered circuit to --out and its report to
 stdout; without --out the circuit goes to stdout and the report to
 stderr, so transpile output always pipes cleanly into run and verify.
@@ -14,8 +21,9 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from .circuit import Circuit
 from .gates import is_real
@@ -32,56 +40,36 @@ EXIT_INVALID = 2
 EXIT_UNREACHABLE = 3
 EXIT_VERIFY = 4
 
-_CONFIG_KEYS = ("level", "phi", "eps", "k_max", "shots", "seed", "init")
 # sample takes about 120 ns a shot over 1024 outcomes: two minutes here
 MAX_SHOTS = 10**9
 _SYNTH_DEFAULTS = SynthConfig()
+_LEVELS = tuple(level.value for level in LoweringLevel)
 
 
-@dataclass
-class CliConfig:
-    """Merged flag / config-file / default settings for one invocation."""
-
-    command: str
-    input_path: str | None = None
-    theta: float | None = None
-    level: LoweringLevel = LoweringLevel.G_ONLY
-    phi: float = _SYNTH_DEFAULTS.phi
-    eps: float = _SYNTH_DEFAULTS.eps
-    k_max: int = _SYNTH_DEFAULTS.k_max
-    shots: int = 0
-    seed: int = 0
-    init: int = 0
-    out: str | None = None
-
-    @property
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(self.phi, self.eps, self.k_max)
+def _parse_level(value: str) -> LoweringLevel:
+    try:
+        return LoweringLevel(value)
+    except ValueError:
+        raise ValueError(f"level must be one of {', '.join(_LEVELS)}; got '{value}'") from None
 
 
-# flag -> add_argument keywords, spelled --k-max for k_max
-_FLAGS = {
-    "level": {"choices": ["real", "f", "g"], "help": "lowering level"},
-    "phi": {"type": float, "help": "fixed gate angle"},
-    "eps": {"type": float, "help": "per-gate angular tolerance"},
-    "k_max": {"type": int, "help": "synthesis search cutoff"},
-    "shots": {"type": int, "help": f"sample counts instead of probabilities, at most {MAX_SHOTS}"},
-    "seed": {"type": int, "help": "sampling seed"},
-    "init": {"type": int, "help": "initial basis index"},
-    "out": {"help": "write the primary output to this path"},
-    "config": {"help": "key = value file; flags win; every subcommand checks every key"},
-}
-_SYNTH_FLAGS = ("phi", "eps", "k_max")
-_COMMON_FLAGS = ("out", "config")
+class _Setting(NamedTuple):
+    cast: Callable
+    default: object
+    help: str
+    # when set, argparse checks the flag against choices instead of
+    # casting it, so a bad --level stays an "invalid choice" usage error
+    choices: tuple[str, ...] | None = None
 
-# subcommand -> (help, the flags it reads); a flag it does not read is a
-# usage error rather than silently ignored
-_SUBCOMMANDS = {
-    "transpile": ("lower a circuit to the requested level", ("level", *_SYNTH_FLAGS)),
-    "run": ("simulate a circuit and print its distribution or counts", ("shots", "seed", "init")),
-    "verify": ("check a circuit against its lowered forms", ("level", *_SYNTH_FLAGS, "init")),
-    "synth": ("approximate one angle by a power of the fixed gate", _SYNTH_FLAGS),
-    "bench": ("run the built-in suite and print a table", _SYNTH_FLAGS),
+
+_SETTINGS = {
+    "level": _Setting(_parse_level, "g", "lowering level", _LEVELS),
+    "phi": _Setting(float, _SYNTH_DEFAULTS.phi, "fixed gate angle"),
+    "eps": _Setting(float, _SYNTH_DEFAULTS.eps, "per-gate angular tolerance"),
+    "k_max": _Setting(int, _SYNTH_DEFAULTS.k_max, "synthesis search cutoff"),
+    "shots": _Setting(int, 0, f"sample counts instead of probabilities, at most {MAX_SHOTS}"),
+    "seed": _Setting(int, 0, "sampling seed"),
+    "init": _Setting(int, 0, "initial basis index"),
 }
 
 
@@ -91,14 +79,20 @@ def _parser() -> argparse.ArgumentParser:
         description="Transpile, simulate, and verify real-amplitude quantum circuits.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (doc, flags) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=doc)
+    for name, command in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         if name == "synth":
             sp.add_argument("theta", type=float, help="target angle in radians")
         elif name != "bench":
             sp.add_argument("input", help="path to a .rqc file")
-        for flag in flags + _COMMON_FLAGS:
-            sp.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag])
+        for flag in command.settings:
+            s = _SETTINGS[flag]
+            kind = {"choices": s.choices} if s.choices else {"type": s.cast}
+            sp.add_argument("--" + flag.replace("_", "-"), dest=flag, help=s.help, **kind)
+        sp.add_argument("--out", help="write the primary output to this path")
+        sp.add_argument(
+            "--config", help="key = value file; flags win; every subcommand checks every key"
+        )
     return p
 
 
@@ -112,55 +106,36 @@ def _read_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if not sep or not key or not value.strip():
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
         values[key] = value.strip()
     return values
 
 
-def _build_config(args: argparse.Namespace) -> CliConfig:
+def _resolve_settings(args: argparse.Namespace) -> None:
+    # flag, else config file, else default, then the setting's cast: a
+    # no-op on a flag argparse already cast, and --level's string becomes
+    # its member. A subcommand without the flag has no attribute for it
     from_file = _read_config_file(args.config) if args.config else {}
-    cfg = CliConfig(command=args.command)
-    cfg.input_path = getattr(args, "input", None)
-    cfg.theta = getattr(args, "theta", None)
-    cfg.out = args.out
-
-    def pick(name: str, cast):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in from_file:
-            return cast(from_file[name])
-        return getattr(cfg, name)
-
-    cfg.level = _parse_level(pick("level", str))
-    cfg.phi = float(pick("phi", float))
-    cfg.eps = float(pick("eps", float))
-    cfg.k_max = int(pick("k_max", int))
-    cfg.shots = int(pick("shots", int))
-    cfg.seed = int(pick("seed", int))
-    cfg.init = int(pick("init", int))
-    return cfg
+    for name, s in _SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = from_file.get(name, s.default)
+        setattr(args, name, s.cast(value))
 
 
-def _parse_level(value) -> LoweringLevel:
-    if isinstance(value, LoweringLevel):
-        return value
-    try:
-        return LoweringLevel(value)
-    except ValueError:
-        raise ValueError(f"level must be one of real, f, g; got '{value}'") from None
+def _synth_config(args: argparse.Namespace) -> SynthConfig:
+    return SynthConfig(args.phi, args.eps, args.k_max)
 
 
-def _load_circuit(cfg: CliConfig) -> Circuit:
-    text = Path(cfg.input_path).read_text()
+def _load_circuit(args: argparse.Namespace) -> Circuit:
     # parse refuses every violation Circuit.validate lists
-    return parse(text)
+    return parse(Path(args.input).read_text())
 
 
-def _write_primary(cfg: CliConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+def _write_primary(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -184,57 +159,45 @@ def _report_text(report: TranspileReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_transpile(cfg: CliConfig) -> int:
-    c = _load_circuit(cfg)
-    lowered, report = transpile(c, cfg.level, cfg.synth_config)
-    body = emit(lowered)
-    report_text = _report_text(report)
-    if cfg.out:
-        Path(cfg.out).write_text(body)
-        sys.stdout.write(report_text)
-    else:
-        sys.stdout.write(body)
-        sys.stderr.write(report_text)
+def cmd_transpile(args: argparse.Namespace) -> int:
+    lowered, report = transpile(_load_circuit(args), args.level, _synth_config(args))
+    _write_primary(args, emit(lowered))
+    (sys.stdout if args.out else sys.stderr).write(_report_text(report))
     return EXIT_OK
 
 
-def cmd_run(cfg: CliConfig) -> int:
-    if cfg.shots > MAX_SHOTS:
+def cmd_run(args: argparse.Namespace) -> int:
+    if args.shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}")
-    c = _load_circuit(cfg)
+    c = _load_circuit(args)
     if all(is_real(g) for g in c.gates):
-        state = init_basis_real(c.num_qubits, cfg.init)
+        state = init_basis_real(c.num_qubits, args.init)
         run_real(c, state, out=state)
     else:
-        state = init_basis(c.num_qubits, cfg.init)
+        state = init_basis(c.num_qubits, args.init)
         run_complex(c, state, out=state)
     probs = distribution(state)
-    if cfg.shots:  # sample rejects a negative count
-        counts = sample(probs, cfg.shots, cfg.seed)
-        lines = [
-            f"{i:0{c.num_qubits}b} {int(v)}" for i, v in enumerate(counts)
-        ]
+    if args.shots:  # sample rejects a negative count or seed
+        counts = sample(probs, args.shots, args.seed)
+        lines = [f"{i:0{c.num_qubits}b} {int(v)}" for i, v in enumerate(counts)]
     else:
-        lines = [
-            f"{i:0{c.num_qubits}b} {p:.15g}" for i, p in enumerate(probs)
-        ]
-    _write_primary(cfg, "\n".join(lines) + "\n")
+        lines = [f"{i:0{c.num_qubits}b} {p:.15g}" for i, p in enumerate(probs)]
+    _write_primary(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    c = _load_circuit(cfg)
-    report = verify_circuit(c, cfg.init, cfg.synth_config, cfg.level)
-    _write_primary(cfg, report.to_text())
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = verify_circuit(_load_circuit(args), args.init, _synth_config(args), args.level)
+    _write_primary(args, report.to_text())
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_synth(cfg: CliConfig) -> int:
-    if cfg.theta is None or not math.isfinite(cfg.theta):
+def cmd_synth(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.theta):
         raise ValueError("theta must be a finite angle in radians")
-    result = synthesize(cfg.theta, cfg.synth_config)
+    result = synthesize(args.theta, _synth_config(args))
     _write_primary(
-        cfg,
+        args,
         f"k: {result.k}\n"
         f"achieved: {result.achieved:.17g}\n"
         f"error: {result.error:.17g}\n",
@@ -242,7 +205,8 @@ def cmd_synth(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: CliConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
+    cfg = _synth_config(args)
     header = (
         f"{'name':<12} {'qubits':>6} {'gates':>5} {'real':>5} {'f':>5} "
         f"{'g':>9} {'max_k':>7} {'budget':>10} {'verify':>6} "
@@ -251,9 +215,9 @@ def cmd_bench(cfg: CliConfig) -> int:
     rows = [header]
     for name, circuit in bench_suite():
         t0 = time.perf_counter()
-        _, report = transpile(circuit, LoweringLevel.G_ONLY, cfg.synth_config)
+        _, report = transpile(circuit, LoweringLevel.G_ONLY, cfg)
         t1 = time.perf_counter()
-        verdict = verify_circuit(circuit, 0, cfg.synth_config)
+        verdict = verify_circuit(circuit, 0, cfg)
         t2 = time.perf_counter()
         rows.append(
             f"{name:<12} {circuit.num_qubits:>6} {len(circuit.gates):>5} "
@@ -262,24 +226,42 @@ def cmd_bench(cfg: CliConfig) -> int:
             f"{report.budget:>10.3e} {verdict.status:>6} "
             f"{(t1 - t0) * 1e3:>9.1f}ms {(t2 - t1) * 1e3:>6.1f}ms"
         )
-    _write_primary(cfg, "\n".join(rows) + "\n")
+    _write_primary(args, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
-_COMMANDS = {
-    "transpile": cmd_transpile,
-    "run": cmd_run,
-    "verify": cmd_verify,
-    "synth": cmd_synth,
-    "bench": cmd_bench,
+class _Subcommand(NamedTuple):
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    # the settings it takes as flags
+    settings: tuple[str, ...]
+
+
+_SYNTH_FLAGS = ("phi", "eps", "k_max")
+_SUBCOMMANDS = {
+    "transpile": _Subcommand(
+        cmd_transpile, "lower a circuit to the requested level", ("level", *_SYNTH_FLAGS)
+    ),
+    "run": _Subcommand(
+        cmd_run,
+        "simulate a circuit and print its distribution or counts",
+        ("shots", "seed", "init"),
+    ),
+    "verify": _Subcommand(
+        cmd_verify, "check a circuit against its lowered forms", ("level", *_SYNTH_FLAGS, "init")
+    ),
+    "synth": _Subcommand(
+        cmd_synth, "approximate one angle by a power of the fixed gate", _SYNTH_FLAGS
+    ),
+    "bench": _Subcommand(cmd_bench, "run the built-in suite and print a table", _SYNTH_FLAGS),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        _resolve_settings(args)
+        return _SUBCOMMANDS[args.command].func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

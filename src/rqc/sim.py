@@ -232,6 +232,8 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     p = np.asarray(probs, dtype=np.float64)
     cdf = np.cumsum(p)
     if not len(p) or (p < 0.0).any() or not 0.0 < cdf[-1] < math.inf:

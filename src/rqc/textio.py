@@ -7,12 +7,13 @@ Grammar, one statement per line:
 
 '#' starts a comment running to the end of the line; blank lines are
 skipped; operands are qubit indices, control first; angles are plain
-decimal literals in radians. Emission is canonical: LF line endings,
-angles at 17 significant digits, trailing newline. The parser also
-accepts CRLF input. Both directions handle a run of identical lines
-once: parse finds a run's extent by galloping (startswith on doubled
-copies of its line) and shares one Gate across it, and emit formats one
-line per run of equal gates. The text is byte for byte that of
+decimal literals in radians. Counts, operands and angles take ASCII
+digits only. Emission is canonical: LF line endings, angles at 17
+significant digits, trailing newline. The parser also accepts CRLF
+input. Both directions handle a run of identical lines once: parse
+finds a run's extent by galloping (startswith on doubled copies of its
+line) and shares one Gate across it, and emit formats one line per run
+of equal gates. The text is byte for byte that of
 line-by-line handling. Python steps scale with runs (times log of the
 run length in parse); only C comparisons and copies scale with bytes.
 """
@@ -27,8 +28,10 @@ from .circuit import Circuit, Gate, GateKind
 
 _MNEMONICS = {k.value: k for k in GateKind}
 _TOKEN_RE = re.compile(r"\S+")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+# literals are ASCII, as emit writes them: without re.ASCII, \d would
+# also take Arabic-Indic and full-width digits, which int and float read
+_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
+_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
 # parse's gallop stops doubling at this many characters, so a huge run
 # costs about 2 MB of scratch text and one step per megabyte beyond it
 _GALLOP_MAX = 1 << 20

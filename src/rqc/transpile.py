@@ -242,14 +242,18 @@ def achieved_circuit(c: Circuit, synths: Sequence[SynthesizedGate]) -> Circuit:
     return out
 
 
-def prepare_stages(c: Circuit, cfg: SynthConfig, level: LoweringLevel) -> TranspileReport:
+def prepare_stages(c: Circuit, cfg: SynthConfig, level: LoweringLevel | str) -> TranspileReport:
     """Run the passes through `level`, keeping every stage.
 
     This is the one pass sequence: transpile and verify_circuit both
-    lower through it. Raises ValueError on an invalid circuit and
-    NotReachable (with .gate_index set) when a level-'g' angle cannot be
-    synthesized; the exact stages cannot fail on valid input.
+    lower through it and read the level off its report, so a value
+    string ('real', 'f', 'g') acts as its member and any other value
+    raises ValueError before anything is lowered. Raises ValueError on
+    an invalid circuit and NotReachable (with .gate_index set) when a
+    level-'g' angle cannot be synthesized; the exact stages cannot fail
+    on valid input.
     """
+    level = LoweringLevel(level)
     real = encode_pass(normalize_pass(c))
     if level is LoweringLevel.REAL_ENCODED:
         return TranspileReport(level, len(c.gates), real)
@@ -264,7 +268,7 @@ def prepare_stages(c: Circuit, cfg: SynthConfig, level: LoweringLevel) -> Transp
 
 def transpile(
     c: Circuit,
-    level: LoweringLevel = LoweringLevel.G_ONLY,
+    level: LoweringLevel | str = LoweringLevel.G_ONLY,
     cfg: SynthConfig | None = None,
 ) -> tuple[Circuit, TranspileReport]:
     """Lower a circuit to the requested level: the last stage of
@@ -275,6 +279,6 @@ def transpile(
     if cfg is None:
         cfg = SynthConfig()
     report = prepare_stages(c, cfg, level)
-    if level is LoweringLevel.G_ONLY:
+    if report.level is LoweringLevel.G_ONLY:
         return materialize_fixed(report.f, report.syntheses, cfg.phi), report
     return (report.real if report.f is None else report.f), report

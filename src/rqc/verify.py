@@ -157,7 +157,7 @@ def verify_circuit(
     c: Circuit,
     init_basis_index: int = 0,
     cfg: SynthConfig | None = None,
-    level: LoweringLevel = LoweringLevel.G_ONLY,
+    level: LoweringLevel | str = LoweringLevel.G_ONLY,
 ) -> VerificationReport:
     """Run the complex reference and every lowered stage from the same
     basis input and measure state and distribution distances.
@@ -213,7 +213,7 @@ def verify_circuit(
     if stages.f is not None:
         # refuses a gate that moves the work ancilla before anything runs
         projected = _project_work(stages.f, stages.work_ancilla)
-    if level is LoweringLevel.G_ONLY:
+    if stages.level is LoweringLevel.G_ONLY:
         achieved = _project_work(
             achieved_circuit(stages.f, stages.syntheses), stages.work_ancilla
         )
@@ -260,7 +260,7 @@ def verify_circuit(
         num_qubits=c.num_qubits,
         num_gates=len(c.gates),
         init_index=init_basis_index,
-        level=level,
+        level=stages.level,
         phi=cfg.phi,
         eps=cfg.eps,
         k_max=cfg.k_max,

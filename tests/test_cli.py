@@ -118,6 +118,8 @@ def test_run_negative_shots_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "shots must be non-negative" in captured.err
+    assert main(["run", path, "--shots", "5", "--seed", "-1"]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", "error: seed must be non-negative\n")
     assert main(["run", path, "--shots", "0"]) == EXIT_OK
     assert capsys.readouterr().out == "0 0.5\n1 0.5\n"
 
@@ -266,6 +268,13 @@ def test_parse_error_exit_code_and_location(tmp_path, capsys):
         ("qubits 2\nrz 0\n", "line 2, column 1: 'rz' takes 1 operand(s) and 1 angle(s), got 1 token(s)"),
         ("qubits 2\nrz 0 nan\n", "line 2, column 6: angle must be a decimal literal, got 'nan'"),
         ("qubits 2\nrz 0 1e999\n", "line 2, column 6: angle overflows to infinity"),
+        # literals are ASCII: Arabic-Indic and full-width digits are refused
+        ("qubits \u0663\n", "line 1, column 8: qubit count must be a positive integer, got '\u0663'"),
+        ("qubits \uff13\n", "line 1, column 8: qubit count must be a positive integer, got '\uff13'"),
+        ("qubits 2\nh \u0660\n", "line 2, column 3: operand must be an integer, got '\u0660'"),
+        ("qubits 2\nh \uff10\n", "line 2, column 3: operand must be an integer, got '\uff10'"),
+        ("qubits 2\nrz 0 \u0661.\u0665\n", "line 2, column 6: angle must be a decimal literal, got '\u0661.\u0665'"),
+        ("qubits 2\nrz 0 \uff11.\uff15\n", "line 2, column 6: angle must be a decimal literal, got '\uff11.\uff15'"),
     ]
     for text, message in cases:
         path = write(tmp_path, "bad.rqc", text)
@@ -289,6 +298,18 @@ def test_init_out_of_range_exit_code(tmp_path, capsys):
         assert err == "error: basis index 5 out of range for 1 qubit(s)\n"
 
 
+# subcommand -> the settings it takes as flags; each setting's flag is
+# spelled with dashes, and every setting is also a config-file key
+READS = {
+    "transpile": {"level", "phi", "eps", "k_max"},
+    "run": {"shots", "seed", "init"},
+    "verify": {"level", "phi", "eps", "k_max", "init"},
+    "synth": {"phi", "eps", "k_max"},
+    "bench": {"phi", "eps", "k_max"},
+}
+SETTINGS = ("level", "phi", "eps", "k_max", "shots", "seed", "init")
+
+
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
     path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
     for argv in (
@@ -300,6 +321,21 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+    # the full matrix: every setting under every subcommand
+    base = {"transpile": [path], "run": [path], "verify": [path], "synth": ["0.5"], "bench": []}
+    value = {"level": "f", "phi": "0.3", "eps": "1e-2", "k_max": "5000",
+             "shots": "4", "seed": "3", "init": "1"}
+    for command, reads in READS.items():
+        for name in SETTINGS:
+            argv = [command, *base[command], "--" + name.replace("_", "-"), value[name]]
+            if name in reads:
+                assert main(argv) == EXIT_OK, argv
+                capsys.readouterr()
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_registers_beyond_the_simulator_cap_exit_code(tmp_path, capsys):
@@ -373,6 +409,37 @@ def test_flags_beat_the_config_file(tmp_path, capsys):
     assert main(["run", circuit, "--config", config, "--shots", "0"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out == "0 0.5\n1 0.5\n"
+
+    def result(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    # key -> (a command that reads it, its default, a file value, a flag
+    # value); the last three give three different results
+    pair = write(tmp_path, "pair.rqc", "qubits 2\nh 0\ncx 0 1\nrz 1 0.7\n")
+    cx = write(tmp_path, "cx.rqc", "qubits 2\ncx 0 1\n")
+    lib = SynthConfig()
+    cases = {
+        "level": (["transpile", pair], "g", "real", "f"),
+        "phi": (["synth", "1.0"], f"{lib.phi:.17g}", "0.3", "0.31"),
+        "eps": (["synth", "1.0"], f"{lib.eps:.17g}", "1e-4", "1e-5"),
+        "k_max": (["synth", "1.0", "--eps", "1e-5"], str(lib.k_max), "10", "100"),
+        "shots": (["run", pair], "0", "50", "60"),
+        "seed": (["run", pair, "--shots", "100"], "0", "8", "9"),
+        "init": (["run", cx], "0", "1", "2"),
+    }
+    assert set(cases) == set(SETTINGS)
+    for key, (argv, default, in_file, on_flag) in cases.items():
+        config = write(tmp_path, f"{key}.cfg", f"{key} = {in_file}\n")
+        flag = "--" + key.replace("_", "-")
+        without = result(argv)
+        from_file = result([*argv, "--config", config])
+        from_flag = result([*argv, flag, on_flag])
+        assert len({without, from_file, from_flag}) == 3, key
+        assert without == result([*argv, flag, default]), key
+        # the file's value acts as the same value given by flag
+        assert from_file == result([*argv, flag, in_file]), key
+        assert result([*argv, "--config", config, flag, on_flag]) == from_flag, key
 
 
 def test_config_file_eps_changes_synthesis(tmp_path, capsys):

@@ -343,8 +343,10 @@ def test_sample_statistics():
 def test_sample_edge_cases():
     assert np.array_equal(sample(np.array([1.0, 0.0]), 0, seed=0), [0, 0])
     assert np.array_equal(sample(np.array([0.0, 1.0]), 50, seed=1), [0, 50])
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^shots must be non-negative$"):
         sample(np.array([1.0]), -1, seed=0)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        sample(np.array([1.0]), 1, seed=-1)
 
 
 def test_sample_rejects_a_distribution_it_cannot_sample():

@@ -385,3 +385,19 @@ def test_level_ranks():
         LoweringLevel.REAL_ENCODED, LoweringLevel.F_ONLY, LoweringLevel.G_ONLY
     ]
     assert LoweringLevel("real") is LoweringLevel.REAL_ENCODED
+
+
+def test_a_level_string_behaves_like_its_member(monkeypatch):
+    c = Circuit(2).h(0).cx(0, 1)
+    for level in LoweringLevel:
+        assert transpile(c, level.value) == transpile(c, level), level
+    lowered, report = transpile(c, "g")
+    assert report.level is LoweringLevel.G_ONLY
+    assert len(lowered.gates) == report.gate_counts["g"]
+
+    def never(c):
+        raise AssertionError("lowered before the level was checked")
+
+    monkeypatch.setattr(transpile_mod, "normalize_pass", never)
+    with pytest.raises(ValueError, match="'bogus' is not a valid LoweringLevel"):
+        transpile(c, "bogus")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import math
 import tracemalloc
 
@@ -43,6 +44,9 @@ from rqc.encoding import encoded_distances
 from rqc.transpile import prepare_stages
 
 from _oracles import fsum_distances, gather_apply
+
+# the package attribute rqc.transpile is the function, not the module
+transpile_mod = importlib.import_module("rqc.transpile")
 
 
 def test_tv_distance():
@@ -647,3 +651,18 @@ def test_transpile_and_verify_report_the_same_lowering():
         got = (stages.gate_counts, stages.max_k, stages.budget)
         want = _verified_lowering(verify_circuit(c, 0, tight, LoweringLevel.G_ONLY))
         assert got == want, n
+
+
+def test_a_level_string_behaves_like_its_member(monkeypatch):
+    c = Circuit(2).h(0).cx(0, 1)
+    for level in LoweringLevel:
+        report = verify_circuit(c, 0, None, level.value)
+        assert report.level is level
+        assert report.to_text() == verify_circuit(c, 0, None, level).to_text()
+
+    def never(c):
+        raise AssertionError("lowered before the level was checked")
+
+    monkeypatch.setattr(transpile_mod, "normalize_pass", never)
+    with pytest.raises(ValueError, match="'bogus' is not a valid LoweringLevel"):
+        verify_circuit(c, 0, None, "bogus")
