@@ -8,7 +8,8 @@ its --flag (--k-max for k_max), its --config key and the cast of either
 value; a flag beats the file, and the file the default. _SUBCOMMANDS has
 one row per subcommand (function, help, the settings it takes as flags).
 Any other flag is a usage error, while every subcommand checks every key
-of the file. A command takes the argparse namespace, settings resolved.
+of the file, and a key may appear there once. A command takes the
+argparse namespace, settings resolved.
 
 cmd_transpile writes the lowered circuit to --out and its report to
 stdout; without --out the circuit goes to stdout and the report to
@@ -108,6 +109,8 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate config key '{key}'")
         values[key] = value.strip()
     return values
 

@@ -20,6 +20,10 @@ prepare_stages runs the passes once and keeps every stage in a
 TranspileReport. transpile returns its last stage, with level 'g'
 materialized as fixed gates; verify simulates level 'g' as
 achieved_circuit instead, one gate per rotation.
+
+The entry points, transpile and verify.verify_circuit, validate the
+circuit once; prepare_stages and the passes assume a valid circuit and
+check nothing but the gate kinds they rewrite.
 """
 
 from __future__ import annotations
@@ -131,8 +135,11 @@ _EXPANSIONS[GateKind.CX] = _EXPANSIONS[GateKind.CZ] + ((GateKind.F, (0, 1), 2 * 
 
 def normalize_pass(c: Circuit) -> Circuit:
     """Rewrite every gate into {rz, ry, f, gphase}, preserving the full
-    unitary including global phase."""
-    require_valid(c)
+    unitary including global phase.
+
+    Like every pass it assumes a valid circuit, which the entry points
+    (transpile, verify_circuit) check once; every GateKind has a rule
+    here, so it refuses nothing."""
     out = Circuit(c.num_qubits, name=c.name)
     for g in c.gates:
         if g.kind in _NORMAL_KINDS:
@@ -228,17 +235,19 @@ def materialize_fixed(c: Circuit, synths: Sequence[SynthesizedGate], phi: float)
 
 
 def achieved_circuit(c: Circuit, synths: Sequence[SynthesizedGate]) -> Circuit:
-    """The level-'f' circuit with every angle replaced by its synthesized
-    k*phi mod 2pi.
+    """c with every angle replaced by its synthesized k*phi mod 2pi; each
+    gate keeps its kind and operands.
 
-    Repeated plane rotations compose by angle addition, so this has the
-    same action as the materialized fixed-gate circuit while keeping one
-    gate per rotation; verification simulates this form to stay linear
-    in the level-'f' gate count instead of sum(k).
+    c is the level-'f' circuit, or verify's projection of it, in which
+    each f(work -> t) is an ry(t). Repeated plane rotations compose by
+    angle addition, so this has the same action as the materialized
+    fixed-gate circuit while keeping one gate per rotation; verification
+    simulates this form to stay linear in the level-'f' gate count
+    instead of sum(k).
     """
     out = Circuit(c.num_qubits, name=c.name)
     for g, s in zip(c.gates, synths, strict=True):
-        out.gates.append(Gate(GateKind.F, g.qubits, s.result.achieved))
+        out.gates.append(Gate(g.kind, g.qubits, s.result.achieved))
     return out
 
 
@@ -248,10 +257,10 @@ def prepare_stages(c: Circuit, cfg: SynthConfig, level: LoweringLevel | str) -> 
     This is the one pass sequence: transpile and verify_circuit both
     lower through it and read the level off its report, so a value
     string ('real', 'f', 'g') acts as its member and any other value
-    raises ValueError before anything is lowered. Raises ValueError on
-    an invalid circuit and NotReachable (with .gate_index set) when a
-    level-'g' angle cannot be synthesized; the exact stages cannot fail
-    on valid input.
+    raises ValueError before anything is lowered. c must be valid:
+    transpile and verify_circuit check it first, and no pass checks it
+    again. Raises NotReachable (with .gate_index set) when a level-'g'
+    angle cannot be synthesized; the exact stages cannot fail.
     """
     level = LoweringLevel(level)
     real = encode_pass(normalize_pass(c))
@@ -274,8 +283,10 @@ def transpile(
     """Lower a circuit to the requested level: the last stage of
     prepare_stages, materialized as fixed gates at level 'g'.
 
-    Raises as prepare_stages does.
+    Raises ValueError on an invalid circuit, before it looks at `level`,
+    and otherwise as prepare_stages does.
     """
+    require_valid(c)
     if cfg is None:
         cfg = SynthConfig()
     report = prepare_stages(c, cfg, level)

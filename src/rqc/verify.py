@@ -1,16 +1,18 @@
 """Equivalence checking between a circuit and its lowered forms.
 
 The stages come from transpile.prepare_stages, the same pass sequence
-transpile runs; level 'g' is simulated as its achieved_circuit, one
-gate per rotation, instead of sum(k) fixed gates. The reference run
-uses the complex engine on the original circuit; each lowered stage
-runs on the real engine from the encoded initial state, over data +
-tag. The work ancilla of the f and g stages sits in |1> and only
-controls f, so each f(work -> t) is applied as ry(t) and the ancilla is
-never simulated; a gate that could move it raises AncillaLeakError.
-lower_ry_pass keeps every angle, so the projected f stage normally
-equals the real stage gate for gate and reuses its run, which the
-deterministic simulator would repeat bit for bit.
+transpile runs. The reference run uses the complex engine on the
+original circuit; each lowered stage runs on the real engine from the
+encoded initial state, over data + tag. The work ancilla of the f and g
+stages sits in |1> and only controls f, so the f stage is projected
+once onto that block, each f(work -> t) becoming ry(t), and the ancilla
+is never simulated; a gate that could move it raises AncillaLeakError
+before anything runs. Level 'g' is simulated as the achieved_circuit of
+that projection, one gate per rotation instead of sum(k) fixed gates:
+the projected gate list at the synthesized angles. lower_ry_pass keeps
+every angle, so the projected f stage normally equals the real stage
+gate for gate and reuses its run, which the deterministic simulator
+would repeat bit for bit.
 
 A data qubit that no gate of the circuit acts on stays in its input
 bit. Every pass rewrites each gate on its own operands and adds only
@@ -167,8 +169,9 @@ def verify_circuit(
     BUDGET_ROUNDOFF_TOL. Every stage runs on the data + tag register: the
     f and g stages hold the work ancilla in |1> as a classical control,
     and the f stage reuses the real stage's distances when its projection
-    equals the real stage gate for gate. AncillaLeakError names the first
-    gate that uses the work ancilla other than as the control of f.
+    equals the real stage gate for gate; the g stage is that projection
+    at the synthesized angles. AncillaLeakError names the first gate that
+    uses the work ancilla other than as the control of f.
 
     Only the active data qubits are simulated: those that some gate of
     c acts on, or qubit 0 if none does. c is packed onto them in order
@@ -179,13 +182,13 @@ def verify_circuit(
     names its operands on the packed register. The width cap applies to
     the active qubits: a circuit whose active data qubits plus 2 exceed
     sim.MAX_QUBITS is refused before anything is lowered, however many
-    qubits it declares. An invalid circuit reports its validation error
-    first, before packing could move a bad operand into range, and an
-    input index out of range for the declared qubits is refused before
-    anything is allocated. A call holds three arrays the size of the
-    compact reference at once: the reference, the stage register, and
-    either a run's scratch or encoding.encoded_distances' one scratch
-    array.
+    qubits it declares. The circuit is validated once, here, before
+    packing could move a bad operand into range and before `level` is
+    read; the passes behind prepare_stages trust that. An input index
+    out of range for the declared qubits is refused before anything is
+    allocated. A call holds three arrays the size of the compact
+    reference at once: the reference, the stage register, and either a
+    run's scratch or encoding.encoded_distances' one scratch array.
     """
     require_valid(c)
     if cfg is None:
@@ -214,9 +217,7 @@ def verify_circuit(
         # refuses a gate that moves the work ancilla before anything runs
         projected = _project_work(stages.f, stages.work_ancilla)
     if stages.level is LoweringLevel.G_ONLY:
-        achieved = _project_work(
-            achieved_circuit(stages.f, stages.syntheses), stages.work_ancilla
-        )
+        achieved = achieved_circuit(projected, stages.syntheses)
     # each run starts from the input's bits on the active qubits; idle
     # qubits keep theirs and take no part in any distance
     start = sum(((init_basis_index >> q) & 1) << j for j, q in enumerate(active))

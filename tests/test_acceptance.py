@@ -26,7 +26,6 @@ from rqc import (
     distribution,
     emit,
     encode,
-    encode_pass,
     grover_two_qubit,
     init_basis,
     marginal_distribution,
@@ -39,6 +38,7 @@ from rqc import (
     verify_circuit,
 )
 from rqc.cli import EXIT_PARSE, EXIT_VERIFY, main
+from rqc.transpile import encode_pass
 
 from _oracles import (
     brute_force_min_k,

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from rqc import Circuit, Gate, GateKind, require_valid, transpile
+from rqc import Circuit, Gate, GateKind, transpile
+from rqc.circuit import require_valid
 
 
 def test_kind_arity_table():

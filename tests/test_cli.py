@@ -469,6 +469,13 @@ def test_config_file_errors(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "level must be one of real, f, g; got 'bogus'" in err
+    # a repeated key is refused at its second line, as an unknown key is
+    dup = write(tmp_path, "dup.cfg", "eps = 1e-2\neps = 1e-5\n")
+    for argv in (["run", circuit], ["synth", "1.0"], ["transpile", circuit], ["verify", circuit], ["bench"]):
+        assert main([*argv, "--config", dup]) == EXIT_INVALID, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{dup}:2: duplicate config key 'eps'" in err
 
 
 def test_bench_table(capsys):

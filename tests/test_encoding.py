@@ -10,7 +10,6 @@ from rqc import (
     Circuit,
     ComplexState,
     RealState,
-    add_work_ancilla,
     decode,
     distribution,
     encode,
@@ -18,8 +17,8 @@ from rqc import (
     init_basis_real,
     marginal_distribution,
     run_real,
-    strip_work_ancilla,
 )
+from rqc.encoding import add_work_ancilla, strip_work_ancilla
 
 from _oracles import random_complex_state
 

@@ -11,7 +11,6 @@ from rqc import (
     GateKind,
     LoweringLevel,
     RealState,
-    add_work_ancilla,
     distribution,
     encode,
     gate_matrix,
@@ -24,6 +23,7 @@ from rqc import (
     sample,
     transpile,
 )
+from rqc.encoding import add_work_ancilla
 
 import rqc.sim as sim_mod
 from rqc.sim import MAX_QUBITS

@@ -17,10 +17,9 @@ from rqc import (
     SynthConfig,
     budget,
     gate_matrix,
-    orbit_angle,
-    synthesis_error_to_gate_error,
     synthesize,
 )
+from rqc.synth import orbit_angle, synthesis_error_to_gate_error
 
 import rqc.synth
 from _oracles import (

@@ -13,25 +13,26 @@ from rqc import (
     NotReachable,
     SynthConfig,
     SynthesizedGate,
-    achieved_circuit,
-    add_work_ancilla,
     decode,
     encode,
-    encode_pass,
     gate_matrix,
     init_basis,
     is_real,
-    lower_ry_pass,
-    materialize_fixed,
-    normalize_pass,
     random_circuit,
     run_real,
-    strip_work_ancilla,
     synthesize,
     synthesize_all,
     transpile,
 )
+from rqc.encoding import add_work_ancilla, strip_work_ancilla
 from rqc.sim import RealState
+from rqc.transpile import (
+    achieved_circuit,
+    encode_pass,
+    lower_ry_pass,
+    materialize_fixed,
+    normalize_pass,
+)
 
 from _oracles import dense_apply, dense_unitary, random_complex_state
 
@@ -144,11 +145,12 @@ def test_normalize_on_larger_random_circuits():
         assert np.allclose(dense_unitary(out), dense_unitary(c), atol=1e-11)
 
 
-def test_normalize_validates_input():
+def test_transpile_validates_input():
+    # the entry point validates; the passes behind it assume a valid circuit
     c = Circuit(1)
     c.gates.append(Gate(GateKind.RZ, (0,)))
     with pytest.raises(ValueError, match="needs an angle"):
-        normalize_pass(c)
+        transpile(c)
 
 
 def test_encode_pass_rule_table():

@@ -19,9 +19,6 @@ from rqc import (
     LoweringLevel,
     RealState,
     SynthConfig,
-    achieved_circuit,
-    add_work_ancilla,
-    circuit_digest,
     decode,
     distribution,
     emit,
@@ -34,14 +31,13 @@ from rqc import (
     random_circuit,
     run_complex,
     run_real,
-    strip_work_ancilla,
     transpile,
-    tv_distance,
     verify_circuit,
 )
 from rqc.cli import EXIT_INVALID, main
-from rqc.encoding import encoded_distances
-from rqc.transpile import prepare_stages
+from rqc.encoding import add_work_ancilla, encoded_distances, strip_work_ancilla
+from rqc.transpile import achieved_circuit, prepare_stages
+from rqc.verify import circuit_digest, tv_distance
 
 from _oracles import fsum_distances, gather_apply
 
@@ -666,3 +662,45 @@ def test_a_level_string_behaves_like_its_member(monkeypatch):
     monkeypatch.setattr(transpile_mod, "normalize_pass", never)
     with pytest.raises(ValueError, match="'bogus' is not a valid LoweringLevel"):
         verify_circuit(c, 0, None, "bogus")
+
+
+def test_the_g_stage_is_the_projection_at_the_synthesized_angles():
+    # verify projects the f stage once and builds the g stage from that
+    # projection, so each f(work -> t), now an ry(t), stays an ry
+    c = Circuit(2).h(0).cx(0, 1).rx(1, 0.4)
+    stages = prepare_stages(c, SynthConfig(), LoweringLevel.G_ONLY)
+    projected = verify_mod._project_work(stages.f, stages.work_ancilla)
+    achieved = achieved_circuit(projected, stages.syntheses)
+    assert achieved.num_qubits == projected.num_qubits
+    assert GateKind.RY in {g.kind for g in achieved.gates}
+    assert [(g.kind, g.qubits) for g in achieved.gates] == [
+        (g.kind, g.qubits) for g in stages.real.gates
+    ]
+    assert [g.param for g in achieved.gates] == [s.result.achieved for s in stages.syntheses]
+
+
+def test_each_entry_point_validates_once(monkeypatch):
+    calls = []
+    validate = Circuit.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(Circuit, "validate", counted)
+    c = Circuit(3).h(0).cx(0, 2).rz(2, 0.3)
+    for level in LoweringLevel:
+        calls.clear()
+        verify_circuit(c, 0, None, level)
+        assert len(calls) == 1, ("verify_circuit", level)
+        calls.clear()
+        transpile(c, level)
+        assert len(calls) == 1, ("transpile", level)
+
+
+def test_an_invalid_circuit_is_reported_before_a_bad_level():
+    c = Circuit(1)
+    c.gates.append(Gate(GateKind.RZ, (0,)))
+    for entry in (lambda: transpile(c, "bogus"), lambda: verify_circuit(c, 0, None, "bogus")):
+        with pytest.raises(ValueError, match="^gate 0: rz needs an angle$"):
+            entry()
