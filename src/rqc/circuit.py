@@ -33,23 +33,15 @@ class GateKind(Enum):
     F = "f"
     GPHASE = "gphase"
 
-    @property
-    def num_operands(self) -> int:
-        if self in _TWO_QUBIT:
-            return 2
-        if self is GateKind.GPHASE:
-            return 0
-        return 1
-
-    @property
-    def num_params(self) -> int:
-        return 1 if self in _PARAMETRIC else 0
-
-
-_TWO_QUBIT = frozenset({GateKind.CX, GateKind.CZ, GateKind.F})
-_PARAMETRIC = frozenset(
-    {GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.F, GateKind.GPHASE}
-)
+    def __init__(self, mnemonic: str) -> None:
+        # per-member constants, set once: a property that tested set
+        # membership hashed the member through Enum.__hash__, a Python
+        # function on 3.10 and 3.11, at every read
+        if mnemonic in ("cx", "cz", "f"):
+            self.num_operands = 2
+        else:
+            self.num_operands = 0 if mnemonic == "gphase" else 1
+        self.num_params = 1 if mnemonic in ("rx", "ry", "rz", "f", "gphase") else 0
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,12 @@ def _apply_pair(a0: np.ndarray, a1: np.ndarray, u: tuple, scratch: np.ndarray) -
     np.add(s, t, out=a1)
 
 
+# module globals, not lookups through the class: see transpile._RZ
+_GPHASE = GateKind.GPHASE
+
+
 def _dispatch(amps: np.ndarray, g: Gate, num_qubits: int, u: tuple, scratch: np.ndarray) -> None:
-    if g.kind is GateKind.GPHASE:
+    if g.kind is _GPHASE:
         amps *= u[0]
         return
     for q in g.qubits:

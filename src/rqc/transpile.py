@@ -8,14 +8,23 @@ Stages:
                         cz) expands by one literal table over {rz, ry,
                         f(pi/2), gphase}. The tests pin every row bit for
                         bit and check it against an independent unitary
-                        oracle
+                        oracle. Two exact rewrites ride on the same walk:
+      cx sandwich       cx(c,t) D cx(c,t) -> f(pi/2)[c,t] D f(-pi/2)[c,t]
+                        when every gate of D is block-diagonal in c and t
+                        (one linear pre-scan of the input gates)
+      merge             each normalized gate merges into the latest gate
+                        of its kind on its operands that nothing blocks;
+                        gphase gates sum into one; a sum of 0.0 drops
     encode   ('real')   rz(t)@q -> f(t)[q -> tag]; ry and f pass through;
                         gphase(a) -> ry(a) on the tag ancilla
     lower ry ('f')      ry(t)@q -> f(t)[work -> q], work ancilla in |1>
     synthesize ('g')    every f(theta) becomes f(phi) repeated k times
 
-The first three stages are exact; only the last one introduces error,
-and it returns a per-gate account plus an l2 budget for the circuit.
+The first three stages are exact, the merges up to one rounding of each
+angle sum (at most _MERGE_ROUNDOFF); only the last stage introduces
+error, and it returns a per-gate account plus an l2 budget for the
+circuit. Every f gate the rewrites remove saves its k fixed gates and
+its share of that budget.
 prepare_stages runs the passes once and keeps every stage in a
 TranspileReport. transpile returns its last stage, with level 'g'
 materialized as fixed gates; verify simulates level 'g' as
@@ -100,61 +109,178 @@ class TranspileReport:
         return max(s.result.k for s in self.syntheses)
 
 
-_NORMAL_KINDS = frozenset({GateKind.RZ, GateKind.RY, GateKind.F, GateKind.GPHASE})
-
 _Q = 0.25 * math.pi  # pi/4; the multiples below are exact
-# every constant kind over {rz, ry, f, gphase}: (kind, operand positions,
-# angle) items in temporal order, positions indexing the gate's qubits
-# (control first). The single-qubit rows are ZYZ factorizations
-# e^{i alpha} rz(a) ry(b) rz(c) of each matrix (N&C 4.2); cz conjugates
-# the target block of f(pi/2), a quarter-turn plane rotation, into the
-# phase -iZ, and cx is cz then f(pi/2). tests/test_transpile.py pins
-# every row bit for bit and checks its unitary against an independent
-# oracle
+# slices of a gate's operands (control first): the first, the second,
+# both, none
+_A, _B, _AB, _NONE = slice(0, 1), slice(1, 2), slice(0, 2), slice(0, 0)
+# every constant kind over {rz, ry, f, gphase}: (kind, operand slice,
+# angle) items in temporal order. The single-qubit rows are ZYZ
+# factorizations e^{i alpha} rz(a) ry(b) rz(c) of each matrix (N&C 4.2);
+# cz conjugates the target block of f(pi/2), a quarter-turn plane
+# rotation, into the phase -iZ, and cx is cz then f(pi/2).
+# tests/test_transpile.py pins every row bit for bit and checks its
+# unitary against an independent oracle
 _EXPANSIONS = {
-    GateKind.X: ((GateKind.RZ, (0,), 4 * _Q), (GateKind.RY, (0,), 2 * _Q)),
-    GateKind.Y: ((GateKind.RY, (0,), 2 * _Q), (GateKind.GPHASE, (), 2 * _Q)),
-    GateKind.Z: ((GateKind.RZ, (0,), 4 * _Q),),
-    GateKind.H: ((GateKind.RZ, (0,), 4 * _Q), (GateKind.RY, (0,), _Q)),
-    GateKind.S: ((GateKind.RZ, (0,), 2 * _Q),),
-    GateKind.SDG: ((GateKind.RZ, (0,), -2 * _Q),),
-    GateKind.T: ((GateKind.RZ, (0,), _Q),),
-    GateKind.TDG: ((GateKind.RZ, (0,), -_Q),),
+    GateKind.X: ((GateKind.RZ, _A, 4 * _Q), (GateKind.RY, _A, 2 * _Q)),
+    GateKind.Y: ((GateKind.RY, _A, 2 * _Q), (GateKind.GPHASE, _NONE, 2 * _Q)),
+    GateKind.Z: ((GateKind.RZ, _A, 4 * _Q),),
+    GateKind.H: ((GateKind.RZ, _A, 4 * _Q), (GateKind.RY, _A, _Q)),
+    GateKind.S: ((GateKind.RZ, _A, 2 * _Q),),
+    GateKind.SDG: ((GateKind.RZ, _A, -2 * _Q),),
+    GateKind.T: ((GateKind.RZ, _A, _Q),),
+    GateKind.TDG: ((GateKind.RZ, _A, -_Q),),
     GateKind.CZ: (
-        (GateKind.RY, (1,), _Q),
-        (GateKind.RZ, (1,), 2 * _Q),
-        (GateKind.F, (0, 1), 2 * _Q),
-        (GateKind.RZ, (1,), 2 * _Q),
-        (GateKind.RY, (1,), _Q),
-        (GateKind.RZ, (1,), -4 * _Q),
-        (GateKind.RZ, (0,), 2 * _Q),
+        (GateKind.RY, _B, _Q),
+        (GateKind.RZ, _B, 2 * _Q),
+        (GateKind.F, _AB, 2 * _Q),
+        (GateKind.RZ, _B, 2 * _Q),
+        (GateKind.RY, _B, _Q),
+        (GateKind.RZ, _B, -4 * _Q),
+        (GateKind.RZ, _A, 2 * _Q),
     ),
 }
-_EXPANSIONS[GateKind.CX] = _EXPANSIONS[GateKind.CZ] + ((GateKind.F, (0, 1), 2 * _Q),)
+_EXPANSIONS[GateKind.CX] = _EXPANSIONS[GateKind.CZ] + ((GateKind.F, _AB, 2 * _Q),)
+
+# a member looked up through the class costs about 170 ns on 3.11, whose
+# enum metaclass defines __getattr__; the pass loops test kinds by
+# identity against these module globals instead
+_RZ, _RY, _RX, _F, _CX = GateKind.RZ, GateKind.RY, GateKind.RX, GateKind.F, GateKind.CX
+_GPHASE = GateKind.GPHASE
+# the kinds diagonal on every operand; each other kind rotates only its
+# last operand: the qubit of x, y, h, rx and ry, the target of cx and f
+_DIAGONAL = (
+    GateKind.RZ, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+    GateKind.CZ, GateKind.GPHASE,
+)
+# the most a merge may round the sum of two angles: the half-ulp of any
+# sum below 16 in magnitude. A larger rounding, such as 1e300 + 1, is not
+# merged, so every rewrite stays exact to roundoff at any finite angle
+_MERGE_ROUNDOFF = 2.0**-50
+
+
+def _pair_cx_sandwiches(gates: Sequence[Gate]) -> dict[int, float]:
+    """The f angle that each paired cx of `gates` becomes, by gate index.
+
+    cx(c,t) D cx(c,t) equals f(pi/2)[c,t] D f(-pi/2)[c,t] when every gate
+    of D is block-diagonal in both c and t: ry(pi/2) = XZ, so in time cx
+    is f(pi/2) then a -Z on t controlled by c, and also that -Z then
+    f(-pi/2). Both -Z factors are diagonal in c and t, so they pass D
+    and cancel. One walk keeps the open pairs: each is closed by its
+    partner, or dropped by the first gate that rotates c or t.
+    """
+    angles: dict[int, float] = {}
+    opened: dict[tuple[int, int], int] = {}  # (c, t) -> index of its first cx
+    # qubit -> (pair, index) for each pair opened on it; entries go stale
+    # when their pair closes or drops, and are then skipped
+    on_qubit: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for i, g in enumerate(gates):
+        k = g.kind
+        closes = k is _CX and g.qubits in opened
+        if closes:
+            angles[opened.pop(g.qubits)] = 2 * _Q
+            angles[i] = -2 * _Q
+        if opened and k not in _DIAGONAL:
+            for pair, j in on_qubit.pop(g.qubits[-1], ()):
+                if opened.get(pair) == j:
+                    del opened[pair]
+        if k is _CX and not closes:
+            opened[g.qubits] = i
+            for q in g.qubits:
+                on_qubit.setdefault(q, []).append((g.qubits, i))
+    return angles
+
+
+def _merge(out: list[Gate | None], j: int, angle: float) -> bool:
+    """Add angle to the angle of out[j], or drop out[j] when the sum is
+    0.0 or -0.0; False, and nothing changed, if the sum would round by
+    more than _MERGE_ROUNDOFF."""
+    g = out[j]
+    s = g.param + angle
+    # two-sum: the exact rounding error of s, NaN when s overflows
+    b = s - g.param
+    if not abs((g.param - (s - b)) + (angle - b)) <= _MERGE_ROUNDOFF:
+        return False
+    out[j] = Gate(g.kind, g.qubits, s) if s else None
+    return True
 
 
 def normalize_pass(c: Circuit) -> Circuit:
     """Rewrite every gate into {rz, ry, f, gphase}, preserving the full
-    unitary including global phase.
+    unitary including global phase, and merge rotations as it goes.
+
+    Two exact rewrites ride on the one walk. Each cx sandwich that
+    _pair_cx_sandwiches finds becomes its pair of f(+-pi/2) gates. Each
+    normalized gate merges into the latest gate of its kind on the same
+    operands unless a blocking gate lies between them: on each qubit a
+    gate acts diagonally (rz, the control of f) or as a rotation (ry, the
+    target of f), and the two block each other. gphase gates sum into the
+    first. A merged gate whose angle sums to 0.0 or -0.0 is dropped;
+    angles are never reduced mod 2pi, as rz(2*pi) is not exactly the
+    identity in floating point. Both rewrites read only gate kinds and
+    qubit equality.
 
     Like every pass it assumes a valid circuit, which the entry points
     (transpile, verify_circuit) check once; every GateKind has a rule
     here, so it refuses nothing."""
-    out = Circuit(c.num_qubits, name=c.name)
-    for g in c.gates:
-        if g.kind in _NORMAL_KINDS:
-            out.gates.append(g)
-        elif g.kind is GateKind.RX:
+    paired = _pair_cx_sandwiches(c.gates)
+    n = c.num_qubits
+    out: list[Gate | None] = []
+    # per qubit, the index in out of the last gate acting there
+    # diagonally and as a rotation, and of the last rz and ry there
+    diag, rot = [-1] * n, [-1] * n
+    last_rz, last_ry = [-1] * n, [-1] * n
+    last_f: dict[tuple[int, int], int] = {}
+    phase = -1
+
+    def add(kind: GateKind, qubits: tuple[int, ...], angle: float, g: Gate | None = None):
+        nonlocal phase
+        if kind is _RZ:
+            q = qubits[0]
+            j = last_rz[q]
+            if j > rot[q] and _merge(out, j, angle):
+                if out[j] is None:
+                    last_rz[q] = -1
+                return
+            last_rz[q] = diag[q] = len(out)
+        elif kind is _RY:
+            q = qubits[0]
+            j = last_ry[q]
+            if j > diag[q] and _merge(out, j, angle):
+                if out[j] is None:
+                    last_ry[q] = -1
+                return
+            last_ry[q] = rot[q] = len(out)
+        elif kind is _F:
+            ctl, tgt = qubits
+            j = last_f.get(qubits, -1)
+            if j > rot[ctl] and j > diag[tgt] and _merge(out, j, angle):
+                if out[j] is None:
+                    del last_f[qubits]
+                return
+            last_f[qubits] = diag[ctl] = rot[tgt] = len(out)
+        else:  # gphase commutes with every gate
+            if phase >= 0 and _merge(out, phase, angle):
+                if out[phase] is None:
+                    phase = -1
+                return
+            phase = len(out)
+        out.append(g if g is not None else Gate(kind, qubits, angle))
+
+    for i, g in enumerate(c.gates):
+        k = g.kind
+        if k is _RZ or k is _RY or k is _F or k is _GPHASE:
+            add(k, g.qubits, g.param, g)
+        elif k is _RX:
             # rx(t) = sdg ry(t/2) s as matrices: the s and sdg rows around ry
-            out.gates.append(Gate(GateKind.RZ, g.qubits, 2 * _Q))
-            out.gates.append(Gate(GateKind.RY, g.qubits, 0.5 * g.param))
-            out.gates.append(Gate(GateKind.RZ, g.qubits, -2 * _Q))
+            add(_RZ, g.qubits, 2 * _Q)
+            add(_RY, g.qubits, 0.5 * g.param)
+            add(_RZ, g.qubits, -2 * _Q)
+        elif i in paired:
+            add(_F, g.qubits, paired[i])
         else:
-            out.gates.extend(
-                Gate(kind, tuple(g.qubits[i] for i in pos), v)
-                for kind, pos, v in _EXPANSIONS[g.kind]
-            )
-    return out
+            for kind, operands, v in _EXPANSIONS[k]:
+                add(kind, g.qubits[operands], v)
+    return Circuit(n, [g for g in out if g is not None], name=c.name)
 
 
 def encode_pass(c: Circuit) -> Circuit:
@@ -169,12 +295,13 @@ def encode_pass(c: Circuit) -> Circuit:
     tag = c.num_qubits
     out = Circuit(tag + 1, name=c.name)
     for i, g in enumerate(c.gates):
-        if g.kind is GateKind.RZ:
-            out.gates.append(Gate(GateKind.F, (g.qubits[0], tag), g.param))
-        elif g.kind in (GateKind.RY, GateKind.F):
+        k = g.kind
+        if k is _RZ:
+            out.gates.append(Gate(_F, (g.qubits[0], tag), g.param))
+        elif k is _RY or k is _F:
             out.gates.append(g)
-        elif g.kind is GateKind.GPHASE:
-            out.gates.append(Gate(GateKind.RY, (tag,), g.param))
+        elif k is _GPHASE:
+            out.gates.append(Gate(_RY, (tag,), g.param))
         else:
             raise ValueError(f"gate {i}: {g.kind.value} is not a normalized kind")
     return out
@@ -187,9 +314,9 @@ def lower_ry_pass(c: Circuit) -> Circuit:
     work = c.num_qubits
     out = Circuit(work + 1, name=c.name)
     for i, g in enumerate(c.gates):
-        if g.kind is GateKind.RY:
-            out.gates.append(Gate(GateKind.F, (work, g.qubits[0]), g.param))
-        elif g.kind is GateKind.F:
+        if g.kind is _RY:
+            out.gates.append(Gate(_F, (work, g.qubits[0]), g.param))
+        elif g.kind is _F:
             out.gates.append(g)
         else:
             raise ValueError(f"gate {i}: only ry and f can be lowered, got {g.kind.value}")
@@ -207,7 +334,7 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     results: dict[float, SynthesisResult] = {}
     out = []
     for i, g in enumerate(c.gates):
-        if g.kind is not GateKind.F:
+        if g.kind is not _F:
             raise ValueError(f"gate {i}: expected an f gate, got {g.kind.value}")
         result = results.get(g.param)
         if result is None:

@@ -2,34 +2,38 @@
 
 The stages come from transpile.prepare_stages, the same pass sequence
 transpile runs. The reference run uses the complex engine on the
-original circuit; each lowered stage runs on the real engine from the
-encoded initial state, over data + tag. The work ancilla of the f and g
-stages sits in |1> and only controls f, so the f stage is projected
-once onto that block, each f(work -> t) becoming ry(t), and the ancilla
-is never simulated; a gate that could move it raises AncillaLeakError
-before anything runs. Level 'g' is simulated as the achieved_circuit of
-that projection, one gate per rotation instead of sum(k) fixed gates:
-the projected gate list at the synthesized angles. lower_ry_pass keeps
-every angle, so the projected f stage normally equals the real stage
-gate for gate and reuses its run, which the deterministic simulator
-would repeat bit for bit.
+original circuit, before normalize_pass rewrites it, so every report
+checks the rewrites too; each lowered stage runs on the real engine
+from the encoded initial state, over data + tag. The work ancilla of
+the f and g stages sits in |1> and only controls f, so the f stage is
+projected once onto that block, each f(work -> t) becoming ry(t), and
+the ancilla is never simulated; a gate that could move it raises
+AncillaLeakError before anything runs. Level 'g' is simulated as the
+achieved_circuit of that projection, one gate per rotation instead of
+sum(k) fixed gates: the projected gate list at the synthesized angles.
+lower_ry_pass keeps every angle, so the projected f stage normally
+equals the real stage gate for gate and reuses its run, which the
+deterministic simulator would repeat bit for bit.
 
 A data qubit that no gate of the circuit acts on stays in its input
 bit. Every pass rewrites each gate on its own operands and adds only
-the tag and the work ancilla, so the circuit is packed once onto its k
-active data qubits, relabelled to 0..k-1 in order, and lowered there:
-the reference runs on those k qubits, each stage on them and the tag
-k, and the distances are taken on those compact registers. Off the
-idle qubits' input bits a full-size run would hold only zeros, and a
-gate updates each amplitude from itself and its partner by the same
-operations at any width, so every term of the distances is the one a
-full-size run gives. Only the grouping of the sums differs, which moves
-a distance by a few ulps. Comparison is full statevector distance after
-decoding, not only distributions, so phase errors that distributions
-cannot see still fail. encoded_distances forms both distances in one
-scratch array, so a call holds three compact arrays, and memory follows
-the active width, not the declared one. Reports serialize to stable
-key: value text for golden-file comparison.
+the tag and the work ancilla. The two rewrites in normalize_pass keep
+each gate's operands too, and they read the qubits only to compare them
+for equality, so relabelling commutes with them as with every other
+rule. So the circuit is packed once onto its k active data qubits,
+relabelled to 0..k-1 in order, and lowered there: the reference runs on
+those k qubits, each stage on them and the tag k, and the distances are
+taken on those compact registers. Off the idle qubits' input bits a
+full-size run would hold only zeros, and a gate updates each amplitude
+from itself and its partner by the same operations at any width, so
+every term of the distances is the one a full-size run gives. Only the
+grouping of the sums differs, which moves a distance by a few ulps.
+Comparison is full statevector distance after decoding, not only
+distributions, so phase errors that distributions cannot see still
+fail. encoded_distances forms both distances in one scratch array, so a
+call holds three compact arrays, and memory follows the active width,
+not the declared one. Reports serialize to stable key: value text for
+golden-file comparison.
 """
 
 from __future__ import annotations
@@ -133,6 +137,10 @@ class VerificationReport:
         return "\n".join(out) + "\n"
 
 
+# module globals, not lookups through the class: see transpile._RZ
+_F, _RY = GateKind.F, GateKind.RY
+
+
 def _project_work(c: Circuit, work: int) -> Circuit:
     # the stage on the work = 1 block, over data + tag: f(work -> t) acts
     # there as ry(t), and gates off the work ancilla pass through
@@ -140,8 +148,8 @@ def _project_work(c: Circuit, work: int) -> Circuit:
     for i, g in enumerate(c.gates):
         if work not in g.qubits:
             out.gates.append(g)
-        elif g.kind is GateKind.F and g.qubits[0] == work and g.qubits[1] != work:
-            out.gates.append(Gate(GateKind.RY, (g.qubits[1],), g.param))
+        elif g.kind is _F and g.qubits[0] == work and g.qubits[1] != work:
+            out.gates.append(Gate(_RY, (g.qubits[1],), g.param))
         else:
             raise AncillaLeakError(
                 f"gate {i}: {g.kind.value} on {g.qubits} can move the work ancilla "
@@ -206,8 +214,9 @@ def verify_circuit(
     check_width(k + 2)
     packed = c
     if k < n:
-        # every pass rewrites each gate on its own operands, so the stages
-        # of the packed circuit are those of c relabelled
+        # every pass rewrites each gate on its own operands, and the
+        # rewrites compare qubits only for equality, so the stages of the
+        # packed circuit are those of c relabelled
         label = {q: j for j, q in enumerate(active)}
         gates = [Gate(g.kind, tuple(map(label.__getitem__, g.qubits)), g.param) for g in c.gates]
         packed = Circuit(k, gates)

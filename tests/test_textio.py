@@ -220,7 +220,7 @@ def test_emit_equals_the_line_emitter():
     c.gates += [zero, neg, other_zero, zero, neg, neg, other_zero, f0]
     assert emit(c) == line_emit(c)
     assert emit(c).count("f 1 0 -0\n") == 3
-    g = level_g(qft(3))
+    g = level_g(qft(4))
     assert len(g.gates) > 50_000
     assert emit(g) == line_emit(g)
     for seed in range(20):
@@ -344,7 +344,7 @@ def test_parse_error_inside_a_long_run():
 
 
 def test_parse_peak_memory_on_level_g_text():
-    text = emit(level_g(qft(4)))
+    text = emit(level_g(qft(6)))
     assert len(text) > 4_000_000
     tracemalloc.start()
     try:
@@ -352,7 +352,8 @@ def test_parse_peak_memory_on_level_g_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the gate list alone takes 1.46 MB; one string per line took 15.7 MB
+    # the gate list alone takes 1.42 MB; one string per line took 15.7 MB
+    # on 4.6 MB of text
     assert peak < 3_000_000, f"parse peaked at {peak / 1e6:.1f} MB"
 
 

@@ -256,9 +256,11 @@ def test_verify_catches_a_budget_violation(monkeypatch):
 def test_errors_in_one_plane_meet_the_budget_with_roundoff():
     # every rotation error here lies in one plane, so the true state
     # distance equals the budget and float64 roundoff puts the computed
-    # one 3e-16 above it
-    c = parse("qubits 2\nsdg 1\ns 0\ns 1\ngphase 6.2147916694838834\n")
+    # one 6e-16 above it. No two of the gates merge, so the level-'f'
+    # stage keeps all three rotations
+    c = parse("qubits 2\ns 0\nsdg 1\ngphase 5.960364476363304\n")
     report = verify_circuit(c, 3, SynthConfig(eps=1e-6, k_max=10**7))
+    assert report.f.gate_count == 3
     assert report.g.state_distance > report.budget
     assert report.g.state_distance <= report.budget + verify_mod.BUDGET_ROUNDOFF_TOL
     assert report.passed
