@@ -10,11 +10,12 @@ Stages:
                         bit and check it against an independent unitary
                         oracle. Two exact rewrites ride on the same walk:
       cx sandwich       cx(c,t) D cx(c,t) -> f(pi/2)[c,t] D f(-pi/2)[c,t]
-                        when every gate of D is block-diagonal in c and t
-                        (one linear pre-scan of the input gates)
+                        when no gate of D rotates c or t (one linear
+                        pre-scan of the input gates)
       merge             each normalized gate merges into the latest gate
-                        of its kind on its operands that nothing blocks;
-                        gphase gates sum into one; a sum of 0.0 drops
+                        of its kind on its operands unless a later gate
+                        acts the other way on a shared qubit; gphase
+                        gates sum into one; a sum of 0.0 drops
     encode   ('real')   rz(t)@q -> f(t)[q -> tag]; ry and f pass through;
                         gphase(a) -> ry(a) on the tag ancilla
     lower ry ('f')      ry(t)@q -> f(t)[work -> q], work ancilla in |1>
@@ -165,28 +166,25 @@ def _pair_cx_sandwiches(gates: Sequence[Gate]) -> dict[int, float]:
     of D is block-diagonal in both c and t: ry(pi/2) = XZ, so in time cx
     is f(pi/2) then a -Z on t controlled by c, and also that -Z then
     f(-pi/2). Both -Z factors are diagonal in c and t, so they pass D
-    and cancel. One walk keeps the open pairs: each is closed by its
-    partner, or dropped by the first gate that rotates c or t.
+    and cancel. One walk keeps, for each qubit a gate touches, the index
+    of the last gate that rotates it: a kind that is not diagonal rotates
+    its last operand. The pair opened at j closes at the next cx(c,t) iff
+    nothing since j rotated c or t; otherwise that cx opens a new pair.
     """
     angles: dict[int, float] = {}
-    opened: dict[tuple[int, int], int] = {}  # (c, t) -> index of its first cx
-    # qubit -> (pair, index) for each pair opened on it; entries go stale
-    # when their pair closes or drops, and are then skipped
-    on_qubit: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    opened: dict[tuple[int, int], int] = {}  # (c, t) -> index of its last unpaired cx
+    rotated: dict[int, int] = {}
     for i, g in enumerate(gates):
         k = g.kind
-        closes = k is _CX and g.qubits in opened
-        if closes:
-            angles[opened.pop(g.qubits)] = 2 * _Q
-            angles[i] = -2 * _Q
-        if opened and k not in _DIAGONAL:
-            for pair, j in on_qubit.pop(g.qubits[-1], ()):
-                if opened.get(pair) == j:
-                    del opened[pair]
-        if k is _CX and not closes:
-            opened[g.qubits] = i
-            for q in g.qubits:
-                on_qubit.setdefault(q, []).append((g.qubits, i))
+        if k is _CX:
+            c, t = g.qubits
+            j = opened.pop(g.qubits, -1)
+            if rotated.get(c, -1) < j and rotated[t] == j:
+                angles[j], angles[i] = 2 * _Q, -2 * _Q
+            else:
+                opened[g.qubits] = i
+        if k not in _DIAGONAL:
+            rotated[g.qubits[-1]] = i
     return angles
 
 
@@ -211,59 +209,51 @@ def normalize_pass(c: Circuit) -> Circuit:
     Two exact rewrites ride on the one walk. Each cx sandwich that
     _pair_cx_sandwiches finds becomes its pair of f(+-pi/2) gates. Each
     normalized gate merges into the latest gate of its kind on the same
-    operands unless a blocking gate lies between them: on each qubit a
-    gate acts diagonally (rz, the control of f) or as a rotation (ry, the
-    target of f), and the two block each other. gphase gates sum into the
-    first. A merged gate whose angle sums to 0.0 or -0.0 is dropped;
-    angles are never reduced mod 2pi, as rz(2*pi) is not exactly the
-    identity in floating point. Both rewrites read only gate kinds and
-    qubit equality.
+    operands unless a later gate acts the other way on a shared qubit.
+    One rule says how: rz acts diagonally, ry and f rotate their last
+    operand and act diagonally on the other. rz, ry, f and gphase share
+    one merge-and-drop path; gphase commutes with every gate, so gphase
+    gates sum into the first. A merged gate whose angle sums to 0.0 or
+    -0.0 is dropped; angles are never reduced mod 2pi, as rz(2*pi) is
+    not exactly the identity in floating point. Both rewrites read only
+    gate kinds and qubit equality, and keep state only for the qubits
+    that gates touch, never for the whole register.
 
     Like every pass it assumes a valid circuit, which the entry points
     (transpile, verify_circuit) check once; every GateKind has a rule
     here, so it refuses nothing."""
     paired = _pair_cx_sandwiches(c.gates)
-    n = c.num_qubits
     out: list[Gate | None] = []
-    # per qubit, the index in out of the last gate acting there
-    # diagonally and as a rotation, and of the last rz and ry there
-    diag, rot = [-1] * n, [-1] * n
-    last_rz, last_ry = [-1] * n, [-1] * n
-    last_f: dict[tuple[int, int], int] = {}
-    phase = -1
+    # indices in out: of the last gate on each operand tuple that may
+    # still merge (rz keyed by its bare qubit, apart from ry's (q,)), and
+    # per qubit of the last gate acting there diagonally and as a rotation
+    last: dict[int | tuple[int, ...], int] = {}
+    diag: dict[int, int] = {}
+    rot: dict[int, int] = {}
 
     def add(kind: GateKind, qubits: tuple[int, ...], angle: float, g: Gate | None = None):
-        nonlocal phase
+        key = qubits[0] if kind is _RZ else qubits
+        j = last.get(key, -1)
+        # blocked by any later gate acting the other way on a shared qubit
         if kind is _RZ:
-            q = qubits[0]
-            j = last_rz[q]
-            if j > rot[q] and _merge(out, j, angle):
-                if out[j] is None:
-                    last_rz[q] = -1
-                return
-            last_rz[q] = diag[q] = len(out)
+            free = j > rot.get(qubits[0], -1)
         elif kind is _RY:
-            q = qubits[0]
-            j = last_ry[q]
-            if j > diag[q] and _merge(out, j, angle):
-                if out[j] is None:
-                    last_ry[q] = -1
-                return
-            last_ry[q] = rot[q] = len(out)
+            free = j > diag.get(qubits[0], -1)
         elif kind is _F:
-            ctl, tgt = qubits
-            j = last_f.get(qubits, -1)
-            if j > rot[ctl] and j > diag[tgt] and _merge(out, j, angle):
-                if out[j] is None:
-                    del last_f[qubits]
-                return
-            last_f[qubits] = diag[ctl] = rot[tgt] = len(out)
+            free = j > rot.get(qubits[0], -1) and j > diag.get(qubits[1], -1)
         else:  # gphase commutes with every gate
-            if phase >= 0 and _merge(out, phase, angle):
-                if out[phase] is None:
-                    phase = -1
-                return
-            phase = len(out)
+            free = j >= 0
+        if free and _merge(out, j, angle):
+            if out[j] is None:
+                del last[key]
+            return
+        last[key] = n = len(out)
+        if kind is _RZ:
+            diag[qubits[0]] = n
+        elif kind is _RY:
+            rot[qubits[0]] = n
+        elif kind is _F:
+            diag[qubits[0]] = rot[qubits[1]] = n
         out.append(g if g is not None else Gate(kind, qubits, angle))
 
     for i, g in enumerate(c.gates):
@@ -280,7 +270,7 @@ def normalize_pass(c: Circuit) -> Circuit:
         else:
             for kind, operands, v in _EXPANSIONS[k]:
                 add(kind, g.qubits[operands], v)
-    return Circuit(n, [g for g in out if g is not None], name=c.name)
+    return Circuit(c.num_qubits, [g for g in out if g is not None], name=c.name)
 
 
 def encode_pass(c: Circuit) -> Circuit:

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import rqc.verify as verify_mod
 from rqc import (
@@ -201,6 +202,9 @@ def test_06_canonical_algorithms_verify():
         want = np.eye(4)[marked]
         assert float(np.abs(got - want).max()) <= 1e-9
         assert verify_circuit(c, 0, SynthConfig(eps=1e-3)).passed
+    for marked in (-1, 4):
+        with pytest.raises(ValueError, match="marked index must be in"):
+            grover_two_qubit(marked)
     report_line(6, "qft-3 and grover-2 verify against analytic results", "PASS")
 
 

@@ -8,6 +8,7 @@ through the dense gate matrices; none goes through rqc.sim.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +19,14 @@ from rqc import (
     LoweringLevel,
     SynthConfig,
     emit,
+    grover_two_qubit,
     parse,
     qft,
     random_circuit,
     transpile,
     verify_circuit,
 )
+from rqc.library import bench_suite
 from rqc.transpile import _pair_cx_sandwiches, normalize_pass
 
 from _oracles import dense_unitary
@@ -218,6 +221,34 @@ def test_transpile_and_verify_lower_through_the_rewrites():
     _, report = transpile(qft(3), LoweringLevel.F_ONLY)
     assert report.gate_counts["f"] == 42
     assert verify_circuit(qft(3), 0, level=LoweringLevel.F_ONLY).f.gate_count == 42
+
+
+# the "after" columns of the README table "Rewrites before encoding":
+# f gates, sum(k) and the budget to four places, at the default SynthConfig
+SUITE = dict(bench_suite())
+README_TABLE = [
+    pytest.param(qft(3), 42, 47_454, 0.0196, id="qft(3)"),
+    pytest.param(qft(4), 79, 94_401, 0.0361, id="qft(4)"),
+    pytest.param(qft(5), 97, 121_553, 0.0452, id="qft(5)"),
+    pytest.param(grover_two_qubit(0), 34, 41_990, 0.0177, id="grover_two_qubit(0)"),
+    pytest.param(grover_two_qubit(1), 30, 38_114, 0.0160, id="grover_two_qubit(1)"),
+    pytest.param(grover_two_qubit(2), 30, 35_530, 0.0150, id="grover_two_qubit(2)"),
+    pytest.param(grover_two_qubit(3), 26, 31_654, 0.0133, id="grover_two_qubit(3)"),
+    pytest.param(SUITE["random-2q"], 33, 38_559, 0.0141, id="random-2q"),
+    pytest.param(SUITE["random-3q"], 26, 34_055, 0.0116, id="random-3q"),
+    pytest.param(SUITE["random-4q"], 34, 39_145, 0.0150, id="random-4q"),
+    pytest.param(SUITE["random-5q"], 38, 46_542, 0.0182, id="random-5q"),
+    pytest.param(SUITE["random-6q"], 42, 51_830, 0.0173, id="random-6q"),
+    pytest.param(SUITE["random-7q"], 37, 45_735, 0.0181, id="random-7q"),
+    pytest.param(SUITE["random-8q"], 64, 68_410, 0.0288, id="random-8q"),
+]
+
+
+@pytest.mark.parametrize("c, f_gates, sum_k, budget", README_TABLE)
+def test_the_readme_table_after_the_rewrites(c, f_gates, sum_k, budget):
+    _, report = transpile(c, LoweringLevel.G_ONLY)
+    assert (report.gate_counts["f"], report.gate_counts["g"]) == (f_gates, sum_k)
+    assert round(report.budget, 4) == budget
 
 
 @settings(max_examples=60, deadline=None)

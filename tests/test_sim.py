@@ -219,6 +219,10 @@ def test_apply_does_not_mutate_the_input():
     before = s.amps.copy()
     run_complex(Circuit(1).h(0), s)
     assert np.array_equal(s.amps, before)
+    # copy shares no memory with its source
+    t = s.copy()
+    t.amps[0] = 0.0
+    assert np.array_equal(s.amps, before)
     r = init_basis_real(2, 3)
     before = r.amps.copy()
     run_real(Circuit(2).f(1, 0, 0.4).x(0), r)
@@ -304,6 +308,10 @@ def test_run_errors_carry_the_gate_index():
     s = init_basis(2, 0)
     with pytest.raises(ValueError, match="gate 0: duplicate operands"):
         run_complex(c, s, out=s)
+    c = Circuit(2)
+    c.gates.append(Gate("bogus", (0,)))
+    with pytest.raises(ValueError, match="^gate 0: unknown gate kind 'bogus'$"):
+        run_complex(c, init_basis(2, 0))
     c = Circuit(2).h(0).s(1)
     s = init_basis_real(2, 0)
     with pytest.raises(ValueError, match="gate 1: non-real gate in real engine: s"):

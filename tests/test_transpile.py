@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,29 @@ def test_gate_count_linear_bound():
             c.rx(int(rng.integers(2)), t)
         lowered, _ = transpile(c, LoweringLevel.F_ONLY)
         assert len(lowered.gates) <= 3 * k
+
+
+def test_a_register_wider_than_any_list_lowers():
+    # the passes keep state only for the qubits that gates touch, so the
+    # declared width is just a number: 10**20 fits no index-sized list
+    wide, _ = transpile(Circuit(10**20).h(0).cx(0, 5), "f")
+    narrow, _ = transpile(Circuit(6).h(0).cx(0, 5), "f")
+    assert wide.num_qubits == 10**20 + 2
+    # the tag and work ancillas are the two qubits above the register
+    ancilla = {6: 10**20, 7: 10**20 + 1}
+    assert wide.gates == [
+        Gate(g.kind, tuple(ancilla.get(q, q) for q in g.qubits), g.param) for g in narrow.gates
+    ]
+
+
+def test_normalize_memory_does_not_grow_with_the_register():
+    c = Circuit(10**6).h(0)
+    tracemalloc.start()
+    try:
+        normalize_pass(c)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_transpile_angle_already_on_the_orbit():
