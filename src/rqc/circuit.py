@@ -36,7 +36,11 @@ class GateKind(Enum):
     def __init__(self, mnemonic: str) -> None:
         # per-member constants, set once: a property that tested set
         # membership hashed the member through Enum.__hash__, a Python
-        # function on 3.10 and 3.11, at every read
+        # function on 3.10 and 3.11, at every read. ordinal is the
+        # member's position in definition order, the members before it
+        # being registered already; per-kind tables elsewhere are tuples
+        # indexed by it, for the same reason
+        self.ordinal = len(type(self)._member_names_)
         if mnemonic in ("cx", "cz", "f"):
             self.num_operands = 2
         else:

@@ -51,7 +51,8 @@ def _phase_entries(t: float) -> tuple[complex, float, float, complex]:
     return (e, 0.0, 0.0, e)
 
 
-_BLOCKS = {
+# indexed by GateKind.ordinal
+_BLOCKS = tuple({
     GateKind.X: lambda t: (0.0, 1.0, 1.0, 0.0),
     GateKind.Y: lambda t: (0.0, -1j, 1j, 0.0),
     GateKind.Z: lambda t: (1.0, 0.0, 0.0, -1.0),
@@ -67,7 +68,7 @@ _BLOCKS = {
     GateKind.CZ: lambda t: (1.0, 0.0, 0.0, -1.0),
     GateKind.F: _ry_entries,
     GateKind.GPHASE: _phase_entries,
-}
+}[k] for k in GateKind)
 
 
 def block_entries(g: Gate) -> tuple:
@@ -80,8 +81,8 @@ def block_entries(g: Gate) -> tuple:
     are real at every angle are floats.
     """
     try:
-        entries = _BLOCKS[g.kind]
-    except KeyError:
+        entries = _BLOCKS[g.kind.ordinal]
+    except AttributeError:
         raise ValueError(f"unknown gate kind {g.kind!r}") from None
     return entries(g.param)
 

@@ -13,7 +13,9 @@ tie with eps (pi is irrational), and within 2^-128 of eps elsewhere. In
 these units a Euclid recursion on (phi mod 2pi, 2pi), the integer form of
 the continued-fraction walk, gives the least k at distance <= eps in O(w)
 steps. The first-hit window is the rule itself: no candidate is
-re-checked and no margin is walked.
+re-checked and no margin is walked. The same search on doubled angles,
+2k*phi within 2eps of 2theta, gives the least k that lands by theta or
+by theta + pi, which transpile.synthesize_all uses to choose a sign.
 
 The search runs on Python integers alone, and orbit_angle reduces k*phi
 by the same fixed-point 2pi. mpmath only builds that constant, and
@@ -187,6 +189,22 @@ def _distance(a: int, m: int, t: int, k: int) -> int:
     return min(r, m - r)
 
 
+def _units(theta: float, cfg: SynthConfig) -> tuple[int, int, int, int, int]:
+    """(w, 2pi, phi, theta, eps) in units of 2^-w; theta not yet reduced.
+
+    theta's exponent widens the units: theta is exact in them, and its
+    reduction by the fixed-point 2pi stays within 2^-128 of eps.
+    """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    width, phi_units, eps_units = _context(cfg.phi, cfg.eps, cfg.k_max)
+    shift = abs(math.frexp(theta)[1])
+    w = width + shift
+    m = _two_pi(w)
+    t_num, t_den = theta.as_integer_ratio()
+    return w, m, (phi_units << shift) % m, (t_num << w) // t_den, eps_units << shift
+
+
 def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     """Smallest k in [1, k_max] with k*phi within eps of theta on the circle;
     failing that, NotReachable names the least k <= k_max at the least
@@ -195,23 +213,50 @@ def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     """
     if cfg is None:
         cfg = SynthConfig()
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    width, phi_units, eps_units = _context(cfg.phi, cfg.eps, cfg.k_max)
-    # theta's exponent widens the units: theta is exact in them, and its
-    # reduction by the fixed-point 2pi stays within 2^-128 of eps
-    shift = abs(math.frexp(theta)[1])
-    w = width + shift
-    m = _two_pi(w)
-    a = (phi_units << shift) % m
-    t_num, t_den = theta.as_integer_ratio()
-    t = (t_num << w) // t_den % m
-    e = eps_units << shift
+    w, m, a, t, e = _units(theta, cfg)
+    t %= m
     k = _first_hit(a, m, t - e, t + e, 1)
     if k is not None and k <= cfg.k_max:
         return SynthesisResult(k, orbit_angle(k, cfg.phi), _distance(a, m, t, k) / (1 << w))
     best_k = _closest_k(a, m, t, cfg.k_max)
     raise NotReachable(theta, best_k, _distance(a, m, t, best_k) / (1 << w))
+
+
+def _least_up_to_half_turn(
+    theta: float, cfg: SynthConfig, label_roundoff: float
+) -> tuple[float | None, SynthesisResult] | None:
+    """The least k in [1, k_max] that lands k*phi within eps of theta or
+    of theta + pi, in one search: 2k*phi within 2eps of 2theta mod 2pi.
+
+    (None, synthesize(theta, cfg)) when k*phi lands by theta, so that k
+    is theta's own least k. (label, result) when it lands only by the
+    half-turn, so that theta needs more gates or is out of reach: result
+    is for the exact theta + pi, its error the distance from k*phi to it,
+    measured against half the fixed-point 2pi; label is the float
+    theta - pi for theta >= 0 and theta + pi otherwise. None when no
+    k <= k_max lands by either, or when label is further than
+    label_roundoff from the exact half-turn. A half-turn miss never
+    enters the closest-miss bisection; synthesize(theta, cfg) alone
+    decides what theta's own miss raises.
+    """
+    w, m, a, t_exact, e = _units(theta, cfg)
+    t = t_exact % m
+    k = _first_hit(2 * a % m, m, 2 * (t - e), 2 * (t + e), 1)
+    if k is None or k > cfg.k_max:
+        return None
+    d = _distance(a, m, t, k)
+    if d <= e:
+        return None, SynthesisResult(k, orbit_angle(k, cfg.phi), d / (1 << w))
+    label, half = (theta - math.pi, m) if theta >= 0.0 else (theta + math.pi, -m)
+    # twice the label's distance from the exact theta -+ pi, in units
+    l_num, l_den = label.as_integer_ratio()
+    r_num, r_den = label_roundoff.as_integer_ratio()
+    if abs(2 * ((l_num << w) // l_den - t_exact) + half) > 2 * ((r_num << w) // r_den):
+        return None
+    # k*phi - theta lies within eps of half of 2pi: its distance from it,
+    # in half units
+    r = (a * k - t) % m
+    return label, SynthesisResult(k, orbit_angle(k, cfg.phi), abs(2 * r - m) / (2 << w))
 
 
 def synthesis_error_to_gate_error(delta: float) -> float:

@@ -19,7 +19,11 @@ Stages:
     encode   ('real')   rz(t)@q -> f(t)[q -> tag]; ry and f pass through;
                         gphase(a) -> ry(a) on the tag ancilla
     lower ry ('f')      ry(t)@q -> f(t)[work -> q], work ancilla in |1>
-    synthesize ('g')    every f(theta) becomes f(phi) repeated k times
+    synthesize ('g')    every f(theta) becomes f(phi) repeated k times;
+                        an f that the work ancilla (the top qubit)
+                        controls takes the half-turn target theta -+ pi
+                        instead where that needs fewer fixed gates at no
+                        larger error, in even numbers of such flips
 
 The first three stages are exact, the merges up to one rounding of each
 angle sum (at most _MERGE_ROUNDOFF); only the last stage introduces
@@ -44,7 +48,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, GateKind, require_valid
-from .synth import NotReachable, SynthConfig, SynthesisResult, budget, synthesize
+from .synth import (
+    NotReachable,
+    SynthConfig,
+    SynthesisResult,
+    _least_up_to_half_turn,
+    budget,
+    synthesize,
+)
 
 
 class LoweringLevel(Enum):
@@ -57,7 +68,14 @@ class LoweringLevel(Enum):
 
 @dataclass(frozen=True)
 class SynthesizedGate:
-    """Synthesis account for one gate of the level-'f' circuit."""
+    """Synthesis account for one gate of the level-'f' circuit.
+
+    target is the gate's angle theta, or, for a gate that the work
+    ancilla controls and that takes the half-turn (see synthesize_all),
+    the float theta - pi for theta >= 0 and theta + pi otherwise: the
+    same rotation up to a sign that cancels in pairs. result is for
+    that target.
+    """
 
     index: int
     target: float
@@ -121,7 +139,18 @@ _A, _B, _AB, _NONE = slice(0, 1), slice(1, 2), slice(0, 2), slice(0, 0)
 # rotation, into the phase -iZ, and cx is cz then f(pi/2).
 # tests/test_transpile.py pins every row bit for bit and checks its
 # unitary against an independent oracle
-_EXPANSIONS = {
+_CZ_ROW = (
+    (GateKind.RY, _B, _Q),
+    (GateKind.RZ, _B, 2 * _Q),
+    (GateKind.F, _AB, 2 * _Q),
+    (GateKind.RZ, _B, 2 * _Q),
+    (GateKind.RY, _B, _Q),
+    (GateKind.RZ, _B, -4 * _Q),
+    (GateKind.RZ, _A, 2 * _Q),
+)
+# indexed by GateKind.ordinal, so that a lookup hashes no member; None
+# for the kinds that have no row
+_EXPANSIONS = tuple({
     GateKind.X: ((GateKind.RZ, _A, 4 * _Q), (GateKind.RY, _A, 2 * _Q)),
     GateKind.Y: ((GateKind.RY, _A, 2 * _Q), (GateKind.GPHASE, _NONE, 2 * _Q)),
     GateKind.Z: ((GateKind.RZ, _A, 4 * _Q),),
@@ -130,17 +159,9 @@ _EXPANSIONS = {
     GateKind.SDG: ((GateKind.RZ, _A, -2 * _Q),),
     GateKind.T: ((GateKind.RZ, _A, _Q),),
     GateKind.TDG: ((GateKind.RZ, _A, -_Q),),
-    GateKind.CZ: (
-        (GateKind.RY, _B, _Q),
-        (GateKind.RZ, _B, 2 * _Q),
-        (GateKind.F, _AB, 2 * _Q),
-        (GateKind.RZ, _B, 2 * _Q),
-        (GateKind.RY, _B, _Q),
-        (GateKind.RZ, _B, -4 * _Q),
-        (GateKind.RZ, _A, 2 * _Q),
-    ),
-}
-_EXPANSIONS[GateKind.CX] = _EXPANSIONS[GateKind.CZ] + ((GateKind.F, _AB, 2 * _Q),)
+    GateKind.CZ: _CZ_ROW,
+    GateKind.CX: _CZ_ROW + ((GateKind.F, _AB, 2 * _Q),),
+}.get(k) for k in GateKind)
 
 # a member looked up through the class costs about 170 ns on 3.11, whose
 # enum metaclass defines __getattr__; the pass loops test kinds by
@@ -268,7 +289,7 @@ def normalize_pass(c: Circuit) -> Circuit:
         elif i in paired:
             add(_F, g.qubits, paired[i])
         else:
-            for kind, operands, v in _EXPANSIONS[k]:
+            for kind, operands, v in _EXPANSIONS[k.ordinal]:
                 add(kind, g.qubits[operands], v)
     return Circuit(c.num_qubits, [g for g in out if g is not None], name=c.name)
 
@@ -319,21 +340,57 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     Each distinct angle is synthesized once; gates that repeat it share
     its result and keep their own index and target. NotReachable is
     re-raised with gate_index pointing at the first offender.
+
+    The top qubit is the work ancilla, as lower_ry_pass appends it, when
+    no gate rotates it. It only controls, so f(theta + pi) = Z f(theta)
+    on it, and the Z commutes with every gate: an even number of
+    half-turns leaves the circuit unchanged. So each gate it controls
+    takes the half-turn target theta - pi (theta >= 0) or theta + pi
+    when that needs fewer fixed gates at no larger error and the float
+    rounds the half-turn by at most _MERGE_ROUNDOFF; its target is then
+    that float, and its result is for the exact half-turn. If that
+    leaves an odd number of flips, the one that saves the fewest gates
+    (the first of equals) is undone. One search over both signs per
+    distinct angle finds the cheaper; theta's own search runs only when
+    the half-turn is.
     """
+    work = c.num_qubits - 1
     # 0.0 and -0.0 share a key; both reduce to the target 0.0
     results: dict[float, SynthesisResult] = {}
+    half_turns: dict[float, tuple[float, SynthesisResult] | None] = {}
     out = []
+    flips = []  # (gates saved, index, half-turn) of each candidate
+    top_rotated = False
     for i, g in enumerate(c.gates):
         if g.kind is not _F:
             raise ValueError(f"gate {i}: expected an f gate, got {g.kind.value}")
-        result = results.get(g.param)
+        theta = g.param
+        half = None
+        if g.qubits[0] == work:
+            if theta not in half_turns:
+                hit = _least_up_to_half_turn(theta, cfg, _MERGE_ROUNDOFF)
+                if hit is not None and hit[0] is None:
+                    results[theta], hit = hit[1], None
+                half_turns[theta] = hit
+            half = half_turns[theta]
+        else:
+            top_rotated = top_rotated or g.qubits[1] == work
+        result = results.get(theta)
         if result is None:
             try:
-                result = results[g.param] = synthesize(g.param, cfg)
+                result = results[theta] = synthesize(theta, cfg)
             except NotReachable as e:
                 e.gate_index = i
                 raise
-        out.append(SynthesizedGate(i, g.param, result))
+        out.append(SynthesizedGate(i, theta, result))
+        if half is not None and half[1].error <= result.error:
+            flips.append((result.k - half[1].k, i, half))
+    if top_rotated:
+        return out
+    if len(flips) % 2:
+        flips.remove(min(flips))
+    for _, i, (label, result) in flips:
+        out[i] = SynthesizedGate(i, label, result)
     return out
 
 

@@ -200,6 +200,22 @@ def brute_force_min_k(
     return None
 
 
+def mp_half_turn_scan(theta: float, phi: float, eps: float, k_max: int):
+    """The least k <= k_max with k*phi within eps of theta or of the exact
+    theta + pi, by a scan in mpmath: (k, lands by theta, distance from
+    k*phi to the exact half-turn), or None if no k lands by either."""
+    prec = max(k_max.bit_length(), 64) + sum(abs(math.frexp(x)[1]) for x in (phi, theta, eps)) + 256
+    with mp.workprec(prec):
+        half = mpf(theta) + mp.pi
+        for k in range(1, k_max + 1):
+            own = mp_distance(k, phi, theta, eps) <= eps
+            d = mp.fmod(abs(k * mpf(phi) - half), 2 * mp.pi)
+            d = min(d, 2 * mp.pi - d)
+            if own or d <= eps:
+                return k, own, d
+    return None
+
+
 def mp_orbit_angle(k: int, phi: float) -> float:
     """k*phi mod 2pi by mpmath fmod at a working precision of 128 bits
     beyond those of k and phi's integer part, rounded once to float64."""

@@ -2,8 +2,11 @@ import math
 
 import pytest
 
-from rqc import Circuit, Gate, GateKind, transpile
+from rqc import Circuit, Gate, GateKind, random_circuit, run_complex, transpile
 from rqc.circuit import require_valid
+from rqc.gates import _BLOCKS
+from rqc.sim import init_basis
+from rqc.transpile import _EXPANSIONS, normalize_pass
 
 
 def test_kind_arity_table():
@@ -16,6 +19,30 @@ def test_kind_arity_table():
     parametric = {GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.F, GateKind.GPHASE}
     for k in GateKind:
         assert k.num_params == (1 if k in parametric else 0)
+
+
+def test_kind_ordinals_index_the_per_kind_tables():
+    assert [k.ordinal for k in GateKind] == list(range(len(GateKind)))
+    assert len(_BLOCKS) == len(_EXPANSIONS) == len(GateKind)
+    # the expansion rows are for the constant kinds only
+    rows = {k for k in GateKind if _EXPANSIONS[k.ordinal] is not None}
+    assert rows == {k for k in GateKind if k.num_params == 0}
+
+
+def test_simulating_and_normalizing_hash_no_gate_kind(monkeypatch):
+    # Enum.__hash__ is a Python function on 3.10 and 3.11; a dict keyed
+    # by GateKind paid it once per gate
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return hash(self._name_)
+
+    c = random_circuit(3, 60, seed=12)
+    monkeypatch.setattr(GateKind, "__hash__", counted)
+    normalize_pass(c)
+    run_complex(c, init_basis(3, 5))
+    assert calls == []
 
 
 def test_mnemonics_are_enum_values():

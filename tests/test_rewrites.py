@@ -223,24 +223,26 @@ def test_transpile_and_verify_lower_through_the_rewrites():
     assert verify_circuit(qft(3), 0, level=LoweringLevel.F_ONLY).f.gate_count == 42
 
 
-# the "after" columns of the README table "Rewrites before encoding":
-# f gates, sum(k) and the budget to four places, at the default SynthConfig
+# the last value of each column of the README table "Rewrites before
+# encoding": f gates after the rewrites, sum(k) and the budget to four
+# places after the rewrites and the synthesizer's sign choice, at the
+# default SynthConfig
 SUITE = dict(bench_suite())
 README_TABLE = [
-    pytest.param(qft(3), 42, 47_454, 0.0196, id="qft(3)"),
-    pytest.param(qft(4), 79, 94_401, 0.0361, id="qft(4)"),
-    pytest.param(qft(5), 97, 121_553, 0.0452, id="qft(5)"),
-    pytest.param(grover_two_qubit(0), 34, 41_990, 0.0177, id="grover_two_qubit(0)"),
-    pytest.param(grover_two_qubit(1), 30, 38_114, 0.0160, id="grover_two_qubit(1)"),
-    pytest.param(grover_two_qubit(2), 30, 35_530, 0.0150, id="grover_two_qubit(2)"),
-    pytest.param(grover_two_qubit(3), 26, 31_654, 0.0133, id="grover_two_qubit(3)"),
-    pytest.param(SUITE["random-2q"], 33, 38_559, 0.0141, id="random-2q"),
-    pytest.param(SUITE["random-3q"], 26, 34_055, 0.0116, id="random-3q"),
-    pytest.param(SUITE["random-4q"], 34, 39_145, 0.0150, id="random-4q"),
-    pytest.param(SUITE["random-5q"], 38, 46_542, 0.0182, id="random-5q"),
-    pytest.param(SUITE["random-6q"], 42, 51_830, 0.0173, id="random-6q"),
-    pytest.param(SUITE["random-7q"], 37, 45_735, 0.0181, id="random-7q"),
-    pytest.param(SUITE["random-8q"], 64, 68_410, 0.0288, id="random-8q"),
+    pytest.param(qft(3), 42, 37_118, 0.0152, id="qft(3)"),
+    pytest.param(qft(4), 79, 73_729, 0.0274, id="qft(4)"),
+    pytest.param(qft(5), 97, 100_881, 0.0365, id="qft(5)"),
+    pytest.param(grover_two_qubit(0), 34, 29_070, 0.0122, id="grover_two_qubit(0)"),
+    pytest.param(grover_two_qubit(1), 30, 25_194, 0.0106, id="grover_two_qubit(1)"),
+    pytest.param(grover_two_qubit(2), 30, 25_194, 0.0106, id="grover_two_qubit(2)"),
+    pytest.param(grover_two_qubit(3), 26, 21_318, 0.0090, id="grover_two_qubit(3)"),
+    pytest.param(SUITE["random-2q"], 33, 30_807, 0.0112, id="random-2q"),
+    pytest.param(SUITE["random-3q"], 26, 31_471, 0.0105, id="random-3q"),
+    pytest.param(SUITE["random-4q"], 34, 31_393, 0.0117, id="random-4q"),
+    pytest.param(SUITE["random-5q"], 38, 36_206, 0.0139, id="random-5q"),
+    pytest.param(SUITE["random-6q"], 42, 44_078, 0.0140, id="random-6q"),
+    pytest.param(SUITE["random-7q"], 37, 31_218, 0.0131, id="random-7q"),
+    pytest.param(SUITE["random-8q"], 64, 47_738, 0.0201, id="random-8q"),
 ]
 
 

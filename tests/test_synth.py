@@ -19,13 +19,14 @@ from rqc import (
     gate_matrix,
     synthesize,
 )
-from rqc.synth import orbit_angle, synthesis_error_to_gate_error
+from rqc.synth import _least_up_to_half_turn, orbit_angle, synthesis_error_to_gate_error
 
 import rqc.synth
 from _oracles import (
     brute_force_min_k,
     exact_orbit_table,
     mp_distance,
+    mp_half_turn_scan,
     mp_orbit_angle,
     mp_reduce,
     mp_synthesize,
@@ -299,3 +300,45 @@ def test_budget_sums_per_gate_errors():
 def test_synthesize_rejects_non_finite_targets():
     with pytest.raises(ValueError, match="finite"):
         synthesize(math.nan)
+
+
+HALF_TURN_ANGLES = [0.0, -0.0, 5e-324, -5e-324, 1e10, -1e10, 1e300, math.pi, -3 * math.pi / 4] + [
+    float(x) for x in np.random.default_rng(5).uniform(-7.0, 7.0, 40)
+]
+
+
+# at 1e-3 and k_max 400 some angles are out of reach on both sides
+@pytest.mark.parametrize(
+    "eps, k_max, cases",
+    [(1e-2, 2000, {"own", "label", "half"}), (1e-3, 400, {"neither", "own", "label", "half"})],
+)
+def test_the_half_turn_search_equals_an_mpmath_scan(eps, k_max, cases):
+    cfg = SynthConfig(eps=eps, k_max=k_max)
+    roundoff = 2.0**-50
+    seen = set()
+    for theta in HALF_TURN_ANGLES + [1e10 + j for j in range(20)]:
+        got = _least_up_to_half_turn(theta, cfg, roundoff)
+        want = mp_half_turn_scan(theta, cfg.phi, eps, k_max)
+        if want is None:
+            assert got is None
+            seen.add("neither")
+            continue
+        k, own, half_distance = want
+        if own:
+            # theta's own least k, and synthesize's result for it
+            assert got == (None, synthesize(theta, cfg))
+            seen.add("own")
+            continue
+        with mp.workprec(400):
+            label_miss = abs(mpf(theta) - mp.pi * (1 if theta >= 0 else -1) - mpf(theta - math.pi if theta >= 0 else theta + math.pi))
+        if label_miss > roundoff:
+            assert got is None
+            seen.add("label")
+            continue
+        label, result = got
+        assert label == (theta - math.pi if theta >= 0 else theta + math.pi)
+        assert result.k == k and result.achieved == orbit_angle(k, cfg.phi)
+        assert result.error == pytest.approx(float(half_distance), rel=1e-12, abs=1e-300)
+        assert result.error <= eps
+        seen.add("half")
+    assert seen == cases

@@ -344,7 +344,8 @@ def test_parse_error_inside_a_long_run():
 
 
 def test_parse_peak_memory_on_level_g_text():
-    text = emit(level_g(qft(6)))
+    # qft(7) gives 4.65 MB of level-'g' text
+    text = emit(level_g(qft(7)))
     assert len(text) > 4_000_000
     tracemalloc.start()
     try:

@@ -17,8 +17,10 @@ from rqc import (
     decode,
     encode,
     gate_matrix,
+    grover_two_qubit,
     init_basis,
     is_real,
+    qft,
     random_circuit,
     run_real,
     synthesize,
@@ -26,6 +28,7 @@ from rqc import (
     transpile,
 )
 from rqc.encoding import add_work_ancilla, strip_work_ancilla
+from rqc.library import bench_suite
 from rqc.sim import RealState
 from rqc.transpile import (
     achieved_circuit,
@@ -34,8 +37,9 @@ from rqc.transpile import (
     materialize_fixed,
     normalize_pass,
 )
+from rqc.verify import verify_circuit
 
-from _oracles import dense_apply, dense_unitary, random_complex_state
+from _oracles import dense_apply, dense_unitary, mp_distance, random_complex_state
 
 # the package attribute rqc.transpile is the function, not the module
 transpile_mod = importlib.import_module("rqc.transpile")
@@ -386,18 +390,136 @@ def test_synthesize_all_synthesizes_each_distinct_angle_once(monkeypatch):
     l2, _ = transpile(c, LoweringLevel.F_ONLY)
     l2.gates += [Gate(GateKind.F, (0, 1), 0.0), Gate(GateKind.F, (1, 2), -0.0)]
     cfg = SynthConfig(eps=1e-3)
-    want = [SynthesizedGate(i, g.param, synthesize(g.param, cfg)) for i, g in enumerate(l2.gates)]
-    calls = []
+    want = synthesize_all(l2, cfg)
+    calls, half_turns = [], []
+    least_up_to_half_turn = transpile_mod._least_up_to_half_turn
 
     def counted(theta, cfg):
         calls.append(theta)
         return synthesize(theta, cfg)
 
+    def counted_half_turn(theta, cfg, roundoff):
+        half_turns.append(theta)
+        return least_up_to_half_turn(theta, cfg, roundoff)
+
     monkeypatch.setattr(transpile_mod, "synthesize", counted)
+    monkeypatch.setattr(transpile_mod, "_least_up_to_half_turn", counted_half_turn)
     got = synthesize_all(l2, cfg)
     assert got == want
-    assert len(calls) == len({g.param for g in l2.gates}) < len(l2.gates)
+    work = l2.num_qubits - 1
+    angles = {g.param for g in l2.gates}
+    work_angles = {g.param for g in l2.gates if g.qubits[0] == work}
+    # one search per distinct angle, theta's own or the one over both
+    # signs, and at most one more per distinct work-controlled angle
+    assert sorted(half_turns) == sorted(work_angles)
+    assert len(set(calls)) == len(calls)
+    assert set(calls) | work_angles == angles
+    assert len(calls) + len(half_turns) <= len(angles) + len(work_angles) < 2 * len(l2.gates)
+    for s, g in zip(got, l2.gates):
+        own = synthesize(g.param, cfg)
+        assert s == SynthesizedGate(s.index, g.param, own) or g.qubits[0] == work
     assert [math.copysign(1.0, s.target) for s in got[-2:]] == [1.0, -1.0]
+
+
+# level-'f' circuits whose work-controlled angles take either sign
+SIGN_CORPUS = (
+    [qft(n) for n in (3, 4, 5)]
+    + [grover_two_qubit(m) for m in range(4)]
+    + [c for _, c in bench_suite()]
+    + [random_circuit(2 + s % 5, 6 + s % 20, seed=4000 + s) for s in range(24)]
+)
+SIGN_CONFIGS = [SynthConfig(eps=1e-3), SynthConfig(eps=1e-6, k_max=10**7)]
+
+
+def flipped(c, synths):
+    return [s.index for s, g in zip(synths, c.gates, strict=True) if s.target != g.param]
+
+
+@pytest.mark.parametrize("cfg", SIGN_CONFIGS, ids=["eps1e-3", "eps1e-6"])
+def test_a_work_controlled_rotation_takes_the_sign_that_needs_fewer_gates(cfg):
+    total_flips = saved = 0
+    for c in SIGN_CORPUS:
+        f, _ = transpile(c, LoweringLevel.F_ONLY)
+        work = f.num_qubits - 1
+        synths = synthesize_all(f, cfg)
+        flips = flipped(f, synths)
+        # only gates that the work ancilla controls flip, in even numbers
+        assert all(f.gates[i].qubits[0] == work for i in flips)
+        assert len(flips) % 2 == 0
+        for s, g in zip(synths, f.gates):
+            own = synthesize(g.param, cfg)
+            assert s.result.k <= own.k and s.result.error <= own.error
+            if s.index not in flips:
+                assert s == SynthesizedGate(s.index, g.param, own)
+                continue
+            theta = g.param
+            assert s.target == (theta - PI if theta >= 0 else theta + PI)
+            assert s.result.k < own.k
+            # the label names the half-turn rotation, which k*phi reaches
+            assert mp_distance(s.result.k, cfg.phi, s.target, cfg.eps) <= cfg.eps * (1 + 1e-9)
+            assert mp_distance(s.result.k, cfg.phi, theta, cfg.eps) > PI - cfg.eps * (1 + 1e-9)
+            saved += own.k - s.result.k
+        total_flips += len(flips)
+    assert total_flips > 0 and saved > 0
+
+
+def test_an_odd_flip_is_undone_where_it_saves_least():
+    # two work-controlled angles whose half-turns are cheaper, by unequal
+    # savings; two gates per angle keep both flips, and a third gate makes
+    # one flip undone: the one that saves least, the first of equals
+    cfg = SynthConfig()
+    work = 2
+
+    def saving(t):
+        own, half = synthesize(t, cfg), synthesize(t - PI, cfg)
+        return own.k - half.k if half.error <= own.error else 0
+
+    cheaper = [t for t in (0.1 * j for j in range(1, 60)) if saving(t) > 0]
+    small = min(cheaper, key=saving)
+    large = max(cheaper, key=saving)
+    assert saving(small) < saving(large)
+
+    def on_work(*angles):
+        return Circuit(3, [Gate(GateKind.F, (work, j % 2), t) for j, t in enumerate(angles)])
+
+    for theta in (small, large):
+        assert flipped(on_work(theta, theta), synthesize_all(on_work(theta, theta), cfg)) == [0, 1]
+        three = on_work(theta, theta, theta)
+        assert flipped(three, synthesize_all(three, cfg)) == [1, 2]
+    mixed = on_work(large, small, large)
+    assert flipped(mixed, synthesize_all(mixed, cfg)) == [0, 2]
+    theta = small
+    two = on_work(theta, theta)
+    # a gate whose control is not the top qubit never flips
+    other = Circuit(3, [Gate(GateKind.F, (1, 0), theta), Gate(GateKind.F, (1, 0), theta)])
+    assert flipped(other, synthesize_all(other, cfg)) == []
+    # nor does any gate once an f rotates the top qubit: it is then no
+    # ancilla in |1>, and f(theta + pi) = Z f(theta) on the control need
+    # not cancel in pairs
+    rotated = Circuit(3, two.gates + [Gate(GateKind.F, (0, work), 0.5)])
+    assert flipped(rotated, synthesize_all(rotated, cfg)) == []
+
+
+def test_an_odd_number_of_flips_fails_verify_by_a_distance_near_two(monkeypatch):
+    # f(theta + pi) = -f(theta) on the work ancilla's |1> block, so one
+    # flip more turns the whole level-'g' state by -1
+    inner = transpile_mod.synthesize_all
+
+    def one_more_flip(c, cfg):
+        synths = inner(c, cfg)
+        work = c.num_qubits - 1
+        i = next(i for i, g in enumerate(c.gates) if g.qubits[0] == work)
+        s = synths[i]
+        turned = s.target - PI if s.target >= 0 else s.target + PI
+        synths[i] = SynthesizedGate(i, turned, synthesize(turned, cfg))
+        return synths
+
+    c = random_circuit(3, 12, seed=8)
+    assert verify_circuit(c, 5, level=LoweringLevel.G_ONLY).passed
+    monkeypatch.setattr(transpile_mod, "synthesize_all", one_more_flip)
+    report = verify_circuit(c, 5, level=LoweringLevel.G_ONLY)
+    assert report.status == "FAIL" and report.reason == "budget violated"
+    assert abs(report.g.state_distance - 2.0) <= 2 * report.budget
 
 
 def test_synthesize_all_rejects_non_f_circuits():

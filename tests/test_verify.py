@@ -164,9 +164,13 @@ def test_tv_never_exceeds_state_distance():
 )
 @example([(GateKind.RX, 0, 5e-324)], 0)
 @example([(GateKind.RX, 1, 1e300)], 3)
+@example([(GateKind.RY, 0, 1e300), (GateKind.RY, 1, 1e10), (GateKind.GPHASE, 0, 5e-324)], 1)
+@example([(GateKind.RY, 0, 0.0), (GateKind.RY, 1, -0.0), (GateKind.GPHASE, 0, -0.0)], 2)
+@example([(GateKind.RY, 1, 5e-324), (GateKind.GPHASE, 0, 5e-324), (GateKind.RY, 0, 1e10)], 3)
 def test_level_g_passes_at_any_finite_angle(gates, init):
     # the simulator reduces every angle by the true 2pi; each synthesized
-    # power must approximate that reduction, up to |angle| = 1e300
+    # power must approximate that reduction, up to |angle| = 1e300, and
+    # the half-turns the work ancilla's rotations take must pair up
     c = Circuit(2)
     for kind, q, angle in gates:
         operands = {0: (), 1: (q,), 2: (q, 1 - q)}[kind.num_operands]
