@@ -8,9 +8,31 @@ from gates.block_entries, equal to the entries of gates.gate_matrix.
 With out= a run writes into a caller's state, which may be init itself,
 so a caller that owns its register runs with no copy.
 
-Kernels update the amplitudes in place through strided views of
-amps.reshape(...), with no index arrays. A single-qubit gate on qubit q
-mixes the two halves of the view (high bits, bit q, low bits). Every
+A run works only on the qubits in superposition. From a basis input,
+one finite nonzero amplitude, every qubit starts as a classical bit of
+known value, and the amplitudes of the m superposed qubits are kept as
+the prefix amps[:2^m], the rest of amps being zero. Each superposed
+qubit has a position 0..m-1, the prefix index's bit, in the order in
+which it first became superposed. A gate on classical operands needs no
+kernel, or one over the prefix alone:
+  - a diagonal U scales the prefix by u_bb, b being the target's bit;
+  - an anti-diagonal U (x, y, cx on a set control) scales the prefix by
+    the off-diagonal entry and flips the bit;
+  - a classical control at 0 leaves the state as it is, one at 1
+    applies U by the target's single-qubit rule;
+  - a superposed control over a classical target with a diagonal U
+    scales the control-set half of the prefix by u_bb.
+Any other gate promotes its classical target: the prefix doubles, the
+target taking the next position, and the kernel below runs at the
+positions. At the end of the run, or when a gate raises, one
+transposition through the run's scratch puts the state back in natural
+order. A dense input, any other state, has every qubit superposed from
+the start at positions 0..n-1 and needs no transposition; so does a
+state on a strided slice of a larger array.
+
+Kernels update the prefix in place through strided views of
+amps.reshape(...), with no index arrays. A single-qubit gate at position
+p mixes the two halves of the view (high bits, bit p, low bits). Every
 two-operand gate is block-diag(I, U) in its control bit, so U is applied
 to the control-set slice alone. A diagonal U (rz, s, t, z, cz, ...)
 costs one product per entry that is not 1; every other U gets the dense
@@ -18,11 +40,15 @@ update of four products and two sums. Products are scalar-first and
 written to contiguous scratch, as in np.multiply(u, a, out=t): numpy
 rounds a complex scalar-times-array product differently by operand order
 and by output layout, and this one keeps every amplitude reproducible to
-the last bit. Results equal the full 2x2 product of
-tests/_oracles.py::gather_apply by value: a skipped product by an exact
-0 or 1 may flip the sign of a zero amplitude, which no distance,
-distribution or report can see. Registers, ancillas
-included, hold at most MAX_QUBITS qubits; wider ones are refused before
+the last bit, at any prefix length. gphase multiplies in place, a *= u,
+over at least two entries: on a one-element complex128 array numpy
+rounds that product differently from the same product inside a longer
+array, and the entries past the prefix are zero. Results equal the full
+2x2 product of tests/_oracles.py::gather_apply by value: the products
+left out are those by an exact zero amplitude, and a skipped product by
+an exact 0 or 1 may flip the sign of a zero amplitude, which no
+distance, distribution or report can see. Registers, ancillas included,
+hold at most MAX_QUBITS qubits; wider ones are refused before
 allocation.
 """
 
@@ -113,8 +139,9 @@ def _basis(num_qubits: int, basis_index: int, dtype) -> np.ndarray:
     return amps
 
 
-def _scale(a: np.ndarray, u, t: np.ndarray) -> None:
+def _scale(a: np.ndarray, u, scratch: np.ndarray) -> None:
     if u != 1:
+        t = scratch[0, : a.size].reshape(a.shape)
         np.multiply(u, a, out=t)
         a[...] = t
 
@@ -125,12 +152,12 @@ def _apply_pair(a0: np.ndarray, a1: np.ndarray, u: tuple, scratch: np.ndarray) -
     # complex product written to a strided view (a half of qubit 0, say)
     # differently
     u00, u01, u10, u11 = u
+    if u01 == 0 and u10 == 0:
+        _scale(a0, u00, scratch)
+        _scale(a1, u11, scratch)
+        return
     t = scratch[0, : a0.size].reshape(a0.shape)
     s = scratch[1, : a0.size].reshape(a0.shape)
-    if u01 == 0 and u10 == 0:
-        _scale(a0, u00, t)
-        _scale(a1, u11, t)
-        return
     np.multiply(u00, a0, out=t)
     np.multiply(u01, a1, out=s)
     t += s
@@ -144,28 +171,123 @@ def _apply_pair(a0: np.ndarray, a1: np.ndarray, u: tuple, scratch: np.ndarray) -
 _GPHASE = GateKind.GPHASE
 
 
-def _dispatch(amps: np.ndarray, g: Gate, num_qubits: int, u: tuple, scratch: np.ndarray) -> None:
-    if g.kind is _GPHASE:
-        amps *= u[0]
-        return
-    for q in g.qubits:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"operand {q} out of range for {num_qubits} qubit(s)")
-    if g.kind.num_operands == 1:
-        v = amps.reshape(-1, 2, 1 << g.qubits[0])
-        _apply_pair(v[:, 0], v[:, 1], u, scratch)
-        return
-    qc, qt = g.qubits
-    if qc == qt:
-        raise ValueError("duplicate operands")
-    # every two-operand kind is block-diag(I, U) in the control bit; axis
-    # 1 of the view is the higher operand's bit, axis 3 the lower one's
-    lo, hi = min(qc, qt), max(qc, qt)
-    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    if qc == hi:
-        _apply_pair(v[:, 1, :, 0], v[:, 1, :, 1], u, scratch)
-    else:
-        _apply_pair(v[:, 0, :, 1], v[:, 1, :, 1], u, scratch)
+class _Register:
+    """A run's state: the superposed qubits' amplitudes as a prefix of amps.
+
+    amps[:size], size = 2^m, holds the amplitudes over the m superposed
+    qubits, order[p] being the qubit at position p (the prefix index's
+    bit p); pos[q] is that position, or -1 for a classical qubit, whose
+    value is bit q of bits. Everything past the prefix is zero.
+    """
+
+    __slots__ = ("amps", "num_qubits", "scratch", "pos", "order", "bits", "size")
+
+    def __init__(self, amps: np.ndarray, num_qubits: int):
+        self.amps = amps
+        self.num_qubits = num_qubits
+        # shared by every gate: fresh temporaries per gate were up to 2x
+        # slower at 20 qubits; it also holds the prefix for restore
+        self.scratch = np.empty((2, len(amps) >> 1), dtype=amps.dtype)
+        # restore writes through a view of amps' buffer, which needs it
+        # contiguous: a state on a strided slice runs dense, as it did
+        if amps.flags.c_contiguous and np.count_nonzero(amps) == 1:
+            b = int(amps.nonzero()[0][0])
+            a = amps[b]
+            if math.isfinite(abs(a)):
+                amps[b] = 0
+                amps[0] = a
+                self.pos = [-1] * num_qubits
+                self.order = []
+                self.bits = b
+                self.size = 1
+                return
+        # a dense input: every qubit superposed, in place
+        self.pos = list(range(num_qubits))
+        self.order = list(range(num_qubits))
+        self.bits = 0
+        self.size = len(amps)
+
+    def _promote(self, q: int) -> int:
+        # q joins the superposed qubits at the next position, which
+        # doubles the prefix; its amplitudes move to the half of its bit
+        amps, size = self.amps, self.size
+        if self.bits >> q & 1:
+            amps[size : 2 * size] = amps[:size]
+            amps[:size] = 0
+            self.bits ^= 1 << q
+        p = len(self.order)
+        self.pos[q] = p
+        self.order.append(q)
+        self.size = 2 * size
+        return p
+
+    def apply(self, g: Gate, u: tuple) -> None:
+        if g.kind is _GPHASE:
+            # never a one-element product: see the module docstring
+            self.amps[: max(2, self.size)] *= u[0]
+            return
+        n = self.num_qubits
+        for q in g.qubits:
+            if not 0 <= q < n:
+                raise ValueError(f"operand {q} out of range for {n} qubit(s)")
+        pos = self.pos
+        if g.kind.num_operands == 1:
+            qt = g.qubits[0]
+            pc = -1
+        else:
+            qc, qt = g.qubits
+            if qc == qt:
+                raise ValueError("duplicate operands")
+            # every two-operand kind is block-diag(I, U) in the control
+            # bit: a classical control at 0 leaves the state, one at 1
+            # applies U to the target as a single-qubit gate
+            pc = pos[qc]
+            if pc < 0 and not self.bits >> qc & 1:
+                return
+        pt = pos[qt]
+        if pt < 0:
+            u00, u01, u10, u11 = u
+            b = self.bits >> qt & 1
+            if u01 == 0 and u10 == 0:
+                a = self.amps[: self.size]
+                if pc >= 0:
+                    a = a.reshape(-1, 2, 1 << pc)[:, 1]
+                _scale(a, u11 if b else u00, self.scratch)
+                return
+            if pc < 0 and u00 == 0 and u11 == 0:
+                _scale(self.amps[: self.size], u01 if b else u10, self.scratch)
+                self.bits ^= 1 << qt
+                return
+            pt = self._promote(qt)
+        a = self.amps[: self.size]
+        if pc < 0:
+            v = a.reshape(-1, 2, 1 << pt)
+            _apply_pair(v[:, 0], v[:, 1], u, self.scratch)
+            return
+        # axis 1 of the view is the higher position's bit, axis 3 the
+        # lower one's
+        lo, hi = min(pc, pt), max(pc, pt)
+        v = a.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        if pc == hi:
+            _apply_pair(v[:, 1, :, 0], v[:, 1, :, 1], u, self.scratch)
+        else:
+            _apply_pair(v[:, 0, :, 1], v[:, 1, :, 1], u, self.scratch)
+
+    def restore(self) -> None:
+        """Put amps in natural order: one transposition of the prefix
+        through the scratch, unless it is there already."""
+        amps, order, size = self.amps, self.order, self.size
+        if self.bits == 0 and order == list(range(len(order))):
+            return
+        src = self.scratch.reshape(-1)[:size]
+        src[...] = amps[:size]
+        amps[:size] = 0
+        # a view of amps over the superposed qubits at the classical
+        # bits: axis j is position m-1-j, as in the (2,)*m prefix view
+        shape = (2,) * len(order)
+        strides = tuple(amps.itemsize << q for q in reversed(order))
+        dst = np.ndarray(shape, amps.dtype, amps, self.bits * amps.itemsize, strides)
+        dst[...] = src.reshape(shape)
 
 
 def _real_entries(g: Gate) -> tuple[float, float, float, float]:
@@ -182,7 +304,11 @@ def run_complex(c: Circuit, init: ComplexState, out: ComplexState | None = None)
 
     With out given, the run writes into out and returns it: out may be
     init itself, which then holds the final state. Otherwise init is
-    left untouched and a new state is returned.
+    left untouched and a new state is returned. From a basis input, one
+    finite nonzero amplitude, the work follows the qubits in
+    superposition, not the register's width; a dense input runs every
+    gate over the whole register. If a gate raises, out holds the state
+    after the gates before it.
     """
     return _run(c, init, out, ComplexState, block_entries)
 
@@ -209,14 +335,15 @@ def _run(
         # cls checks init as it does without out: RealState refuses a
         # complex init with the same ValueError
         out.amps[...] = cls(c.num_qubits, init.amps).amps
-    amps = out.amps
-    # shared by every gate: fresh temporaries per gate were up to 2x slower at 20 qubits
-    scratch = np.empty((2, len(amps) >> 1), dtype=amps.dtype)
-    for i, g in enumerate(c.gates):
-        try:
-            _dispatch(amps, g, c.num_qubits, entries(g), scratch)
-        except ValueError as e:
-            raise ValueError(f"gate {i}: {e}") from None
+    reg = _Register(out.amps, c.num_qubits)
+    try:
+        for i, g in enumerate(c.gates):
+            try:
+                reg.apply(g, entries(g))
+            except ValueError as e:
+                raise ValueError(f"gate {i}: {e}") from None
+    finally:
+        reg.restore()
     return out
 
 

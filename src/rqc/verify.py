@@ -32,8 +32,12 @@ Comparison is full statevector distance after decoding, not only
 distributions, so phase errors that distributions cannot see still
 fail. encoded_distances forms both distances in one scratch array, so a
 call holds three compact arrays, and memory follows the active width,
-not the declared one. Reports serialize to stable key: value text for
-golden-file comparison.
+not the declared one. Work follows a narrower width still: every run
+starts from a basis input, so the simulator updates only the prefix of
+amplitudes over the qubits in superposition (see sim), and a gate costs
+2^m for the m qubits superposed so far, not 2^k. Packing bounds memory
+by the active width, and the prefix bounds work by the superposed width.
+Reports serialize to stable key: value text for golden-file comparison.
 """
 
 from __future__ import annotations

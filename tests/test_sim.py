@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -405,3 +406,199 @@ def test_sample_memory_does_not_grow_with_shots():
         tracemalloc.stop()
     assert counts.sum() == 10**7
     assert peak < 16 << 20
+
+
+# a run from a basis input keeps amplitudes only for the qubits in
+# superposition; these tests hold it to the whole-register gather
+# reference, by value, from every kind of input it may see
+
+
+def _gather_run(gates, amps):
+    for g in gates:
+        amps = gather_apply(g, amps)
+    return amps
+
+
+def _basis_vector(n, index, amp, dtype):
+    v = np.zeros(1 << n, dtype=dtype)
+    v[index] = amp
+    return v
+
+
+def _runs(run, c, cls, vec):
+    # the same run with a new state, with out=init, with out=init on a
+    # strided slice of a larger array, and with a distinct out
+    n = c.num_qubits
+    yield run(c, cls(n, vec)).amps
+    s = cls(n, vec.copy())
+    run(c, s, out=s)
+    yield s.amps
+    wide = np.zeros(2 * len(vec), dtype=vec.dtype)
+    wide[::2] = vec
+    s = cls(n, wide[::2])
+    run(c, s, out=s)
+    assert not wide[1::2].any()
+    yield wide[::2]
+    init = cls(n, vec.copy())
+    out = cls(n, np.full_like(vec, 7.0))
+    run(c, init, out=out)
+    assert np.array_equal(init.amps, vec)
+    yield out.amps
+
+
+def test_basis_runs_equal_the_gather_reference():
+    rng = np.random.default_rng(31)
+    cases = [(n, b) for n in range(1, 5) for b in range(1 << n)]
+    cases += [(n, int(rng.integers(1 << n))) for n in range(5, 13) for _ in range(3)]
+    for n, b in cases:
+        gates = [random_gate(rng, n) for _ in range(2 * n + 4)]
+        c = Circuit(n, gates)
+        vec = _basis_vector(n, b, -1j, np.complex128)
+        want = _gather_run(gates, vec)
+        for got in _runs(run_complex, c, ComplexState, vec):
+            assert np.array_equal(got, want), (n, b)
+        real = Circuit(n, [g for g in gates if is_real(g)])
+        vec = _basis_vector(n, b, 0.5, np.float64)
+        want = _gather_run(real.gates, vec)
+        for got in _runs(run_real, real, RealState, vec):
+            assert np.array_equal(got, want), (n, b)
+
+
+def test_every_kind_from_every_operand_state():
+    # each operand classical at 0, classical at 1 or superposed, with a
+    # superposed spectator qubit (2) ahead of the operands or none
+    rng = np.random.default_rng(37)
+    n = 5
+    prep = {
+        "0": lambda q: [],
+        "1": lambda q: [Gate(GateKind.X, (q,))],
+        "superposed": lambda q: [Gate(GateKind.RY, (q,), 0.7)],
+    }
+    for kind in GateKind:
+        params = (float(rng.uniform(-7, 7)), math.pi, 0.0) if kind.num_params else (None,)
+        for qubits in _operand_sets(kind, n):
+            for states in itertools.product(prep, repeat=len(qubits)):
+                head = [g for q, st in zip(qubits, states) for g in prep[st](q)]
+                for spectator in ([], [Gate(GateKind.H, (2,))]):
+                    for param in params:
+                        gates = spectator + head + [Gate(kind, qubits, param)]
+                        vec = _basis_vector(n, 8, -1j, np.complex128)
+                        got = run_complex(Circuit(n, gates), ComplexState(n, vec)).amps
+                        assert np.array_equal(got, _gather_run(gates, vec)), (gates, states)
+                        if all(is_real(g) for g in gates):
+                            vec = _basis_vector(n, 8, -0.5, np.float64)
+                            got = run_real(Circuit(n, gates), RealState(n, vec)).amps
+                            assert np.array_equal(got, _gather_run(gates, vec)), (gates, states)
+
+
+def test_gphase_before_any_qubit_is_superposed():
+    # numpy rounds a *= u on a one-element complex128 array differently
+    # from the same product inside a longer array, in about four draws
+    # of ten: a gphase on a run with no qubit superposed must not see it
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        t = float(rng.uniform(-7, 7))
+        gates = [
+            Gate(GateKind.GPHASE, (), t),
+            Gate(GateKind.X, (0,)),
+            Gate(GateKind.GPHASE, (), -2.0 * t),
+            Gate(GateKind.H, (n - 1,)),
+            Gate(GateKind.GPHASE, (), t),
+        ]
+        vec = _basis_vector(n, int(rng.integers(1 << n)), complex(*rng.normal(size=2)), np.complex128)
+        for got in _runs(run_complex, Circuit(n, gates), ComplexState, vec):
+            assert np.array_equal(got, _gather_run(gates, vec)), (n, t)
+
+
+def test_out_holds_the_state_before_the_failing_gate():
+    n = 4
+    good = [
+        Gate(GateKind.X, (1,)),
+        Gate(GateKind.H, (2,)),
+        Gate(GateKind.CX, (2, 0)),
+        Gate(GateKind.RY, (3,), 0.4),
+        Gate(GateKind.CZ, (2, 1)),
+        Gate(GateKind.F, (0, 3), 1.1),
+    ]
+    bad = [Gate(GateKind.H, (7,)), Gate(GateKind.CX, (1, 1)), Gate("bogus", (0,))]
+    for i in range(len(good) + 1):
+        want = _gather_run(good[:i], _basis_vector(n, 9, -1j, np.complex128))
+        for g in bad:
+            c = Circuit(n, good[:i] + [g] + good[i:])
+            s = ComplexState(n, _basis_vector(n, 9, -1j, np.complex128))
+            with pytest.raises(ValueError, match=f"^gate {i}: "):
+                run_complex(c, s, out=s)
+            assert np.array_equal(s.amps, want), (i, g)
+            init = ComplexState(n, _basis_vector(n, 9, -1j, np.complex128))
+            out = ComplexState(n, np.zeros(1 << n))
+            with pytest.raises(ValueError, match=f"^gate {i}: "):
+                run_complex(c, init, out=out)
+            assert np.array_equal(out.amps, want), (i, g)
+        c = Circuit(n, good[:i] + [Gate(GateKind.S, (0,))] + good[i:])
+        s = RealState(n, _basis_vector(n, 9, 0.5, np.float64))
+        with pytest.raises(ValueError, match=f"^gate {i}: non-real gate"):
+            run_real(c, s, out=s)
+        assert np.array_equal(s.amps, _gather_run(good[:i], _basis_vector(n, 9, 0.5, np.float64)))
+
+
+def test_work_follows_the_superposed_qubits(monkeypatch):
+    # each kernel call touches at most 2^m amplitudes, m counting the
+    # qubits superposed after its gate, on a 20-qubit register
+    calls = []
+    entries, pair, scale = sim_mod.block_entries, sim_mod._apply_pair, sim_mod._scale
+
+    def spy_entries(g):
+        calls.append(0)
+        return entries(g)
+
+    def spy_pair(a0, a1, u, scratch):
+        calls[-1] = max(calls[-1], a0.size + a1.size)
+        pair(a0, a1, u, scratch)
+
+    def spy_scale(a, u, scratch):
+        calls[-1] = max(calls[-1], a.size)
+        scale(a, u, scratch)
+
+    monkeypatch.setattr(sim_mod, "block_entries", spy_entries)
+    monkeypatch.setattr(sim_mod, "_apply_pair", spy_pair)
+    monkeypatch.setattr(sim_mod, "_scale", spy_scale)
+    c = Circuit(20).x(3).h(5).cx(5, 9).rz(9, 0.3).cz(5, 3)
+    got = run_complex(c, init_basis(20, 0)).amps
+    superposed = [0, 1, 2, 2, 2]
+    assert len(calls) == len(c.gates)
+    for touched, m in zip(calls, superposed):
+        assert touched <= 1 << m, (calls, superposed)
+    want = np.zeros(1 << 20, dtype=np.complex128)
+    want[1 << 3] = math.sqrt(0.5)
+    want[(1 << 3) | (1 << 5) | (1 << 9)] = -math.sqrt(0.5) * complex(math.cos(0.3), math.sin(0.3))
+    assert np.allclose(got, want, atol=1e-15)
+    assert np.array_equal(got != 0, want != 0)
+
+
+def test_a_single_non_finite_amplitude_runs_the_whole_register():
+    # a non-finite amplitude makes the input dense: every product of the
+    # whole register is formed, so 0 * inf gives nan as in the gather
+    # reference. Only dense gates here, whose kernel forms every product
+    gates = [
+        Gate(GateKind.H, (1,)),
+        Gate(GateKind.X, (0,)),
+        Gate(GateKind.RY, (2,), 0.3),
+        Gate(GateKind.Y, (0,)),
+        Gate(GateKind.RX, (1,), 0.4),
+    ]
+    real = [g for g in gates if is_real(g)]
+    with np.errstate(invalid="ignore"):
+        _check_non_finite(gates, real)
+
+
+def _check_non_finite(gates, real):
+    for bad in (math.inf, -math.inf, math.nan):
+        for b in (0, 5):
+            for amp in (bad, complex(0.0, bad), complex(bad, 1.0)):
+                vec = _basis_vector(3, b, amp, np.complex128)
+                got = run_complex(Circuit(3, gates), ComplexState(3, vec)).amps
+                assert np.array_equal(got, _gather_run(gates, vec), equal_nan=True), (bad, b)
+            vec = _basis_vector(3, b, bad, np.float64)
+            got = run_real(Circuit(3, real), RealState(3, vec)).amps
+            assert np.array_equal(got, _gather_run(real, vec), equal_nan=True), (bad, b)
