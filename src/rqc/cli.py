@@ -1,7 +1,7 @@
 """Command-line front door: rqc transpile|run|verify|synth|bench.
 
-Exit codes: 0 success, 1 parse error, 2 validation or usage error,
-3 synthesis target not reachable, 4 verification FAIL.
+Exit codes: 0 success, 1 parse error, 2 validation or usage error, or
+out of memory, 3 synthesis target not reachable, 4 verification FAIL.
 
 _SETTINGS has one row per setting (cast, default, help). The row gives
 its --flag (--k-max for k_max), its --config key and the cast of either
@@ -41,8 +41,6 @@ EXIT_INVALID = 2
 EXIT_UNREACHABLE = 3
 EXIT_VERIFY = 4
 
-# sample takes about 120 ns a shot over 1024 outcomes: two minutes here
-MAX_SHOTS = 10**9
 _SYNTH_DEFAULTS = SynthConfig()
 _LEVELS = tuple(level.value for level in LoweringLevel)
 
@@ -68,7 +66,7 @@ _SETTINGS = {
     "phi": _Setting(float, _SYNTH_DEFAULTS.phi, "fixed gate angle"),
     "eps": _Setting(float, _SYNTH_DEFAULTS.eps, "per-gate angular tolerance"),
     "k_max": _Setting(int, _SYNTH_DEFAULTS.k_max, "synthesis search cutoff"),
-    "shots": _Setting(int, 0, f"sample counts instead of probabilities, at most {MAX_SHOTS}"),
+    "shots": _Setting(int, 0, "sample counts instead of probabilities, below 2**63"),
     "seed": _Setting(int, 0, "sampling seed"),
     "init": _Setting(int, 0, "initial basis index"),
 }
@@ -170,8 +168,6 @@ def cmd_transpile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.shots > MAX_SHOTS:
-        raise ValueError(f"shots must be at most {MAX_SHOTS}")
     c = _load_circuit(args)
     if all(is_real(g) for g in c.gates):
         state = init_basis_real(c.num_qubits, args.init)
@@ -180,7 +176,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         state = init_basis(c.num_qubits, args.init)
         run_complex(c, state, out=state)
     probs = distribution(state)
-    if args.shots:  # sample rejects a negative count or seed
+    if args.shots:  # sample rejects a negative or too large count, or a negative seed
         counts = sample(probs, args.shots, args.seed)
         lines = [f"{i:0{c.num_qubits}b} {int(v)}" for i, v in enumerate(counts)]
     else:
@@ -273,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNREACHABLE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("error: out of memory; a looser --eps or a lower --level needs less", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -69,8 +69,6 @@ from .gates import block_entries
 # its active data qubits plus 2, whatever the declared width (see its
 # docstring). No run at the cap itself has been measured
 MAX_QUBITS = 28
-# uniforms drawn per step of sample: 1 MiB of float64
-SAMPLE_CHUNK = 1 << 17
 
 
 @dataclass
@@ -355,26 +353,22 @@ def distribution(s: ComplexState | RealState) -> np.ndarray:
 
 
 def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Outcome counts from inverse-CDF draws; deterministic per seed.
-
-    The uniforms are drawn and counted SAMPLE_CHUNK at a time, so memory
-    does not grow with shots; Generator.random yields the same stream in
-    chunks as in one call, and so the same counts.
+    """int64 counts of shots draws from probs, normalised: one multinomial
+    draw, deterministic per seed within a numpy version, timed by the
+    outcomes, not the shots. Outcomes of probability 0 stay out of it:
+    numpy would give the last one the float64 remainder of the others.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
+    if shots >= 1 << 63:
+        raise ValueError("shots must be below 2**63, numpy's int64 count")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     p = np.asarray(probs, dtype=np.float64)
-    cdf = np.cumsum(p)
-    if not len(p) or (p < 0.0).any() or not 0.0 < cdf[-1] < math.inf:
+    total = p.sum()
+    if not len(p) or (p < 0.0).any() or not 0.0 < total < math.inf:
         raise ValueError("probabilities must be non-negative with a finite positive sum")
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(len(p), dtype=np.intp)
-    for start in range(0, shots, SAMPLE_CHUNK):
-        u = rng.random(min(SAMPLE_CHUNK, shots - start))
-        idx = np.searchsorted(cdf, u, side="right")
-        np.minimum(idx, len(p) - 1, out=idx)
-        counts += np.bincount(idx, minlength=len(p))
+    drawn = np.flatnonzero(p)
+    counts = np.zeros(len(p), dtype=np.int64)
+    counts[drawn] = np.random.default_rng(seed).multinomial(shots, p[drawn] / total)
     return counts

@@ -12,7 +12,8 @@ distance is then exact wherever no multiple of 2pi enters, as on every
 tie with eps (pi is irrational), and within 2^-128 of eps elsewhere. In
 these units a Euclid recursion on (phi mod 2pi, 2pi), the integer form of
 the continued-fraction walk, gives the least k at distance <= eps in O(w)
-steps. The first-hit window is the rule itself: no candidate is
+steps, nearest-integer ones (Hurwitz 1889): half as many at the golden
+angle. The first-hit window is the rule itself: no candidate is
 re-checked and no margin is walked. The same search on doubled angles,
 2k*phi within 2eps of 2theta, gives the least k that lands by theta or
 by theta + pi, which transpile.synthesize_all uses to choose a sign.
@@ -120,12 +121,16 @@ def _least_multiple(a: int, m: int, lo: int, hi: int) -> int | None:
     With no multiple of a in [lo, hi], each solution is a*x = m*y + t with
     t in [lo, hi], y >= 1 and one x per y; the least y solves the same
     problem for (m mod a, a) on [-hi mod a, -lo mod a], a Euclid step.
+    An a > m/2 is first mirrored to m - a on [m - hi, m - lo], as the two
+    residues sum to m or are both 0, which lo > 0 rules out.
     """
     steps = []
     while True:
         a %= m
         if a == 0:
             return None
+        if 2 * a > m:
+            a, lo, hi = m - a, m - hi, m - lo
         x = -(-lo // a)
         if a * x <= hi:
             break

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -124,24 +125,43 @@ def test_run_negative_shots_exit_code(tmp_path, capsys):
     assert capsys.readouterr().out == "0 0.5\n1 0.5\n"
 
 
-def test_run_shots_above_the_cap_exit_code(tmp_path, capsys, monkeypatch):
-    # about 120 ns a shot: 10^15 shots would run for years
+def test_run_shots_above_the_cap_exit_code(tmp_path, capsys):
+    # counts are int64: 2**63 shots and more exit 2 before numpy sees them
     path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
-    config = write(tmp_path, "rqc.cfg", "shots = 1000000000000000\n")
-
-    def never(probs, shots, seed):
-        raise AssertionError(f"sampled {shots} shots")
-
-    monkeypatch.setattr(cli_mod, "sample", never)
-    for flags in (["--shots", str(cli_mod.MAX_SHOTS + 1)], ["--config", config]):
+    config = write(tmp_path, "rqc.cfg", "shots = 9223372036854775808\n")
+    for flags in (["--shots", "9223372036854775808"], ["--config", config]):
         assert main(["run", path, *flags]) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: shots must be at most {cli_mod.MAX_SHOTS}\n"
+        assert captured.err == "error: shots must be below 2**63, numpy's int64 count\n"
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])
     assert exc.value.code == 0
-    assert f"at most {cli_mod.MAX_SHOTS}" in " ".join(capsys.readouterr().out.split())
+    assert "below 2**63" in " ".join(capsys.readouterr().out.split())
+
+
+def test_run_a_quadrillion_shots(tmp_path, capsys):
+    path = write(tmp_path, "c.rqc", "qubits 2\nh 0\ncx 0 1\n")
+    t0 = time.process_time()
+    assert main(["run", path, "--shots", "1000000000000000", "--seed", "7"]) == EXIT_OK
+    assert time.process_time() - t0 < 1.0
+    counts = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert counts["01"] == counts["10"] == "0"
+    assert sum(map(int, counts.values())) == 10**15
+
+
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "transpile", exhausted)
+    assert main(["transpile", path, "--eps", "1e-7", "--k-max", "1000000000000"]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "",
+        "error: out of memory; a looser --eps or a lower --level needs less\n",
+    )
 
 
 def test_run_complex_circuit(tmp_path, capsys):
@@ -511,3 +531,37 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("k: 1\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """{command: the lines shown after it} for each '$ ' line in README.md."""
+    examples = {}
+    for block in re.findall(r"^```\w*\n(.*?)^```$", README.read_text(), re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *shown = chunk.rstrip("\n").split("\n")
+            examples[command] = shown
+    return examples
+
+
+def test_the_readme_examples_print_what_they_show(tmp_path, capsys, monkeypatch):
+    # the sampled example is left out: its counts depend on numpy's version
+    examples = _readme_examples()
+    monkeypatch.chdir(tmp_path)
+    Path("bell.rqc").write_text("\n".join(examples["cat bell.rqc"]) + "\n")
+    for command in (
+        "rqc transpile bell.rqc --level f",
+        "rqc run bell.rqc",
+        "rqc verify bell.rqc --eps 1e-3",
+        "rqc synth 1.5707963 --eps 1e-4",
+    ):
+        assert main(command.split()[1:]) == EXIT_OK
+        out, err = capsys.readouterr()
+        printed = iter((out + err).splitlines())
+        # each shown line, in order, except the elisions: '...' and a
+        # truncated digest
+        for line in examples[command]:
+            if not line.endswith("..."):
+                assert line in printed, (command, line)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -373,27 +374,42 @@ def test_large_registers_smoke():
     assert out.norm() == 1.0
 
 
-def _sample_in_one_call(probs, shots, seed):
-    # the whole-array formula: every uniform drawn at once
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    idx = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
-    return np.bincount(np.minimum(idx, len(probs) - 1), minlength=len(probs))
-
-
-def test_sample_in_chunks_equals_one_draw(monkeypatch):
-    rng = np.random.default_rng(5)
-    probs = rng.random(37)
+def test_sample_at_any_int64_shot_count():
+    # one multinomial draw: time follows the outcomes, not the shots
+    probs = np.random.default_rng(5).random(37)
     probs[[3, 20]] = 0.0
-    chunk = sim_mod.SAMPLE_CHUNK
-    for shots in (0, 1, 4095, chunk - 1, chunk, chunk + 1, 100_000):
-        for seed in (0, 11):
-            got = sample(probs, shots, seed)
-            assert got.dtype == _sample_in_one_call(probs, shots, seed).dtype
-            assert np.array_equal(got, _sample_in_one_call(probs, shots, seed)), shots
-    monkeypatch.setattr(sim_mod, "SAMPLE_CHUNK", 4096)
-    for shots in (4095, 4096, 4097, 100_003):
-        assert np.array_equal(sample(probs, shots, 3), _sample_in_one_call(probs, shots, 3))
+    for shots in (10**15, 2**63 - 1):
+        t0 = time.process_time()
+        counts = sample(probs, shots, seed=11)
+        assert time.process_time() - t0 < 1.0
+        assert counts.dtype == np.int64
+        assert int(counts.sum()) == shots
+        assert np.array_equal(counts, sample(probs, shots, seed=11))
+        assert not np.array_equal(counts, sample(probs, shots, seed=12))
+        assert counts[3] == counts[20] == 0
+        # each frequency is within 10^-6 of its probability, where the
+        # standard deviation is at most 1.6e-8
+        assert np.abs(counts / shots - probs / probs.sum()).max() < 1e-6
+
+
+def test_sample_never_draws_an_outcome_of_probability_zero():
+    # numpy gives the last outcome all the shots the float64 conditional
+    # probabilities of the others leave over: 1,024 shots here, had the
+    # last, impossible outcome been part of the draw
+    probs = np.array([1.0, 1.0, 1.0, 0.0]) / 3.0
+    for seed in range(20):
+        counts = sample(probs, 2**63 - 1, seed)
+        assert counts[3] == 0
+        assert int(counts.sum()) == 2**63 - 1
+    counts = sample(np.array([0.0, 0.3, 0.0, 0.7, 0.0]), 10**15, seed=1)
+    assert counts[[0, 2, 4]].tolist() == [0, 0, 0]
+    assert int(counts.sum()) == 10**15
+
+
+def test_sample_refuses_a_count_beyond_int64():
+    for shots in (2**63, 2**64, 10**30):
+        with pytest.raises(ValueError, match=r"^shots must be below 2\*\*63"):
+            sample(np.array([0.5, 0.5]), shots, seed=0)
 
 
 def test_sample_memory_does_not_grow_with_shots():
