@@ -29,7 +29,8 @@ from typing import NamedTuple
 from .circuit import Circuit
 from .gates import is_real
 from .library import bench_suite
-from .sim import distribution, init_basis, init_basis_real, run_complex, run_real, sample
+from .sim import check_shots, distribution, init_basis, init_basis_real, run_complex
+from .sim import run_real, sample
 from .synth import NotReachable, SynthConfig, synthesize
 from .textio import ParseError, emit, parse
 from .transpile import LoweringLevel, TranspileReport, transpile
@@ -123,10 +124,7 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         if value is None:
             value = from_file.get(name, s.default)
         setattr(args, name, s.cast(value))
-
-
-def _synth_config(args: argparse.Namespace) -> SynthConfig:
-    return SynthConfig(args.phi, args.eps, args.k_max)
+    args.synth = SynthConfig(args.phi, args.eps, args.k_max)
 
 
 def _load_circuit(args: argparse.Namespace) -> Circuit:
@@ -161,13 +159,15 @@ def _report_text(report: TranspileReport) -> str:
 
 
 def cmd_transpile(args: argparse.Namespace) -> int:
-    lowered, report = transpile(_load_circuit(args), args.level, _synth_config(args))
+    lowered, report = transpile(_load_circuit(args), args.level, args.synth)
     _write_primary(args, emit(lowered))
     (sys.stdout if args.out else sys.stderr).write(_report_text(report))
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.shots:  # before the circuit is read and run
+        check_shots(args.shots, args.seed)
     c = _load_circuit(args)
     if all(is_real(g) for g in c.gates):
         state = init_basis_real(c.num_qubits, args.init)
@@ -176,7 +176,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         state = init_basis(c.num_qubits, args.init)
         run_complex(c, state, out=state)
     probs = distribution(state)
-    if args.shots:  # sample rejects a negative or too large count, or a negative seed
+    if args.shots:
         counts = sample(probs, args.shots, args.seed)
         lines = [f"{i:0{c.num_qubits}b} {int(v)}" for i, v in enumerate(counts)]
     else:
@@ -186,7 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_circuit(_load_circuit(args), args.init, _synth_config(args), args.level)
+    report = verify_circuit(_load_circuit(args), args.init, args.synth, args.level)
     _write_primary(args, report.to_text())
     return EXIT_OK if report.passed else EXIT_VERIFY
 
@@ -194,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if not math.isfinite(args.theta):
         raise ValueError("theta must be a finite angle in radians")
-    result = synthesize(args.theta, _synth_config(args))
+    result = synthesize(args.theta, args.synth)
     _write_primary(
         args,
         f"k: {result.k}\n"
@@ -205,7 +205,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _synth_config(args)
     header = (
         f"{'name':<12} {'qubits':>6} {'gates':>5} {'real':>5} {'f':>5} "
         f"{'g':>9} {'max_k':>7} {'budget':>10} {'verify':>6} "
@@ -214,9 +213,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = [header]
     for name, circuit in bench_suite():
         t0 = time.perf_counter()
-        _, report = transpile(circuit, LoweringLevel.G_ONLY, cfg)
+        _, report = transpile(circuit, LoweringLevel.G_ONLY, args.synth)
         t1 = time.perf_counter()
-        verdict = verify_circuit(circuit, 0, cfg)
+        verdict = verify_circuit(circuit, 0, args.synth)
         t2 = time.perf_counter()
         rows.append(
             f"{name:<12} {circuit.num_qubits:>6} {len(circuit.gates):>5} "

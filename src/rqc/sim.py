@@ -352,18 +352,23 @@ def distribution(s: ComplexState | RealState) -> np.ndarray:
     return s.amps ** 2
 
 
-def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """int64 counts of shots draws from probs, normalised: one multinomial
-    draw, deterministic per seed within a numpy version, timed by the
-    outcomes, not the shots. Outcomes of probability 0 stay out of it:
-    numpy would give the last one the float64 remainder of the others.
-    """
+def check_shots(shots: int, seed: int) -> None:
+    """Refuse a shot count sample cannot draw, or a negative seed."""
     if shots < 0:
         raise ValueError("shots must be non-negative")
     if shots >= 1 << 63:
         raise ValueError("shots must be below 2**63, numpy's int64 count")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+
+
+def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """int64 counts of shots draws from probs, normalised: one multinomial
+    draw, deterministic per seed within a numpy version, timed by the
+    outcomes, not the shots. Outcomes of probability 0 stay out of it:
+    numpy would give the last one the float64 remainder of the others.
+    """
+    check_shots(shots, seed)
     p = np.asarray(probs, dtype=np.float64)
     total = p.sum()
     if not len(p) or (p < 0.0).any() or not 0.0 < total < math.inf:

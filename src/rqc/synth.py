@@ -19,8 +19,8 @@ re-checked and no margin is walked. The same search on doubled angles,
 by theta + pi, which transpile.synthesize_all uses to choose a sign.
 
 The search runs on Python integers alone, and orbit_angle reduces k*phi
-by the same fixed-point 2pi. mpmath only builds that constant, and
-rebuilds it twice as wide when a wider one is asked for.
+by the same fixed-point 2pi, which Machin's formula gives from integers
+too; it is rebuilt twice as wide when a wider one is asked for.
 """
 
 from __future__ import annotations
@@ -30,15 +30,11 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mp
-
 DEFAULT_PHI = math.tau * (math.sqrt(5.0) - 1.0) / 2.0
 
 # bits beyond those the operands need: a fixed-point distance is then
 # within 2^-128 of eps, and an orbit angle within 2^-127 of k*phi mod 2pi
 _GUARD_BITS = 128
-# targets with an exponent of at most 64 in magnitude need no wider 2pi
-_THETA_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,31 @@ class NotReachable(Exception):
         self.gate_index: int | None = None
 
 
-_two_pi_cache = (0, 0)
+def _floor_two_pi(w: int, g: int = 32) -> int:
+    """floor(2pi * 2^w) by Machin's formula (1706): 2pi = 32 atan(1/5) -
+    8 atan(1/239), atan(1/x) = sum_j (-1)^j / (n x^n) with n = 2j + 1.
+
+    v sums it in units of 2^-L, L = w + g, each term exactly floored as
+    floor(2^L / x^n) // n; a series stops where x^n > 2^L. As x >= 4,
+    each keeps at most L/4 + 1/2 terms, floored by under 1 each before
+    its weight (32 or 8), and drops an alternating tail under its first
+    term, under 1 before its weight: v is within s = 10L + 60 of
+    2pi * 2^L. g doubles until v - s and v + s share one floor at 2^-w.
+    """
+    while True:
+        v = 0
+        for c, x in ((32, 5), (-8, 239)):
+            p, n = (1 << (w + g)) // x, 1
+            while p:
+                v += c * (p // n)
+                p, n, c = p // (x * x), n + 2, -c
+        s = 10 * (w + g) + 60
+        if (v - s) >> g == (v + s) >> g:
+            return v >> g
+        g *= 2
+
+
+_two_pi_cache = (0, 6)  # (width, floor(2pi * 2^width))
 
 
 def _two_pi(w: int) -> int:
@@ -96,8 +116,7 @@ def _two_pi(w: int) -> int:
     width, value = _two_pi_cache
     if width < w:
         width = max(w, 2 * width)
-        with mp.workprec(width + 64):
-            value = int(mp.floor(mp.ldexp(2 * mp.pi, width)))
+        value = _floor_two_pi(width)
         _two_pi_cache = (width, value)
     return value >> (width - w)
 
@@ -169,9 +188,7 @@ def _context(phi: float, eps: float, k_max: int) -> tuple[int, int, int]:
     products exact integers: width covers the exponents of phi and eps, the
     bits of k_max and the guard bits; synthesize adds theta's exponent.
 
-    Keyed on values, not on a SynthConfig: callers build a fresh one per
-    call. Also widens the cached 2pi for every target below 2^_THETA_BITS
-    and every orbit angle up to k_max.
+    Keyed on values: callers build a fresh SynthConfig per call.
     """
     # the 2 extra bits cover eps down to half its power of two, and the
     # count of 2pi folds in k*phi - theta up to twice its larger term
@@ -182,7 +199,6 @@ def _context(phi: float, eps: float, k_max: int) -> tuple[int, int, int]:
         + _GUARD_BITS
         + 2
     )
-    _two_pi(width + _THETA_BITS)
     p, q = phi.as_integer_ratio()
     e, d = eps.as_integer_ratio()
     return width, (p << width) // q, (e << width) // d

@@ -309,6 +309,32 @@ def test_missing_file_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_settings_are_refused_before_the_circuit_is_read(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
+    config = write(tmp_path, "rqc.cfg", "eps = -1\n")
+
+    def refuse(text):
+        raise AssertionError("the circuit was read before a bad setting was refused")
+
+    monkeypatch.setattr(cli_mod, "parse", refuse)
+    for argv, message in (
+        (["run", path, "--shots", "-3"], "shots must be non-negative"),
+        (
+            ["run", path, "--shots", "9223372036854775808"],
+            "shots must be below 2**63, numpy's int64 count",
+        ),
+        (["run", path, "--shots", "5", "--seed", "-1"], "seed must be non-negative"),
+        # every subcommand checks every key of the file
+        (["run", path, "--config", config], "eps must be positive"),
+        (["transpile", path, "--eps", "-1"], "eps must be positive"),
+        (["transpile", "/nonexistent/x.rqc", "--eps", "-1"], "eps must be positive"),
+        (["verify", path, "--k-max", "0"], "k_max must be at least 1"),
+        (["verify", path, "--phi", "inf"], "phi must be finite"),
+    ):
+        assert main(argv) == EXIT_INVALID, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
 def test_init_out_of_range_exit_code(tmp_path, capsys):
     path = write(tmp_path, "c.rqc", "qubits 1\nh 0\n")
     for command in ("run", "verify"):
@@ -531,6 +557,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("k: 1\n")
+
+
+def test_the_cli_runs_without_mpmath(tmp_path):
+    # mpmath is a test dependency only: a child that cannot import it
+    # synthesizes, lowers to level g and verifies there
+    bell = write(tmp_path, "bell.rqc", "qubits 2\nh 0\ncx 0 1\n")
+    src = str(Path(cli_mod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = "import sys; sys.modules['mpmath'] = None; from rqc.cli import main; sys.exit(main())"
+    level_g = ["--level", "g"]
+    for argv in (["synth", "1.0"], ["transpile", bell, *level_g], ["verify", bell, *level_g]):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert proc.stdout.endswith("status: PASS\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

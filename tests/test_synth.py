@@ -225,14 +225,33 @@ def test_orbit_angle_equals_the_mpmath_reference(phi, k):
     assert orbit_angle(k, phi) == mp_orbit_angle(k, phi)
 
 
-def test_second_synthesis_for_a_config_makes_no_mpmath_call(monkeypatch):
+def mp_floor_two_pi(w):
+    with mp.workprec(w + 128):
+        return int(mp.floor(mp.ldexp(2 * mp.pi, w)))
+
+
+def test_two_pi_equals_the_mpmath_floor():
+    widths = [*range(2049), 4096, 8192]
+    # the builder at each width, and the cached constant cut down to it
+    assert [w for w in widths if rqc.synth._floor_two_pi(w) != mp_floor_two_pi(w)] == []
+    assert [w for w in widths if rqc.synth._two_pi(w) != mp_floor_two_pi(w)] == []
+
+
+def test_two_pi_doubles_its_guard_bits_until_the_floor_is_proven():
+    # at 1 guard bit the error interval, at least 2 * 60 units wide, spans
+    # several floors, so each of these widths takes the doubling branch
+    for w in (0, 1, 64, 185, 1000, 4096):
+        assert rqc.synth._floor_two_pi(w, 1) == mp_floor_two_pi(w)
+
+
+def test_second_synthesis_for_a_config_makes_no_two_pi_build(monkeypatch):
     cfg = SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)
     first = synthesize(0.5, cfg)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("mpmath called on the hot path")
+        raise AssertionError("2pi built on the hot path")
 
-    monkeypatch.setattr(rqc.synth.mp, "workprec", refuse)
+    monkeypatch.setattr(rqc.synth, "_floor_two_pi", refuse)
     # a fresh config with equal values reuses the context
     assert synthesize(0.5, SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)) == first
     rng = np.random.default_rng(400)

@@ -149,6 +149,15 @@ def test_tv_never_exceeds_state_distance():
             assert stage.tv_distance <= stage.state_distance + 1e-12
 
 
+def test_the_verdict_rests_on_state_distance_alone(monkeypatch):
+    # the state distance bounds the TV distance of unit states, so a TV
+    # distance above the tolerance cannot decide a verdict on its own
+    monkeypatch.setattr(verify_mod, "encoded_distances", lambda reg, ref: (0.0, 1.0))
+    report = verify_circuit(Circuit(2).h(0).cx(0, 1).rz(1, 0.3), 0)
+    assert [s.tv_distance for s in (report.real, report.f, report.g)] == [1.0] * 3
+    assert report.passed
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
