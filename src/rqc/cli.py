@@ -19,7 +19,6 @@ stderr, so transpile output always pipes cleanly into run and verify.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from collections.abc import Callable
@@ -192,8 +191,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.theta):
-        raise ValueError("theta must be a finite angle in radians")
     result = synthesize(args.theta, args.synth)
     _write_primary(
         args,
@@ -211,12 +208,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"{'t_transpile':>11} {'t_verify':>8}"
     )
     rows = [header]
+    passed = True
     for name, circuit in bench_suite():
         t0 = time.perf_counter()
         _, report = transpile(circuit, LoweringLevel.G_ONLY, args.synth)
         t1 = time.perf_counter()
         verdict = verify_circuit(circuit, 0, args.synth)
         t2 = time.perf_counter()
+        passed = passed and verdict.passed
         rows.append(
             f"{name:<12} {circuit.num_qubits:>6} {len(circuit.gates):>5} "
             f"{report.gate_counts['real']:>5} {report.gate_counts['f']:>5} "
@@ -225,7 +224,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{(t1 - t0) * 1e3:>9.1f}ms {(t2 - t1) * 1e3:>6.1f}ms"
         )
     _write_primary(args, "\n".join(rows) + "\n")
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 class _Subcommand(NamedTuple):

@@ -4,23 +4,34 @@ For irrational phi/2pi the orbit {k*phi mod 2pi} is dense, so some power
 F(phi)^k = F(k*phi mod 2pi) lands within any eps of a target angle.
 
 synthesize accepts k by one rule, decided in integers: the circular
-distance from k*phi to theta is <= eps. Angles are held in fixed point
-with w fraction bits, where w covers the exponents of phi, eps and theta,
-the bits of k_max and 128 guard bits, so phi, eps and theta are exact;
-2pi is floor(2pi * 2^w). k*phi - theta is reduced once by that 2pi. The
-distance is then exact wherever no multiple of 2pi enters, as on every
-tie with eps (pi is irrational), and within 2^-128 of eps elsewhere. In
-these units a Euclid recursion on (phi mod 2pi, 2pi), the integer form of
-the continued-fraction walk, gives the least k at distance <= eps in O(w)
-steps, nearest-integer ones (Hurwitz 1889): half as many at the golden
-angle. The first-hit window is the rule itself: no candidate is
-re-checked and no margin is walked. The same search on doubled angles,
-2k*phi within 2eps of 2theta, gives the least k that lands by theta or
-by theta + pi, which transpile.synthesize_all uses to choose a sign.
+distance from k*phi to theta is <= eps. One fixed-point frame per search
+gives k, its error and the achieved angle. It holds angles with w
+fraction bits, where w covers the bits of k_max, the exponents of phi,
+eps and theta, and 130 guard bits, so phi, eps and theta are exact; 2pi
+is floor(2pi * 2^w), short of 2pi * 2^w by under one unit. k*phi - theta
+is reduced once by that 2pi. The distance is then exact wherever no
+multiple of 2pi enters, as on every tie with eps (pi is irrational), and
+within 2^-128 of eps elsewhere. In these units a Euclid recursion on
+(phi mod 2pi, 2pi), the integer form of the continued-fraction walk,
+gives the least k at distance <= eps in O(w) steps, nearest-integer ones
+(Hurwitz 1889): half as many at the golden angle. The first-hit window
+is the rule itself: no candidate is re-checked and no margin is walked.
+The same search on doubled angles, 2k*phi within 2eps of 2theta, gives
+the least k that lands by theta or by theta + pi, which
+transpile.synthesize_all uses to choose a sign.
 
-The search runs on Python integers alone, and orbit_angle reduces k*phi
-by the same fixed-point 2pi, which Machin's formula gives from integers
-too; it is rebuilt twice as wide when a wider one is asked for.
+achieved is a*k mod 2pi in the same frame, a = phi mod 2pi, with m the
+fixed-point 2pi. Reducing phi and then a*k takes out at most
+k*(|phi| * 2^w/m + 1) + k multiples of m, each short of 2pi * 2^w by
+under one unit. With k < 2^b, b the bits of k_max, and |phi| < 2^e, that is under
+k*(2^e/6 + 2) < 2^(b+|e|+2) units, and w has 130 bits beyond b + |e|:
+achieved is within 2^-128 of k*phi mod 2pi on the circle before its one
+rounding to float64. orbit_angle computes that angle standalone, from k
+and phi alone, as the reference the tests compare with.
+
+All of it runs on Python integers, and the fixed-point 2pi comes from
+Machin's formula in integers too; it is rebuilt twice as wide when a
+wider one is asked for.
 """
 
 from __future__ import annotations
@@ -28,13 +39,18 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 DEFAULT_PHI = math.tau * (math.sqrt(5.0) - 1.0) / 2.0
 
 # bits beyond those the operands need: a fixed-point distance is then
 # within 2^-128 of eps, and an orbit angle within 2^-127 of k*phi mod 2pi
 _GUARD_BITS = 128
+
+# the most a merge may round the sum of two angles: the half-ulp of any
+# sum below 16 in magnitude. A larger rounding, such as 1e300 + 1, is not
+# merged, so every rewrite stays exact to roundoff at any finite angle;
+# a half-turn label theta -+ pi is taken on the same bound
+_MERGE_ROUNDOFF = 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -121,17 +137,18 @@ def _two_pi(w: int) -> int:
     return value >> (width - w)
 
 
-def _orbit_width(k: int, phi: float) -> int:
-    # fraction bits for k*phi mod 2pi: exact for k*phi (phi has fewer
-    # fraction bits than this), and within 2^-127 after the reduction
-    return k.bit_length() + abs(math.frexp(phi)[1]) + _GUARD_BITS
+def _fixed(x: float, w: int) -> int:
+    """x * 2^w, exact when w covers x's fraction bits, else floored."""
+    p, q = x.as_integer_ratio()
+    return (p << w) // q
 
 
 def orbit_angle(k: int, phi: float) -> float:
     """k*phi mod 2pi, exact to about 2^-128 for any k, rounded once to float64."""
-    w = _orbit_width(k, phi)
-    p, q = phi.as_integer_ratio()
-    return ((k * p << w) // q % _two_pi(w)) / (1 << w)
+    # fraction bits: exact for k*phi (phi has fewer fraction bits than
+    # this), and within 2^-127 after the reduction
+    w = k.bit_length() + abs(math.frexp(phi)[1]) + _GUARD_BITS
+    return (k * _fixed(phi, w) % _two_pi(w)) / (1 << w)
 
 
 def _least_multiple(a: int, m: int, lo: int, hi: int) -> int | None:
@@ -182,28 +199,6 @@ def _closest_k(a: int, m: int, r: int, k_max: int) -> int:
     return _first_hit(a, m, r - lo, r + lo, 1)
 
 
-@lru_cache(maxsize=64)
-def _context(phi: float, eps: float, k_max: int) -> tuple[int, int, int]:
-    """(width, phi * 2^width, eps * 2^width) for one (phi, eps, k_max), both
-    products exact integers: width covers the exponents of phi and eps, the
-    bits of k_max and the guard bits; synthesize adds theta's exponent.
-
-    Keyed on values: callers build a fresh SynthConfig per call.
-    """
-    # the 2 extra bits cover eps down to half its power of two, and the
-    # count of 2pi folds in k*phi - theta up to twice its larger term
-    width = (
-        k_max.bit_length()
-        + abs(math.frexp(phi)[1])
-        + abs(math.frexp(eps)[1])
-        + _GUARD_BITS
-        + 2
-    )
-    p, q = phi.as_integer_ratio()
-    e, d = eps.as_integer_ratio()
-    return width, (p << width) // q, (e << width) // d
-
-
 def _distance(a: int, m: int, t: int, k: int) -> int:
     """Circular distance from a*k to t modulo m."""
     r = (a * k - t) % m
@@ -211,26 +206,28 @@ def _distance(a: int, m: int, t: int, k: int) -> int:
 
 
 def _units(theta: float, cfg: SynthConfig) -> tuple[int, int, int, int, int]:
-    """(w, 2pi, phi, theta, eps) in units of 2^-w; theta not yet reduced.
-
-    theta's exponent widens the units: theta is exact in them, and its
-    reduction by the fixed-point 2pi stays within 2^-128 of eps.
-    """
+    """The frame of one search: (w, 2pi, phi mod 2pi, theta, eps) in units
+    of 2^-w, theta not yet reduced."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    width, phi_units, eps_units = _context(cfg.phi, cfg.eps, cfg.k_max)
-    shift = abs(math.frexp(theta)[1])
-    w = width + shift
+    # the 2 extra bits cover eps down to half its power of two, and the
+    # count of 2pi folds in k*phi - theta up to twice its larger term
+    w = (
+        cfg.k_max.bit_length()
+        + sum(abs(math.frexp(x)[1]) for x in (cfg.phi, cfg.eps, theta))
+        + _GUARD_BITS
+        + 2
+    )
     m = _two_pi(w)
-    t_num, t_den = theta.as_integer_ratio()
-    return w, m, (phi_units << shift) % m, (t_num << w) // t_den, eps_units << shift
+    return w, m, _fixed(cfg.phi, w) % m, _fixed(theta, w), _fixed(cfg.eps, w)
 
 
 def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     """Smallest k in [1, k_max] with k*phi within eps of theta on the circle;
     failing that, NotReachable names the least k <= k_max at the least
-    distance. error is that distance, rounded once; achieved is
-    orbit_angle(k, phi). theta is taken as it is, not reduced in float64.
+    distance. error is that distance and achieved is k*phi mod 2pi, both
+    from the search's frame and rounded once. theta is taken as it is,
+    not reduced in float64.
     """
     if cfg is None:
         cfg = SynthConfig()
@@ -238,13 +235,13 @@ def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     t %= m
     k = _first_hit(a, m, t - e, t + e, 1)
     if k is not None and k <= cfg.k_max:
-        return SynthesisResult(k, orbit_angle(k, cfg.phi), _distance(a, m, t, k) / (1 << w))
+        return SynthesisResult(k, a * k % m / (1 << w), _distance(a, m, t, k) / (1 << w))
     best_k = _closest_k(a, m, t, cfg.k_max)
     raise NotReachable(theta, best_k, _distance(a, m, t, best_k) / (1 << w))
 
 
 def _least_up_to_half_turn(
-    theta: float, cfg: SynthConfig, label_roundoff: float
+    theta: float, cfg: SynthConfig
 ) -> tuple[float | None, SynthesisResult] | None:
     """The least k in [1, k_max] that lands k*phi within eps of theta or
     of theta + pi, in one search: 2k*phi within 2eps of 2theta mod 2pi.
@@ -253,31 +250,30 @@ def _least_up_to_half_turn(
     is theta's own least k. (label, result) when it lands only by the
     half-turn, so that theta needs more gates or is out of reach: result
     is for the exact theta + pi, its error the distance from k*phi to it,
-    measured against half the fixed-point 2pi; label is the float
-    theta - pi for theta >= 0 and theta + pi otherwise. None when no
-    k <= k_max lands by either, or when label is further than
-    label_roundoff from the exact half-turn. A half-turn miss never
-    enters the closest-miss bisection; synthesize(theta, cfg) alone
-    decides what theta's own miss raises.
+    measured against half the fixed-point 2pi, and achieved k*phi mod 2pi
+    from the same frame. label is the float theta - pi for theta >= 0 and
+    theta + pi otherwise. None when no k <= k_max lands by either, or
+    when label is further than _MERGE_ROUNDOFF from the exact half-turn.
+    A half-turn miss never enters the closest-miss bisection;
+    synthesize(theta, cfg) alone decides what theta's own miss raises.
     """
     w, m, a, t_exact, e = _units(theta, cfg)
     t = t_exact % m
     k = _first_hit(2 * a % m, m, 2 * (t - e), 2 * (t + e), 1)
     if k is None or k > cfg.k_max:
         return None
+    achieved = a * k % m / (1 << w)
     d = _distance(a, m, t, k)
     if d <= e:
-        return None, SynthesisResult(k, orbit_angle(k, cfg.phi), d / (1 << w))
+        return None, SynthesisResult(k, achieved, d / (1 << w))
     label, half = (theta - math.pi, m) if theta >= 0.0 else (theta + math.pi, -m)
     # twice the label's distance from the exact theta -+ pi, in units
-    l_num, l_den = label.as_integer_ratio()
-    r_num, r_den = label_roundoff.as_integer_ratio()
-    if abs(2 * ((l_num << w) // l_den - t_exact) + half) > 2 * ((r_num << w) // r_den):
+    if abs(2 * (_fixed(label, w) - t_exact) + half) > 2 * _fixed(_MERGE_ROUNDOFF, w):
         return None
     # k*phi - theta lies within eps of half of 2pi: its distance from it,
     # in half units
     r = (a * k - t) % m
-    return label, SynthesisResult(k, orbit_angle(k, cfg.phi), abs(2 * r - m) / (2 << w))
+    return label, SynthesisResult(k, achieved, abs(2 * r - m) / (2 << w))
 
 
 def synthesis_error_to_gate_error(delta: float) -> float:

@@ -49,6 +49,7 @@ from enum import Enum
 
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .synth import (
+    _MERGE_ROUNDOFF,
     NotReachable,
     SynthConfig,
     SynthesisResult,
@@ -174,10 +175,6 @@ _DIAGONAL = (
     GateKind.RZ, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
     GateKind.CZ, GateKind.GPHASE,
 )
-# the most a merge may round the sum of two angles: the half-ulp of any
-# sum below 16 in magnitude. A larger rounding, such as 1e300 + 1, is not
-# merged, so every rewrite stays exact to roundoff at any finite angle
-_MERGE_ROUNDOFF = 2.0**-50
 
 
 def _pair_cx_sandwiches(gates: Sequence[Gate]) -> dict[int, float]:
@@ -368,7 +365,7 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
         half = None
         if g.qubits[0] == work:
             if theta not in half_turns:
-                hit = _least_up_to_half_turn(theta, cfg, _MERGE_ROUNDOFF)
+                hit = _least_up_to_half_turn(theta, cfg)
                 if hit is not None and hit[0] is None:
                     results[theta], hit = hit[1], None
                 half_turns[theta] = hit

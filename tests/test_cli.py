@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -218,8 +219,10 @@ def test_synth_on_a_degenerate_orbit_ends_quickly(capsys, k_max):
 
 
 def test_synth_rejects_non_finite(capsys):
-    assert main(["synth", "nan"]) == EXIT_INVALID
-    assert "finite" in capsys.readouterr().err
+    # the synthesizer's one check, not a second one in the CLI
+    for theta in ("nan", "inf", "-inf"):
+        assert main(["synth", "--", theta]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: theta must be finite\n"
 
 
 def test_non_finite_eps_is_rejected(tmp_path, capsys):
@@ -534,6 +537,23 @@ def test_bench_table(capsys):
         assert "PASS" in row
     names = [r.split()[0] for r in rows[1:]]
     assert "qft-3" in names and "grover-2" in names
+
+
+def test_bench_prints_every_row_then_exits_4_on_a_fail(monkeypatch, capsys):
+    verify = cli_mod.verify_circuit
+    calls = []
+
+    def fail_the_second(c, *args):
+        calls.append(c)
+        report = verify(c, *args)
+        return dataclasses.replace(report, status="FAIL") if len(calls) == 2 else report
+
+    monkeypatch.setattr(cli_mod, "verify_circuit", fail_the_second)
+    assert main(["bench"]) == EXIT_VERIFY
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 10
+    assert rows[0].split()[:4] == ["name", "qubits", "gates", "real"]
+    assert [r.split()[8] for r in rows[1:]] == ["PASS", "FAIL"] + ["PASS"] * 7
 
 
 def test_bench_deterministic_apart_from_timings(capsys):

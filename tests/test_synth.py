@@ -2,6 +2,7 @@ import functools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,6 +226,46 @@ def test_orbit_angle_equals_the_mpmath_reference(phi, k):
     assert orbit_angle(k, phi) == mp_orbit_angle(k, phi)
 
 
+# phi at the default, pi, the least subnormal, small, large and arbitrary;
+# theta up to 1e300, subnormals among the draws
+FRAME_DRAWS = dict(
+    phi=st.one_of(
+        st.sampled_from([DEFAULT_PHI, math.pi, 5e-324, 1e-3, 1e5]), st.floats(-1e3, 1e3)
+    ),
+    theta=st.one_of(
+        st.floats(-1e300, 1e300), st.floats(-1e-307, 1e-307), st.floats(-10.0, 10.0)
+    ),
+    eps=st.floats(1e-9, 1e-1),
+    k_max=st.one_of(st.integers(1, 10**4), st.integers(1, 10**15)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**FRAME_DRAWS)
+def test_both_searches_achieve_the_orbit_angle(phi, theta, eps, k_max):
+    cfg = SynthConfig(phi=phi, eps=eps, k_max=k_max)
+    results = []
+    try:
+        results.append(synthesize(theta, cfg))
+    except NotReachable:
+        pass
+    hit = _least_up_to_half_turn(theta, cfg)
+    if hit is not None:
+        results.append(hit[1])
+    for r in results:
+        assert r.achieved == orbit_angle(r.k, phi) == mp_orbit_angle(r.k, phi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**FRAME_DRAWS)
+def test_the_frame_holds_phi_eps_and_theta_exactly(phi, theta, eps, k_max):
+    w, m, a, t, e = rqc.synth._units(theta, SynthConfig(phi=phi, eps=eps, k_max=k_max))
+    scaled = [Fraction(x) * 2**w for x in (phi, theta, eps)]
+    assert [x.denominator for x in scaled] == [1, 1, 1]
+    assert (scaled[0] % m, scaled[1], scaled[2]) == (a, t, e)
+    assert m == mp_floor_two_pi(w)
+
+
 def mp_floor_two_pi(w):
     with mp.workprec(w + 128):
         return int(mp.floor(mp.ldexp(2 * mp.pi, w)))
@@ -252,13 +293,13 @@ def test_second_synthesis_for_a_config_makes_no_two_pi_build(monkeypatch):
         raise AssertionError("2pi built on the hot path")
 
     monkeypatch.setattr(rqc.synth, "_floor_two_pi", refuse)
-    # a fresh config with equal values reuses the context
+    # a fresh config with equal values builds the same frame
     assert synthesize(0.5, SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)) == first
     rng = np.random.default_rng(400)
     for theta in rng.uniform(-10, 10, size=50):
         r = synthesize(float(theta), SynthConfig(phi=1.25, eps=1e-3, k_max=10**7))
         assert r.k <= 10**7
-    # the widest orbit angle synthesize can ask for, at k = k_max
+    # orbit_angle at k = k_max is narrower than the search's frame
     orbit_angle(10**7, 1.25)
 
 
@@ -336,7 +377,7 @@ def test_the_half_turn_search_equals_an_mpmath_scan(eps, k_max, cases):
     roundoff = 2.0**-50
     seen = set()
     for theta in HALF_TURN_ANGLES + [1e10 + j for j in range(20)]:
-        got = _least_up_to_half_turn(theta, cfg, roundoff)
+        got = _least_up_to_half_turn(theta, cfg)
         want = mp_half_turn_scan(theta, cfg.phi, eps, k_max)
         if want is None:
             assert got is None

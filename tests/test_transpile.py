@@ -398,9 +398,9 @@ def test_synthesize_all_synthesizes_each_distinct_angle_once(monkeypatch):
         calls.append(theta)
         return synthesize(theta, cfg)
 
-    def counted_half_turn(theta, cfg, roundoff):
+    def counted_half_turn(theta, cfg):
         half_turns.append(theta)
-        return least_up_to_half_turn(theta, cfg, roundoff)
+        return least_up_to_half_turn(theta, cfg)
 
     monkeypatch.setattr(transpile_mod, "synthesize", counted)
     monkeypatch.setattr(transpile_mod, "_least_up_to_half_turn", counted_half_turn)
