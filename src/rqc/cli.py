@@ -263,7 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except NotReachable as e:
-        print(f"error: {e}", file=sys.stderr)
+        # transpile and verify lower to the same level-f gate order
+        where = "" if e.gate_index is None else f"gate {e.gate_index} of the level-f circuit: "
+        print(f"error: {where}{e}", file=sys.stderr)
         return EXIT_UNREACHABLE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

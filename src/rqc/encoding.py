@@ -9,7 +9,8 @@ ancilla on top, at n + 1, held in |1> and used only as a control. The
 passes that add the two ancillas (transpile.encode_pass and
 transpile.lower_ry_pass) are the only code that places them; the
 functions here read a register of data qubits and the tag, and
-strip_work_ancilla takes the work ancilla off first.
+strip_work_ancilla takes the work ancilla off first. None of them writes
+to the register it is given.
 """
 
 from __future__ import annotations
@@ -72,36 +73,19 @@ def marginal_distribution(s: RealState) -> np.ndarray:
     return p[:half] + p[half:]
 
 
-def encoded_distances(s: RealState, ref: ComplexState) -> tuple[float, float]:
-    """State and total variation distance of a data + tag register from
-    a complex reference, squaring s.amps in place.
+def encoded_distance(s: RealState, ref: ComplexState) -> float:
+    """State distance of a data + tag register from a complex reference.
 
-    The values equal np.linalg.norm(decode(s).amps - ref.amps) and
-    verify.tv_distance(marginal_distribution(s),
-    sim.distribution(ref)) on the same registers bit for bit: the same
-    float operations in the same order, on the same memory layouts.
-    verify_circuit's distances are these formulas on its compact
-    registers. They share one scratch array the size of ref instead of
-    the half dozen those calls allocate.
+    The value equals np.linalg.norm(decode(s).amps - ref.amps) bit for
+    bit: the same float operations in the same order, on the same memory
+    layout. verify_circuit's distances are this formula on its compact
+    registers. It writes only its one scratch array, the size of ref, in
+    place of the temporaries that decode and the subtraction allocate.
     """
     half = len(ref.amps)
     if len(s.amps) != 2 * half:
-        raise ValueError("encoded_distances expects a data-plus-tag register")
-    amps = s.amps
+        raise ValueError("encoded_distance expects a data-plus-tag register")
     diff = np.empty_like(ref.amps)
-    np.subtract(amps[:half], ref.amps.real, out=diff.real)
-    np.subtract(amps[half:], ref.amps.imag, out=diff.imag)
-    state_distance = float(np.linalg.norm(diff))
-    # diff's float64 view holds the reference distribution q and the
-    # marginal p of s
-    w = diff.view(np.float64)
-    q, p = w[:half], w[half:]
-    np.square(ref.amps.real, out=q)
-    np.square(ref.amps.imag, out=p)
-    np.add(q, p, out=q)
-    np.square(amps, out=amps)
-    np.add(amps[:half], amps[half:], out=p)
-    np.subtract(p, q, out=q)
-    np.abs(q, out=q)
-    return state_distance, 0.5 * float(q.sum())
-
+    np.subtract(s.amps[:half], ref.amps.real, out=diff.real)
+    np.subtract(s.amps[half:], ref.amps.imag, out=diff.imag)
+    return float(np.linalg.norm(diff))

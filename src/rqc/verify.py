@@ -28,14 +28,16 @@ full-size run would hold only zeros, and a gate updates each amplitude
 from itself and its partner by the same operations at any width, so
 every term of the distances is the one a full-size run gives. Only the
 grouping of the sums differs, which moves a distance by a few ulps.
-Comparison is full statevector distance after decoding, not only
-distributions, so phase errors that distributions cannot see still
-fail. encoded_distances forms both distances in one scratch array, so a
-call holds three compact arrays, and memory follows the active width,
-not the declared one. Work follows a narrower width still: every run
-starts from a basis input, so the simulator updates only the prefix of
-amplitudes over the qubits in superposition (see sim), and a gate costs
-2^m for the m qubits superposed so far, not 2^k. Packing bounds memory
+Each stage is measured by one number, its statevector distance from the
+reference after decoding: phase errors that distributions cannot see
+still fail, and on unit states that distance bounds the total variation
+distance of the distributions, so no verdict needs the latter.
+encoded_distance takes it in one scratch array, so a call holds three
+compact arrays, and memory follows the active width, not the declared
+one. Work follows a narrower width still: every run starts from a basis
+input, so the simulator updates only the prefix of amplitudes over the
+qubits in superposition (see sim), and a gate costs 2^m for the m qubits
+superposed so far, not 2^k. Packing bounds memory
 by the active width, and the prefix bounds work by the superposed width.
 Reports serialize to stable key: value text for golden-file comparison.
 """
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
-from .encoding import AncillaLeakError, encoded_distances
+from .encoding import AncillaLeakError, encoded_distance
 from .sim import RealState, check_width, init_basis, run_complex, run_real
 from .synth import SynthConfig
 from .textio import emit
@@ -74,11 +76,10 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StageResult:
-    """Distances of one lowered stage against the complex reference."""
+    """State distance of one lowered stage from the complex reference."""
 
     gate_count: int
     state_distance: float
-    tv_distance: float
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,11 @@ class VerificationReport:
             f"k_max: {self.k_max}",
             f"real_gate_count: {self.real.gate_count}",
             f"real_state_distance: {self.real.state_distance:.17g}",
-            f"real_tv_distance: {self.real.tv_distance:.17g}",
         ]
         if self.f is not None:
             out += [
                 f"f_gate_count: {self.f.gate_count}",
                 f"f_state_distance: {self.f.state_distance:.17g}",
-                f"f_tv_distance: {self.f.tv_distance:.17g}",
             ]
         if self.g is not None:
             out += [
@@ -133,7 +132,6 @@ class VerificationReport:
                 f"g_max_k: {self.max_k if self.max_k is not None else 0}",
                 f"g_budget: {self.budget:.17g}",
                 f"g_state_distance: {self.g.state_distance:.17g}",
-                f"g_tv_distance: {self.g.tv_distance:.17g}",
             ]
         out.append(f"status: {self.status}")
         if self.reason is not None:
@@ -174,13 +172,13 @@ def verify_circuit(
     level: LoweringLevel | str = LoweringLevel.G_ONLY,
 ) -> VerificationReport:
     """Run the complex reference and every lowered stage from the same
-    basis input and measure state and distribution distances.
+    basis input and measure each stage's state distance from it.
 
     PASS needs the exact stages within EXACT_STAGE_TOL in state distance
     and the synthesized stage within its own error budget, give or take
     BUDGET_ROUNDOFF_TOL. Every stage runs on the data + tag register: the
     f and g stages hold the work ancilla in |1> as a classical control,
-    and the f stage reuses the real stage's distances when its projection
+    and the f stage reuses the real stage's distance when its projection
     equals the real stage gate for gate; the g stage is that projection
     at the synthesized angles. AncillaLeakError names the first gate that
     uses the work ancilla other than as the control of f.
@@ -200,7 +198,7 @@ def verify_circuit(
     out of range for the declared qubits is refused before anything is
     allocated. A call holds three arrays the size of the compact
     reference at once: the reference, the stage register, and either a
-    run's scratch or encoding.encoded_distances' one scratch array.
+    run's scratch or encoding.encoded_distance's one scratch array.
     """
     require_valid(c)
     if cfg is None:
@@ -244,15 +242,13 @@ def verify_circuit(
         reg.amps.fill(0)
         reg.amps[start] = 1
         run_real(circuit, reg, out=reg)
-        return StageResult(len(circuit.gates), *encoded_distances(reg, ref))
+        return StageResult(len(circuit.gates), encoded_distance(reg, ref))
 
     real_res = measure(stages.real)
     f_res = g_res = None
     if projected is not None:
         if projected.gates == stages.real.gates:
-            f_res = StageResult(
-                len(stages.f.gates), real_res.state_distance, real_res.tv_distance
-            )
+            f_res = StageResult(len(stages.f.gates), real_res.state_distance)
         else:
             f_res = measure(projected)
     if achieved is not None:
@@ -262,7 +258,7 @@ def verify_circuit(
     for name, res in (("real", real_res), ("f", f_res)):
         if res is None:
             continue
-        if res.state_distance > EXACT_STAGE_TOL:  # it bounds the TV distance
+        if res.state_distance > EXACT_STAGE_TOL:
             reason = f"stage '{name}' distance exceeds {EXACT_STAGE_TOL:g}"
             break
     if g_res is not None and reason is None:

@@ -102,22 +102,16 @@ def gather_apply(gate: Gate, amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def fsum_distances(amps: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
-    """State and total variation distance of a data + tag register from a
-    complex reference, as encoding.encoded_distances defines them.
+def fsum_distance(amps: np.ndarray, ref: np.ndarray) -> float:
+    """State distance of a data + tag register from a complex reference,
+    as encoding.encoded_distance defines it.
 
     Each term is rounded as the package rounds it, one float operation at
-    a time, but every sum is exact: math.fsum rounds it once.
+    a time, but the sum is exact: math.fsum rounds it once.
     """
-    half = len(ref)
-    re, im = amps[:half].tolist(), amps[half:].tolist()
-    ref_re, ref_im = ref.real.tolist(), ref.imag.tolist()
-    diffs = [a - b for a, b in zip(re + im, ref_re + ref_im)]
-    state = math.sqrt(math.fsum(d * d for d in diffs))
-    tv = math.fsum(
-        abs((a * a + b * b) - (c * c + d * d)) for a, b, c, d in zip(re, im, ref_re, ref_im)
-    )
-    return state, 0.5 * tv
+    refs = ref.real.tolist() + ref.imag.tolist()
+    diffs = [a - b for a, b in zip(amps.tolist(), refs, strict=True)]
+    return math.sqrt(math.fsum(d * d for d in diffs))
 
 
 def dense_run(c: Circuit, vec: np.ndarray) -> np.ndarray:

@@ -198,6 +198,24 @@ def test_synth_unreachable_exit_code(capsys):
     assert "raise k_max or eps" in err
 
 
+def test_transpile_and_verify_name_the_gate_out_of_reach(tmp_path, capsys):
+    # at phi = pi/4 the constant angles of the lowering are powers, and
+    # 1.0 is not: the level-f text gives the index of its one gate, on
+    # the declared register for transpile and the packed one for verify
+    path = write(tmp_path, "c.rqc", "qubits 3\ncx 0 2\nrz 2 1.0\n")
+    flags = ["--phi", repr(PI / 4), "--eps", "1e-9", "--k-max", "10"]
+    assert main(["transpile", path, "--level", "f", *flags]) == EXIT_OK
+    gates = capsys.readouterr().out.splitlines()[1:]
+    index = [line.split()[-1] for line in gates].index("1")
+    for command in ("transpile", "verify"):
+        assert main([command, path, *flags]) == EXIT_UNREACHABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            f"error: gate {index} of the level-f circuit: no power reaches theta=1.0 "
+        ), command
+
+
 def test_synth_deep_k_max(capsys):
     assert main(["synth", "1.0", "--eps", "1e-12", "--k-max", "1000000000000000"]) == EXIT_OK
     out = capsys.readouterr().out
