@@ -211,7 +211,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     passed = True
     for name, circuit in bench_suite():
         t0 = time.perf_counter()
-        _, report = transpile(circuit, LoweringLevel.G_ONLY, args.synth)
+        try:
+            _, report = transpile(circuit, LoweringLevel.G_ONLY, args.synth)
+        except NotReachable as e:
+            return _unreachable(e, f"{name}: ")
         t1 = time.perf_counter()
         verdict = verify_circuit(circuit, 0, args.synth)
         t2 = time.perf_counter()
@@ -254,6 +257,13 @@ _SUBCOMMANDS = {
 }
 
 
+def _unreachable(e: NotReachable, circuit: str = "") -> int:
+    # transpile and verify lower to the same level-f gate order
+    where = "" if e.gate_index is None else f"gate {e.gate_index} of the level-f circuit: "
+    print(f"error: {circuit}{where}{e}", file=sys.stderr)
+    return EXIT_UNREACHABLE
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -263,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except NotReachable as e:
-        # transpile and verify lower to the same level-f gate order
-        where = "" if e.gate_index is None else f"gate {e.gate_index} of the level-f circuit: "
-        print(f"error: {where}{e}", file=sys.stderr)
-        return EXIT_UNREACHABLE
+        return _unreachable(e)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

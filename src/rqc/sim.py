@@ -9,9 +9,10 @@ With out= a run writes into a caller's state, which may be init itself,
 so a caller that owns its register runs with no copy.
 
 A run works only on the qubits in superposition. From a basis input,
-one finite nonzero amplitude, every qubit starts as a classical bit of
-known value, and the amplitudes of the m superposed qubits are kept as
-the prefix amps[:2^m], the rest of amps being zero. Each superposed
+one finite nonzero amplitude (found in one pass over amps != 0, by its
+count and argmax), every qubit starts as a classical bit of known value,
+and the amplitudes of the m superposed qubits are kept as the prefix
+amps[:2^m], the rest of amps being zero. Each superposed
 qubit has a position 0..m-1, the prefix index's bit, in the order in
 which it first became superposed. A gate on classical operands needs no
 kernel, or one over the prefix alone:
@@ -47,9 +48,20 @@ array, and the entries past the prefix are zero. Results equal the full
 2x2 product of tests/_oracles.py::gather_apply by value: the products
 left out are those by an exact zero amplitude, and a skipped product by
 an exact 0 or 1 may flip the sign of a zero amplitude, which no
-distance, distribution or report can see. Registers, ancillas included,
-hold at most MAX_QUBITS qubits; wider ones are refused before
-allocation.
+distance, distribution or report can see.
+
+A real run from a basis input keeps the prefix in a list of Python
+floats while it holds at most _FLOAT_PREFIX (64) amplitudes, where a
+gate's ufunc calls cost more than its float updates; the first promotion
+past that, or the end of the run, writes the list to amps once. The
+float forms make the kernels' float64 operations in the same order, and
+CPython and numpy round each float64 product and sum correctly and fuse
+none, so the bits are the kernels', signed zeros included. Complex
+products are not: numpy's SIMD complex multiply differs from CPython's
+in about two products of five, so run_complex keeps numpy throughout.
+
+Registers, ancillas included, hold at most MAX_QUBITS qubits; wider ones
+are refused before allocation.
 """
 
 from __future__ import annotations
@@ -69,6 +81,10 @@ from .gates import block_entries
 # its active data qubits plus 2, whatever the declared width (see its
 # docstring). No run at the cap itself has been measured
 MAX_QUBITS = 28
+
+# the longest prefix a real run keeps in Python floats (see the module
+# docstring); 128 and 256 were no faster on verify-wide
+_FLOAT_PREFIX = 64
 
 
 @dataclass
@@ -165,6 +181,30 @@ def _apply_pair(a0: np.ndarray, a1: np.ndarray, u: tuple, scratch: np.ndarray) -
     np.add(s, t, out=a1)
 
 
+# _scale and _apply_pair on a list of floats, over the entries i < stop
+# with i & mask == want: the same products and sums in the same order
+def _scale_floats(v: list, stop: int, mask: int, want: int, u: float) -> None:
+    if u != 1:
+        for i in range(want, stop):
+            if i & mask == want:
+                v[i] = u * v[i]
+
+
+def _apply_pair_floats(v: list, stop: int, c: int, h: int, u: tuple) -> None:
+    # the pairs (v[i], v[i + h]), i having the bits of c set and h clear
+    u00, u01, u10, u11 = u
+    mask = c | h
+    if u01 == 0 and u10 == 0:
+        _scale_floats(v, stop, mask, c, u00)
+        _scale_floats(v, stop, mask, mask, u11)
+        return
+    for i in range(c, stop):
+        if i & mask == c:
+            x, y = v[i], v[i + h]
+            v[i] = u00 * x + u01 * y
+            v[i + h] = u10 * x + u11 * y
+
+
 # module globals, not lookups through the class: see transpile._RZ
 _GPHASE = GateKind.GPHASE
 
@@ -176,42 +216,88 @@ class _Register:
     qubits, order[p] being the qubit at position p (the prefix index's
     bit p); pos[q] is that position, or -1 for a classical qubit, whose
     value is bit q of bits. Everything past the prefix is zero.
+
+    floats, unless None, stands in for amps[:len(floats)]. apply holds
+    the classical-operand rules once; the three prefix operations it
+    calls (_scale_part, _mix, _promote) each have a float form.
     """
 
-    __slots__ = ("amps", "num_qubits", "scratch", "pos", "order", "bits", "size")
+    __slots__ = ("amps", "num_qubits", "scratch", "pos", "order", "bits", "size", "floats")
 
     def __init__(self, amps: np.ndarray, num_qubits: int):
         self.amps = amps
         self.num_qubits = num_qubits
+        self.floats = None
+        # restore writes through a view of amps' buffer, which needs it
+        # contiguous: a state on a strided slice runs dense, as it did.
+        # One bool pass finds a basis input, freed before the scratch
+        nz = amps != 0 if amps.flags.c_contiguous else None
+        b = int(nz.argmax()) if nz is not None and np.count_nonzero(nz) == 1 else -1
+        del nz
         # shared by every gate: fresh temporaries per gate were up to 2x
         # slower at 20 qubits; it also holds the prefix for restore
         self.scratch = np.empty((2, len(amps) >> 1), dtype=amps.dtype)
-        # restore writes through a view of amps' buffer, which needs it
-        # contiguous: a state on a strided slice runs dense, as it did
-        if amps.flags.c_contiguous and np.count_nonzero(amps) == 1:
-            b = int(amps.nonzero()[0][0])
+        if b >= 0 and math.isfinite(abs(amps[b])):
             a = amps[b]
-            if math.isfinite(abs(a)):
-                amps[b] = 0
-                amps[0] = a
-                self.pos = [-1] * num_qubits
-                self.order = []
-                self.bits = b
-                self.size = 1
-                return
+            amps[b] = 0
+            amps[0] = a
+            self.pos = [-1] * num_qubits
+            self.order = []
+            self.bits = b
+            self.size = 1
+            if amps.dtype.kind == "f":
+                self.floats = amps[:_FLOAT_PREFIX].tolist()
+            return
         # a dense input: every qubit superposed, in place
         self.pos = list(range(num_qubits))
         self.order = list(range(num_qubits))
         self.bits = 0
         self.size = len(amps)
 
+    def _scale_part(self, u, pc: int = -1) -> None:
+        # the prefix, or its half where position pc's bit is set, times u
+        if self.floats is not None:
+            c = 1 << pc if pc >= 0 else 0
+            _scale_floats(self.floats, self.size, c, c, u)
+            return
+        a = self.amps[: self.size]
+        if pc >= 0:
+            a = a.reshape(-1, 2, 1 << pc)[:, 1]
+        _scale(a, u, self.scratch)
+
+    def _mix(self, pc: int, pt: int, u: tuple) -> None:
+        # U on the bit at position pt, where the bit at pc is set if pc >= 0
+        if self.floats is not None:
+            _apply_pair_floats(self.floats, self.size, 1 << pc if pc >= 0 else 0, 1 << pt, u)
+            return
+        a = self.amps[: self.size]
+        if pc < 0:
+            v = a.reshape(-1, 2, 1 << pt)
+            _apply_pair(v[:, 0], v[:, 1], u, self.scratch)
+            return
+        # axis 1 of the view is the higher position's bit, axis 3 the
+        # lower one's
+        lo, hi = min(pc, pt), max(pc, pt)
+        v = a.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        if pc == hi:
+            _apply_pair(v[:, 1, :, 0], v[:, 1, :, 1], u, self.scratch)
+        else:
+            _apply_pair(v[:, 0, :, 1], v[:, 1, :, 1], u, self.scratch)
+
     def _promote(self, q: int) -> int:
         # q joins the superposed qubits at the next position, which
         # doubles the prefix; its amplitudes move to the half of its bit
-        amps, size = self.amps, self.size
+        amps, size, v = self.amps, self.size, self.floats
+        if v is not None and 2 * size > len(v):
+            amps[: len(v)] = v
+            v = self.floats = None
         if self.bits >> q & 1:
-            amps[size : 2 * size] = amps[:size]
-            amps[:size] = 0
+            if v is None:
+                amps[size : 2 * size] = amps[:size]
+                amps[:size] = 0
+            else:
+                v[size : 2 * size] = v[:size]
+                v[:size] = [0.0] * size
             self.bits ^= 1 << q
         p = len(self.order)
         self.pos[q] = p
@@ -222,7 +308,11 @@ class _Register:
     def apply(self, g: Gate, u: tuple) -> None:
         if g.kind is _GPHASE:
             # never a one-element product: see the module docstring
-            self.amps[: max(2, self.size)] *= u[0]
+            stop = max(2, self.size)
+            if self.floats is None:
+                self.amps[:stop] *= u[0]
+            else:
+                _scale_floats(self.floats, min(stop, len(self.floats)), 0, 0, u[0])
             return
         n = self.num_qubits
         for q in g.qubits:
@@ -247,34 +337,22 @@ class _Register:
             u00, u01, u10, u11 = u
             b = self.bits >> qt & 1
             if u01 == 0 and u10 == 0:
-                a = self.amps[: self.size]
-                if pc >= 0:
-                    a = a.reshape(-1, 2, 1 << pc)[:, 1]
-                _scale(a, u11 if b else u00, self.scratch)
+                self._scale_part(u11 if b else u00, pc)
                 return
             if pc < 0 and u00 == 0 and u11 == 0:
-                _scale(self.amps[: self.size], u01 if b else u10, self.scratch)
+                self._scale_part(u01 if b else u10)
                 self.bits ^= 1 << qt
                 return
             pt = self._promote(qt)
-        a = self.amps[: self.size]
-        if pc < 0:
-            v = a.reshape(-1, 2, 1 << pt)
-            _apply_pair(v[:, 0], v[:, 1], u, self.scratch)
-            return
-        # axis 1 of the view is the higher position's bit, axis 3 the
-        # lower one's
-        lo, hi = min(pc, pt), max(pc, pt)
-        v = a.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        if pc == hi:
-            _apply_pair(v[:, 1, :, 0], v[:, 1, :, 1], u, self.scratch)
-        else:
-            _apply_pair(v[:, 0, :, 1], v[:, 1, :, 1], u, self.scratch)
+        self._mix(pc, pt, u)
 
     def restore(self) -> None:
-        """Put amps in natural order: one transposition of the prefix
-        through the scratch, unless it is there already."""
+        """Write any float prefix back, then put amps in natural order: one
+        transposition of the prefix through the scratch, unless it is
+        there already."""
         amps, order, size = self.amps, self.order, self.size
+        if self.floats is not None:
+            amps[: len(self.floats)] = self.floats
         if self.bits == 0 and order == list(range(len(order))):
             return
         src = self.scratch.reshape(-1)[:size]

@@ -15,6 +15,7 @@ import rqc.cli as cli_mod
 import rqc.verify as verify_mod
 from rqc import DEFAULT_PHI, SynthConfig, synthesize
 from rqc.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_UNREACHABLE, EXIT_VERIFY, main
+from rqc.library import bench_suite
 
 from test_verify import corrupted_stages
 
@@ -583,6 +584,15 @@ def test_bench_deterministic_apart_from_timings(capsys):
     assert main(["bench", "--eps", "1e-2"]) == EXIT_OK
     b = capsys.readouterr().out
     assert stable(a) == stable(b)
+
+
+def test_bench_names_the_circuit_it_cannot_synthesize(capsys):
+    # the first suite circuit already has a level-f angle out of reach
+    name = bench_suite()[0][0]
+    assert main(["bench", "--eps", "1e-9", "--k-max", "10"]) == EXIT_UNREACHABLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {name}: gate 0 of the level-f circuit: no power reaches theta=")
 
 
 def test_console_entry_point_runs():

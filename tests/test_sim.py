@@ -618,3 +618,130 @@ def _check_non_finite(gates, real):
             vec = _basis_vector(3, b, bad, np.float64)
             got = run_real(Circuit(3, real), RealState(3, vec)).amps
             assert np.array_equal(got, _gather_run(real, vec), equal_nan=True), (bad, b)
+
+
+# run_real keeps a superposed prefix of at most sim._FLOAT_PREFIX
+# amplitudes in Python floats, and hands it to the numpy kernels when a
+# promotion takes it past that
+
+
+def _real_gate(rng, n):
+    # a random kind the real engine takes; rz and gphase are real at
+    # exact multiples of pi
+    while True:
+        g = random_gate(rng, n)
+        if g.kind.num_params and rng.random() < 0.3:
+            g = Gate(g.kind, g.qubits, float(rng.choice((-2, -1, 0, 1, 2))) * math.pi)
+        if is_real(g):
+            return g
+
+
+def test_real_runs_across_the_float_prefix_are_exact(monkeypatch):
+    # every qubit is made superposed somewhere, so from 7 qubits on the
+    # prefix crosses 64 amplitudes. The gather replay checks values;
+    # runs whose float prefix stops at 2 amplitudes check the bits after
+    # every gate, signed zeros included, before a later sum can erase
+    # them; and a failing gate leaves out holding the state after the
+    # gates before it
+    rng = np.random.default_rng(53)
+    for n in range(1, 10):
+        for b in sorted({0, (1 << n) - 1, int(rng.integers(1 << n))}):
+            for amp in (1.0, -0.5):
+                gates = [_real_gate(rng, n) for _ in range(3 * n + 6)]
+                for q in rng.permutation(n):
+                    ry = Gate(GateKind.RY, (int(q),), float(rng.uniform(-7, 7)))
+                    gates.insert(int(rng.integers(len(gates) + 1)), ry)
+                vec = _basis_vector(n, b, amp, np.float64)
+                got = run_real(Circuit(n, gates), RealState(n, vec)).amps
+                assert np.array_equal(got, _gather_run(gates, vec)), (n, b, amp)
+                with monkeypatch.context() as m:
+                    m.setattr(sim_mod, "_FLOAT_PREFIX", 2)
+                    kernels = [_run_head(gates, k, vec) for k in range(len(gates) + 1)]
+                for k, want in enumerate(kernels):
+                    got = _run_head(gates, k, vec)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, b, amp, k)
+                i = int(rng.integers(len(gates) + 1))
+                c = Circuit(n, gates[:i] + [Gate(GateKind.S, (0,))] + gates[i:])
+                s = RealState(n, vec.copy())
+                with pytest.raises(ValueError, match=f"^gate {i}: non-real gate"):
+                    run_real(c, s, out=s)
+                assert np.array_equal(s.amps, _gather_run(gates[:i], vec)), (n, b, amp, i)
+    # gphase before any qubit is superposed scales two entries, as the
+    # kernels do, or a 0-qubit register's one
+    for n in (0, 2):
+        vec = _basis_vector(n, 0, -0.5, np.float64)
+        got = run_real(Circuit(n, [Gate(GateKind.GPHASE, (), math.pi)]), RealState(n, vec)).amps
+        assert got[0] == 0.5 and np.signbit(got[1:2]).all() and not np.signbit(got[2:]).any()
+
+
+def _run_head(gates, k, vec):
+    n = len(vec).bit_length() - 1
+    return run_real(Circuit(n, gates[:k]), RealState(n, vec)).amps
+
+
+def test_small_real_prefixes_run_in_floats(monkeypatch):
+    # ry on qubits 0..9 in turn from |0> doubles the prefix at every
+    # gate: no numpy kernel runs until gate 6 takes it past 64 amplitudes
+    gate, calls = [-1], []
+    entries, pair, scale = sim_mod.block_entries, sim_mod._apply_pair, sim_mod._scale
+
+    def spy_entries(g):
+        gate[0] += 1
+        return entries(g)
+
+    def spy_pair(a0, a1, u, scratch):
+        calls.append(gate[0])
+        pair(a0, a1, u, scratch)
+
+    def spy_scale(a, u, scratch):
+        calls.append(gate[0])
+        scale(a, u, scratch)
+
+    monkeypatch.setattr(sim_mod, "block_entries", spy_entries)
+    monkeypatch.setattr(sim_mod, "_apply_pair", spy_pair)
+    monkeypatch.setattr(sim_mod, "_scale", spy_scale)
+    n = 10
+    c = Circuit(n)
+    for q in range(n):
+        c.ry(q, 0.3 + q)
+    got = run_real(c, init_basis_real(n, 0)).amps
+    assert sim_mod._FLOAT_PREFIX == 64
+    assert gate[0] == n - 1
+    assert calls[0] == 6, calls
+    assert np.array_equal(got, _gather_run(c.gates, init_basis_real(n, 0).amps))
+
+
+def test_a_basis_input_is_found_in_one_pass():
+    # one finite nonzero amplitude, -0.0 counting as zero, starts the
+    # prefix path on either engine; anything else runs dense
+    n = 4
+    last = (1 << n) - 1
+    basis = [
+        (_basis_vector(n, 6, -0.5, np.float64), 6),
+        (_basis_vector(n, last, 2.0, np.float64), last),
+        (_basis_vector(n, 6, -1j, np.complex128), 6),
+        (_basis_vector(n, last, 0.6 - 0.8j, np.complex128), last),
+    ]
+    gates = [Gate(GateKind.H, (1,)), Gate(GateKind.X, (0,)), Gate(GateKind.F, (1, 3), 0.4)]
+    for vec, b in basis:
+        vec[vec == 0] = -0.0
+        reg = sim_mod._Register(vec.copy(), n)
+        assert (reg.size, reg.bits) == (1, b), vec
+        if vec.dtype.kind == "f":
+            got = run_real(Circuit(n, gates), RealState(n, vec)).amps
+        else:
+            got = run_complex(Circuit(n, gates), ComplexState(n, vec)).amps
+        assert np.array_equal(got, _gather_run(gates, vec)), vec
+    dense = []
+    for dtype in (np.float64, np.complex128):
+        for bad in (math.nan, math.inf, -math.inf):
+            dense.append(_basis_vector(n, 5, bad, dtype))
+        two = _basis_vector(n, 5, 1.0, dtype)
+        two[last] = -0.5
+        dense.append(two)
+        wide = np.zeros(2 << n, dtype=dtype)
+        wide[10] = 1.0
+        dense.append(wide[::2])
+    for vec in dense:
+        reg = sim_mod._Register(vec, n)
+        assert (reg.size, reg.bits, reg.order) == (1 << n, 0, list(range(n))), vec
