@@ -32,10 +32,21 @@ and phi alone, as the reference the tests compare with.
 All of it runs on Python integers, and the fixed-point 2pi comes from
 Machin's formula in integers too; it is rebuilt twice as wide when a
 wider one is asked for.
+
+Both searches are pure functions of (theta, cfg), so each keeps a memo
+of its last _MEMO_SIZE results (functools.lru_cache, 270-340 bytes an
+entry), keyed by value: a repeated angle under an equal config costs a
+dict lookup, within one circuit and across circuits, transpile and
+verify calls alike. Equal keys give equal results: 0.0 and -0.0, or 1
+and 1.0, are one exact value, and so are phi 0.0 and -0.0. A miss
+raises and is not stored, so each call raises its own NotReachable.
+The memo is thread-safe under the GIL: a race between two threads that
+miss on one key costs at most one duplicate search, of an equal result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -51,6 +62,9 @@ _GUARD_BITS = 128
 # merged, so every rewrite stays exact to roundoff at any finite angle;
 # a half-turn label theta -+ pi is taken on the same bound
 _MERGE_ROUNDOFF = 2.0**-50
+
+# entries per search memo; a synth-tight pass keeps up to 264 own, 216 half-turn
+_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -222,12 +236,16 @@ def _units(theta: float, cfg: SynthConfig) -> tuple[int, int, int, int, int]:
     return w, m, _fixed(cfg.phi, w) % m, _fixed(theta, w), _fixed(cfg.eps, w)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     """Smallest k in [1, k_max] with k*phi within eps of theta on the circle;
     failing that, NotReachable names the least k <= k_max at the least
     distance. error is that distance and achieved is k*phi mod 2pi, both
     from the search's frame and rounded once. theta is taken as it is,
     not reduced in float64.
+
+    Memoized by (theta, cfg) as the module docstring says; a NotReachable
+    is raised afresh on each call. __wrapped__ is the search itself.
     """
     if cfg is None:
         cfg = SynthConfig()
@@ -240,6 +258,7 @@ def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     raise NotReachable(theta, best_k, _distance(a, m, t, best_k) / (1 << w))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _least_up_to_half_turn(
     theta: float, cfg: SynthConfig
 ) -> tuple[float | None, SynthesisResult] | None:
@@ -256,6 +275,7 @@ def _least_up_to_half_turn(
     when label is further than _MERGE_ROUNDOFF from the exact half-turn.
     A half-turn miss never enters the closest-miss bisection;
     synthesize(theta, cfg) alone decides what theta's own miss raises.
+    Memoized like synthesize, its None results too.
     """
     w, m, a, t_exact, e = _units(theta, cfg)
     t = t_exact % m
@@ -266,7 +286,8 @@ def _least_up_to_half_turn(
     d = _distance(a, m, t, k)
     if d <= e:
         return None, SynthesisResult(k, achieved, d / (1 << w))
-    label, half = (theta - math.pi, m) if theta >= 0.0 else (theta + math.pi, -m)
+    # a float for any type of theta, as equal keys share one memo entry
+    label, half = (float(theta) - math.pi, m) if theta >= 0.0 else (float(theta) + math.pi, -m)
     # twice the label's distance from the exact theta -+ pi, in units
     if abs(2 * (_fixed(label, w) - t_exact) + half) > 2 * _fixed(_MERGE_ROUNDOFF, w):
         return None

@@ -334,9 +334,10 @@ def lower_ry_pass(c: Circuit) -> Circuit:
 def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     """Synthesis results for every gate of a level-'f' circuit, in order.
 
-    Each distinct angle is synthesized once; gates that repeat it share
-    its result and keep their own index and target. NotReachable is
-    re-raised with gate_index pointing at the first offender.
+    Gates that repeat an angle share its result, from the searches'
+    memos (see synth), and keep their own index and target. NotReachable
+    is re-raised with gate_index pointing at the first offender; a miss
+    is never stored, so each call sets its own.
 
     The top qubit is the work ancilla, as lower_ry_pass appends it, when
     no gate rotates it. It only controls, so f(theta + pi) = Z f(theta)
@@ -348,13 +349,10 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     that float, and its result is for the exact half-turn. If that
     leaves an odd number of flips, the one that saves the fewest gates
     (the first of equals) is undone. One search over both signs per
-    distinct angle finds the cheaper; theta's own search runs only when
-    the half-turn is.
+    work-controlled gate finds the cheaper; theta's own search runs only
+    when the half-turn is, or finds nothing.
     """
     work = c.num_qubits - 1
-    # 0.0 and -0.0 share a key; both reduce to the target 0.0
-    results: dict[float, SynthesisResult] = {}
-    half_turns: dict[float, tuple[float, SynthesisResult] | None] = {}
     out = []
     flips = []  # (gates saved, index, half-turn) of each candidate
     top_rotated = False
@@ -362,20 +360,16 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
         if g.kind is not _F:
             raise ValueError(f"gate {i}: expected an f gate, got {g.kind.value}")
         theta = g.param
-        half = None
+        half = result = None
         if g.qubits[0] == work:
-            if theta not in half_turns:
-                hit = _least_up_to_half_turn(theta, cfg)
-                if hit is not None and hit[0] is None:
-                    results[theta], hit = hit[1], None
-                half_turns[theta] = hit
-            half = half_turns[theta]
+            half = _least_up_to_half_turn(theta, cfg)
+            if half is not None and half[0] is None:
+                half, result = None, half[1]
         else:
             top_rotated = top_rotated or g.qubits[1] == work
-        result = results.get(theta)
         if result is None:
             try:
-                result = results[theta] = synthesize(theta, cfg)
+                result = synthesize(theta, cfg)
             except NotReachable as e:
                 e.gate_index = i
                 raise

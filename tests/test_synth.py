@@ -293,8 +293,9 @@ def test_second_synthesis_for_a_config_makes_no_two_pi_build(monkeypatch):
         raise AssertionError("2pi built on the hot path")
 
     monkeypatch.setattr(rqc.synth, "_floor_two_pi", refuse)
-    # a fresh config with equal values builds the same frame
-    assert synthesize(0.5, SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)) == first
+    # a fresh config with equal values builds the same frame; __wrapped__
+    # runs the search, which the memo would answer without one
+    assert synthesize.__wrapped__(0.5, SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)) == first
     rng = np.random.default_rng(400)
     for theta in rng.uniform(-10, 10, size=50):
         r = synthesize(float(theta), SynthConfig(phi=1.25, eps=1e-3, k_max=10**7))
@@ -308,6 +309,8 @@ def test_deep_search_is_fast_and_exact():
     t0 = time.process_time()
     r = synthesize(1.0, cfg)
     assert time.process_time() - t0 < 1.0
+    # the time is a search's, not a memo hit's
+    assert synthesize.cache_info().misses == 1
     assert r.k > 10**12
     with mp.workdps(80):
         v = mp.fmod(r.k * mpf(DEFAULT_PHI), 2 * mp.pi)
@@ -318,7 +321,7 @@ def test_deep_search_is_fast_and_exact():
     # nothing the search holds grows with k_max
     tracemalloc.start()
     try:
-        assert synthesize(1.0, cfg) == r
+        assert synthesize.__wrapped__(1.0, cfg) == r
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -402,3 +405,89 @@ def test_the_half_turn_search_equals_an_mpmath_scan(eps, k_max, cases):
         assert result.error <= eps
         seen.add("half")
     assert seen == cases
+
+
+def memo_outcome(f, theta, cfg):
+    """A search's result with its floats as hex and its label's repr, so
+    that a signed zero or a numpy scalar counts, or the fields of its
+    miss."""
+    try:
+        r = f(theta, cfg)
+    except NotReachable as e:
+        return "not reachable", str(e), e.theta, e.best_k, e.best_error, e.gate_index
+    if r is None:
+        return None
+    label = None
+    if isinstance(r, tuple):
+        label, r = r
+        label = repr(label)
+    return label, r.k, r.achieved.hex(), r.error.hex()
+
+
+MEMO_THETAS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, -3, math.pi, -math.pi, 0.5 * math.pi]),
+    st.floats(-10.0, 10.0),
+    st.integers(-20, 20),
+    st.floats(-10.0, 10.0).map(np.float64),
+)
+MEMO_CONFIGS = st.builds(
+    SynthConfig,
+    phi=st.sampled_from([DEFAULT_PHI, 0.0, -0.0, 1.25, math.pi]),
+    eps=st.sampled_from([1e-3, 1e-6, 1e-9]),
+    k_max=st.sampled_from([50, 10**4, 10**7]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(MEMO_THETAS, MEMO_CONFIGS), min_size=1, max_size=8))
+def test_a_memoized_search_equals_the_search_itself(draws):
+    # each draw twice, so that the second is a hit whenever the first was
+    # stored; 0.0 and -0.0, 1 and 1.0, and phi 0.0 and -0.0 share keys
+    for theta, cfg in draws + draws:
+        for f in (synthesize, _least_up_to_half_turn):
+            assert memo_outcome(f, theta, cfg) == memo_outcome(f.__wrapped__, theta, cfg)
+
+
+def test_equal_keys_share_one_entry():
+    pairs = [
+        ((0.0, SynthConfig(phi=0.0)), (-0.0, SynthConfig(phi=-0.0))),
+        ((1, SynthConfig()), (1.0, SynthConfig())),
+        # a half-turn hit: its label is a float after either key
+        ((np.float64(2.25), SynthConfig()), (2.25, SynthConfig())),
+    ]
+    for first, second in pairs:
+        for f in (synthesize, _least_up_to_half_turn):
+            want = memo_outcome(f, *first)
+            hits = f.cache_info().hits
+            assert memo_outcome(f, *second) == want == memo_outcome(f.__wrapped__, *second)
+            assert f.cache_info().hits == hits + 1
+
+
+def test_each_config_gets_its_own_k_for_one_angle():
+    configs = (SynthConfig(eps=1e-3), SynthConfig(eps=1e-6, k_max=10**7))
+    want = {cfg: synthesize.__wrapped__(1.0, cfg) for cfg in configs}
+    assert len({r.k for r in want.values()}) == 2
+    for order in (configs, configs[::-1]):
+        synthesize.cache_clear()
+        _least_up_to_half_turn.cache_clear()
+        for cfg in order + order:
+            assert synthesize(1.0, cfg) == want[cfg]
+            assert _least_up_to_half_turn(1.0, cfg) == _least_up_to_half_turn.__wrapped__(1.0, cfg)
+        assert synthesize.cache_info().currsize == 2
+        assert _least_up_to_half_turn.cache_info().currsize == 2
+
+
+def test_the_memos_hold_at_most_their_bound():
+    size = rqc.synth._MEMO_SIZE
+    cfg = SynthConfig()
+    angles = iter(np.linspace(-3.0, 3.0, 2 * (size + 1)).tolist())
+    tracemalloc.start()
+    try:
+        for f in (synthesize, _least_up_to_half_turn):
+            for _ in range(size + 1):
+                f(next(angles), cfg)
+            assert f.cache_info().currsize == f.cache_info().maxsize == size
+        # 270-340 B an entry: under 640 B for each entry of the two memos
+        assert tracemalloc.get_traced_memory()[0] < 2 * size * 640
+    finally:
+        tracemalloc.stop()

@@ -30,6 +30,7 @@ from rqc import (
 from rqc.encoding import add_work_ancilla, strip_work_ancilla
 from rqc.library import bench_suite
 from rqc.sim import RealState
+from rqc.synth import _least_up_to_half_turn
 from rqc.transpile import (
     achieved_circuit,
     encode_pass,
@@ -385,36 +386,55 @@ def test_synthesize_all_flags_the_failing_gate():
     assert e.value.theta == 1.0
 
 
-def test_synthesize_all_synthesizes_each_distinct_angle_once(monkeypatch):
+def test_each_synthesis_reports_its_own_unreachable_gate():
+    # the same unreachable angle at gate 1 of one circuit and gate 3 of
+    # another, once with the work ancilla controlling it; a miss is
+    # never stored, so each call raises its own NotReachable
+    cfg = SynthConfig(eps=1e-15, k_max=50)
+    first, second = Circuit(3), Circuit(3)
+    for theta in (DEFAULT_PHI, 1.0, 2.0):
+        first.gates.append(Gate(GateKind.F, (2, 0), theta))
+    for theta in (DEFAULT_PHI, 2 * DEFAULT_PHI, DEFAULT_PHI, 1, 1.0):
+        second.gates.append(Gate(GateKind.F, (0, 1), theta))
+    raised = []
+    for c, index, theta in ((first, 1, 1.0), (second, 3, 1), (first, 1, 1.0)):
+        with pytest.raises(NotReachable) as e:
+            synthesize_all(c, cfg)
+        assert (e.value.gate_index, e.value.theta) == (index, theta)
+        assert type(e.value.theta) is type(theta)
+        raised.append(e.value)
+    assert len({id(e) for e in raised}) == 3
+
+
+def test_synthesize_all_synthesizes_each_distinct_angle_once():
     c = random_circuit(3, 40, seed=5)
     l2, _ = transpile(c, LoweringLevel.F_ONLY)
     l2.gates += [Gate(GateKind.F, (0, 1), 0.0), Gate(GateKind.F, (1, 2), -0.0)]
     cfg = SynthConfig(eps=1e-3)
     want = synthesize_all(l2, cfg)
-    calls, half_turns = [], []
-    least_up_to_half_turn = transpile_mod._least_up_to_half_turn
-
-    def counted(theta, cfg):
-        calls.append(theta)
-        return synthesize(theta, cfg)
-
-    def counted_half_turn(theta, cfg):
-        half_turns.append(theta)
-        return least_up_to_half_turn(theta, cfg)
-
-    monkeypatch.setattr(transpile_mod, "synthesize", counted)
-    monkeypatch.setattr(transpile_mod, "_least_up_to_half_turn", counted_half_turn)
+    # a search is a memo miss, and with nothing evicted every miss is kept
+    synthesize.cache_clear()
+    _least_up_to_half_turn.cache_clear()
     got = synthesize_all(l2, cfg)
+    own_searches, half_turns = synthesize.cache_info(), _least_up_to_half_turn.cache_info()
     assert got == want
     work = l2.num_qubits - 1
     angles = {g.param for g in l2.gates}
     work_angles = {g.param for g in l2.gates if g.qubits[0] == work}
     # one search per distinct angle, theta's own or the one over both
     # signs, and at most one more per distinct work-controlled angle
-    assert sorted(half_turns) == sorted(work_angles)
-    assert len(set(calls)) == len(calls)
-    assert set(calls) | work_angles == angles
-    assert len(calls) + len(half_turns) <= len(angles) + len(work_angles) < 2 * len(l2.gates)
+    assert half_turns.misses == half_turns.currsize == len(work_angles)
+    assert own_searches.misses == own_searches.currsize
+    assert len(angles - work_angles) <= own_searches.misses <= len(angles)
+    searches = own_searches.misses + half_turns.misses
+    assert searches <= len(angles) + len(work_angles) < 2 * len(l2.gates)
+    # the angles searched are those: asking again searches nothing
+    for theta in work_angles:
+        _least_up_to_half_turn(theta, cfg)
+    for theta in angles - work_angles:
+        synthesize(theta, cfg)
+    assert _least_up_to_half_turn.cache_info().misses == half_turns.misses
+    assert synthesize.cache_info().misses == own_searches.misses
     for s, g in zip(got, l2.gates):
         own = synthesize(g.param, cfg)
         assert s == SynthesizedGate(s.index, g.param, own) or g.qubits[0] == work
