@@ -271,9 +271,10 @@ def _least_up_to_half_turn(
     is for the exact theta + pi, its error the distance from k*phi to it,
     measured against half the fixed-point 2pi, and achieved k*phi mod 2pi
     from the same frame. label is the float theta - pi for theta >= 0 and
-    theta + pi otherwise. None when no k <= k_max lands by either, or
-    when label is further than _MERGE_ROUNDOFF from the exact half-turn.
-    A half-turn miss never enters the closest-miss bisection;
+    theta + pi otherwise, a float for any numeric type of theta, since
+    equal keys share one memo entry. None when no k <= k_max lands by
+    either, or when label is further than _MERGE_ROUNDOFF from the exact
+    half-turn. A half-turn miss never enters the closest-miss bisection;
     synthesize(theta, cfg) alone decides what theta's own miss raises.
     Memoized like synthesize, its None results too.
     """
@@ -286,7 +287,6 @@ def _least_up_to_half_turn(
     d = _distance(a, m, t, k)
     if d <= e:
         return None, SynthesisResult(k, achieved, d / (1 << w))
-    # a float for any type of theta, as equal keys share one memo entry
     label, half = (float(theta) - math.pi, m) if theta >= 0.0 else (float(theta) + math.pi, -m)
     # twice the label's distance from the exact theta -+ pi, in units
     if abs(2 * (_fixed(label, w) - t_exact) + half) > 2 * _fixed(_MERGE_ROUNDOFF, w):

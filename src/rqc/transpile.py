@@ -348,11 +348,15 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     rounds the half-turn by at most _MERGE_ROUNDOFF; its target is then
     that float, and its result is for the exact half-turn. If that
     leaves an odd number of flips, the one that saves the fewest gates
-    (the first of equals) is undone. One search over both signs per
-    work-controlled gate finds the cheaper; theta's own search runs only
-    when the half-turn is, or finds nothing.
+    (the first of equals) is undone. One search over both signs finds
+    the cheaper; theta's own search runs only when the half-turn is, or
+    when nothing is. Every gate whose angle some work-controlled gate
+    carries takes that search, a memo hit after the first, so that when
+    it lands by theta its result serves the gates off the work ancilla
+    too: each distinct angle costs at most one search of each kind.
     """
     work = c.num_qubits - 1
+    work_angles = {g.param for g in c.gates if g.qubits[0] == work}
     out = []
     flips = []  # (gates saved, index, half-turn) of each candidate
     top_rotated = False
@@ -361,12 +365,12 @@ def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
             raise ValueError(f"gate {i}: expected an f gate, got {g.kind.value}")
         theta = g.param
         half = result = None
-        if g.qubits[0] == work:
+        if theta in work_angles:
             half = _least_up_to_half_turn(theta, cfg)
             if half is not None and half[0] is None:
                 half, result = None, half[1]
-        else:
-            top_rotated = top_rotated or g.qubits[1] == work
+        if g.qubits[0] != work:
+            half, top_rotated = None, top_rotated or g.qubits[1] == work
         if result is None:
             try:
                 result = synthesize(theta, cfg)

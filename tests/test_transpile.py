@@ -421,20 +421,30 @@ def test_synthesize_all_synthesizes_each_distinct_angle_once():
     work = l2.num_qubits - 1
     angles = {g.param for g in l2.gates}
     work_angles = {g.param for g in l2.gates if g.qubits[0] == work}
+    # the work-controlled angles whose search over both signs lands by
+    # theta, and so needs no search of theta's own, on any gate
+    landed = set()
+    for theta in work_angles:
+        half = _least_up_to_half_turn(theta, cfg)
+        if half is not None and half[0] is None:
+            landed.add(theta)
+    assert landed & {g.param for g in l2.gates if g.qubits[0] != work}
     # one search per distinct angle, theta's own or the one over both
     # signs, and at most one more per distinct work-controlled angle
     assert half_turns.misses == half_turns.currsize == len(work_angles)
-    assert own_searches.misses == own_searches.currsize
-    assert len(angles - work_angles) <= own_searches.misses <= len(angles)
+    assert own_searches.misses == own_searches.currsize == len(angles - landed)
     searches = own_searches.misses + half_turns.misses
     assert searches <= len(angles) + len(work_angles) < 2 * len(l2.gates)
     # the angles searched are those: asking again searches nothing
-    for theta in work_angles:
-        _least_up_to_half_turn(theta, cfg)
-    for theta in angles - work_angles:
+    for theta in angles - landed:
         synthesize(theta, cfg)
     assert _least_up_to_half_turn.cache_info().misses == half_turns.misses
     assert synthesize.cache_info().misses == own_searches.misses
+    # and only those: with every angle asked, the own memo holds one
+    # entry per angle, so no search ran on a key foreign to the circuit
+    for theta in angles:
+        synthesize(theta, cfg)
+    assert synthesize.cache_info().currsize == len(angles)
     for s, g in zip(got, l2.gates):
         own = synthesize(g.param, cfg)
         assert s == SynthesizedGate(s.index, g.param, own) or g.qubits[0] == work
