@@ -10,19 +10,29 @@ skipped; operands are qubit indices, control first; angles are plain
 decimal literals in radians. Counts, operands and angles take ASCII
 digits only. Emission is canonical: LF line endings, angles at 17
 significant digits, trailing newline. The parser also accepts CRLF
-input. Both directions handle a run of identical lines once: parse
-finds a run's extent by galloping (startswith on doubled copies of its
-line) and shares one Gate across it, and emit formats one line per run
-of equal gates. The text is byte for byte that of
-line-by-line handling. Python steps scale with runs (times log of the
-run length in parse); only C comparisons and copies scale with bytes.
+input. Both directions handle a run of identical lines once, and the
+text is byte for byte that of line-by-line handling.
+
+parse finds a run's extent by galloping: startswith on copies of its
+line doubled up to _GALLOP_MAX (4 KiB), then back down. A line that
+comes in a run of two or more keeps, for the rest of the call, its
+doubled copies (under 8 KiB per distinct line) and, for a gate line,
+its checked Gate fields, so a later run of it builds no copies and is
+not tokenized; each run gets one Gate, shared across it. Lines that
+only come singly keep nothing. emit lets groupby skip each run of
+equal gates in C and reads the run's bounds off the list iterator,
+then formats one line per run and repeats it. Python steps thus scale
+with runs (times the log of the run length, plus one step per 2-4 KiB
+of a long run); only C comparisons and copies scale with bytes and
+lines.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from itertools import groupby, repeat
+from itertools import chain, groupby, pairwise, repeat
+from operator import length_hint
 
 from .circuit import Circuit, Gate, GateKind
 
@@ -32,9 +42,10 @@ _TOKEN_RE = re.compile(r"\S+")
 # also take Arabic-Indic and full-width digits, which int and float read
 _INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
-# parse's gallop stops doubling at this many characters, so a huge run
-# costs about 2 MB of scratch text and one step per megabyte beyond it
-_GALLOP_MAX = 1 << 20
+# parse's gallop doubles a line's copies up to this many characters: a
+# line's cached copies then take under 8 KiB, and a long run costs one
+# startswith per 2-4 KiB of it
+_GALLOP_MAX = 1 << 12
 
 
 class ParseError(ValueError):
@@ -52,15 +63,21 @@ def _tokens(raw: str) -> list[tuple[int, str]]:
     return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(raw.partition("#")[0])]
 
 
-def _run_end(text: str, unit: str, pos: int) -> int:
-    # end of the run of copies of unit that starts at pos (one copy at
-    # least): gallop up the powers of two, then walk back down them
-    blocks = [unit]
-    while text.startswith(blocks[-1], pos):
-        pos += len(blocks[-1])
-        if len(blocks[-1]) < _GALLOP_MAX:
-            blocks.append(blocks[-1] * 2)
-    for block in reversed(blocks[:-1]):
+def _run_end(text: str, blocks: list[str], pos: int) -> int:
+    # end of the run of copies of blocks[0] that starts at pos (one copy
+    # at least). blocks[j] is blocks[0] * 2**j: gallop up them, doubling
+    # the top block while it fits in _GALLOP_MAX, then walk back down.
+    # A block is appended only when the gallop reaches it, so the
+    # caller's list keeps it for the line's later runs
+    pos += len(blocks[0])
+    j = 0
+    while text.startswith(blocks[j], pos):
+        pos += len(blocks[j])
+        if 2 * len(blocks[j]) <= _GALLOP_MAX:
+            j += 1
+            if j == len(blocks):
+                blocks.append(blocks[-1] * 2)
+    for block in reversed(blocks[:j]):
         if text.startswith(block, pos):
             pos += len(block)
     return pos
@@ -70,13 +87,18 @@ def _runs(text: str) -> Iterator[tuple[str, int]]:
     # (line, count) for each run of groupby(text.split("\n")), without
     # the split: the line is what precedes each "\n" (a CR stays in it)
     pos, end = 0, len(text)
+    blocks_of: dict[str, list[str]] = {}
     while True:
         nl = text.find("\n", pos)
         if nl < 0:
             yield text[pos:], 1
             return
         unit = text[pos:nl + 1]
-        stop = _run_end(text, unit, pos)
+        blocks = blocks_of.get(unit) or [unit]
+        stop = _run_end(text, blocks, pos)
+        if len(blocks) > 1:
+            # the line repeated: keep its doubled copies for its next run
+            blocks_of[unit] = blocks
         raw, run = unit[:-1], (stop - pos) // len(unit)
         if end - stop == len(raw) and text.startswith(raw, stop):
             # the unterminated last line repeats the run
@@ -91,9 +113,16 @@ def parse(text: str) -> Circuit:
     first problem, with the line and column of the offending token."""
     circuit: Circuit | None = None
     next_line = 1
+    # the Gate fields of each gate line that came in a run of two or
+    # more: a later run of that line is not tokenized or checked again
+    fields_of: dict[str, tuple] = {}
     for raw, run in _runs(text):
         lineno = next_line
         next_line += run
+        fields = fields_of.get(raw)
+        if fields is not None:
+            circuit.gates.extend(repeat(Gate(*fields), run))
+            continue
         toks = _tokens(raw)
         if not toks:
             continue
@@ -142,7 +171,10 @@ def parse(text: str) -> Circuit:
             param = float(tok)
             if param in (float("inf"), float("-inf")):
                 raise ParseError(lineno, col, "angle overflows to infinity")
-        circuit.gates.extend(repeat(Gate(kind, tuple(qubits), param), run))
+        fields = (kind, tuple(qubits), param)
+        if run > 1:
+            fields_of[raw] = fields
+        circuit.gates.extend(repeat(Gate(*fields), run))
     if circuit is None:
         raise ParseError(1, 1, "missing 'qubits' header")
     return circuit
@@ -151,16 +183,22 @@ def parse(text: str) -> Circuit:
 def emit(c: Circuit) -> str:
     """Canonical text for a valid circuit; parse(emit(c)) == c. Each run of
     equal gates is formatted once; groupby compares them in C, by identity
-    first. f(0.0) == f(-0.0) prints two ways, so a run of zero angles is
-    split again by Gate identity."""
+    first, and skips through each run without a copy of it, while the
+    gate list's iterator tells where each run starts. f(0.0) == f(-0.0)
+    prints two ways, so a run of zero angles is split again by Gate
+    identity."""
+    gates = c.gates
+    it = iter(gates)
+    # groupby has taken each run's first gate when it yields the run
+    starts = ((g, len(gates) - 1 - length_hint(it)) for g, _ in groupby(it))
     out = [f"qubits {c.num_qubits}\n"]
-    for g, run in groupby(c.gates):
+    for (g, start), (_, stop) in pairwise(chain(starts, [(None, len(gates))])):
         if g.param == 0:
-            for _, same in groupby(run, key=id):
+            for _, same in groupby(gates[start:stop], key=id):
                 same = list(same)
                 out.append(_line(same[0]) * len(same))
         else:
-            out.append(_line(g) * len(list(run)))
+            out.append(_line(g) * (stop - start))
     return "".join(out)
 
 

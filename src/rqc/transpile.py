@@ -46,6 +46,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .synth import (
@@ -399,7 +400,7 @@ def materialize_fixed(c: Circuit, synths: Sequence[SynthesizedGate], phi: float)
     out = Circuit(c.num_qubits, name=c.name)
     fixed = {q: Gate(GateKind.F, q, phi) for q in {g.qubits for g in c.gates}}
     for g, s in zip(c.gates, synths, strict=True):
-        out.gates.extend([fixed[g.qubits]] * s.result.k)
+        out.gates.extend(repeat(fixed[g.qubits], s.result.k))
     return out
 
 

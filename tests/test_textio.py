@@ -248,8 +248,13 @@ def _text(header_run, runs):
 _runs = st.lists(
     st.tuples(
         st.sampled_from(_GOOD_LINES),
-        # lengths that cross the doubling steps of parse's gallop
-        st.one_of(st.integers(1, 6), st.sampled_from([7, 8, 9, 15, 16, 17, 63, 64, 65, 129])),
+        # lengths that cross the doubling steps of parse's gallop; at
+        # 1100-1400 copies, a run of 3-13 character lines crosses its
+        # 4 KiB cap
+        st.one_of(
+            st.integers(1, 6),
+            st.sampled_from([7, 8, 9, 15, 16, 17, 63, 64, 65, 129, 1100, 1237, 1400]),
+        ),
         st.sampled_from(["\n", "\r\n"]),
     ),
     max_size=12,
@@ -259,7 +264,8 @@ _runs = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(_runs, st.booleans())
 def test_parse_equals_the_line_parser_on_repeated_lines(runs, final_newline):
-    text = _text(1, runs)
+    # the runs come twice, so each line recurs in a separate run
+    text = _text(1, runs + [("cx 0 1", 1, "\n")] + runs)
     if not final_newline:
         text = text.rstrip("\n")
     assert outcome(parse, text) == outcome(line_parse, text)
@@ -366,10 +372,12 @@ def test_parse_shares_one_gate_across_a_run():
     assert g[0] == g[2] == g[3]
 
 
-def test_parse_tokenizes_each_run_once(monkeypatch):
+def test_parse_tokenizes_each_distinct_line_once(monkeypatch):
     text = emit(level_g(qft(3)))
     runs = sum(1 for _ in groupby(text.split("\n")))
+    distinct = len(set(text.split("\n")))
     assert runs * 100 < text.count("\n")
+    assert distinct * 3 < runs
     calls = []
     tokens = textio._tokens
 
@@ -378,10 +386,25 @@ def test_parse_tokenizes_each_run_once(monkeypatch):
         return tokens(raw)
 
     monkeypatch.setattr(textio, "_tokens", counting)
-    parse(text)
-    # one call per run: the header's, each fixed-gate run's, and the
-    # empty string after the final newline
+    assert parse(text) == line_parse(text)
+    # one call per distinct line: the header's, each fixed gate's, and
+    # the empty string after the final newline; so at most one per run
+    assert len(calls) <= distinct
     assert len(calls) <= runs
+
+
+def test_emit_peak_memory_on_level_g_text():
+    c = level_g(qft(7))
+    tracemalloc.start()
+    try:
+        text = emit(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 4_000_000
+    # one string per run and their join, each as long as the text; one
+    # object per gate would take several times that
+    assert peak < 2.1 * len(text), f"emit peaked at {peak / len(text):.2f}x its text"
 
 
 def test_a_million_fixed_gates_round_trip_quickly():
