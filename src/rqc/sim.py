@@ -22,14 +22,18 @@ kernel, or one over the prefix alone:
   - a classical control at 0 leaves the state as it is, one at 1
     applies U by the target's single-qubit rule;
   - a superposed control over a classical target with a diagonal U
-    scales the control-set half of the prefix by u_bb.
-Any other gate promotes its classical target: the prefix doubles, the
-target taking the next position, and the kernel below runs at the
-positions. At the end of the run, or when a gate raises, one
-transposition through the run's scratch puts the state back in natural
-order. A dense input, any other state, has every qubit superposed from
-the start at positions 0..n-1 and needs no transposition; so does a
-state on a strided slice of a larger array.
+    scales the control-set half of the prefix by u_bb;
+  - any other U promotes the classical target: the prefix doubles, the
+    target taking the next position, and each amplitude a of the prefix,
+    or of its control-set half under a superposed control, becomes
+    u_0b*a at the target's bit 0 and u_1b*a at bit 1, two scalar-first
+    products; control-clear amplitudes keep bit b.
+A gate on a superposed target runs the kernels below at the positions.
+At the end of the run, or when a gate raises, one transposition
+through the run's scratch puts the state back in natural order. A
+dense input, any other state, has every qubit superposed from the
+start at positions 0..n-1 and needs no transposition; so does a state
+on a strided slice of a larger array.
 
 Kernels update the prefix in place through strided views of
 amps.reshape(...), with no index arrays. A single-qubit gate at position
@@ -46,9 +50,10 @@ over at least two entries: on a one-element complex128 array numpy
 rounds that product differently from the same product inside a longer
 array, and the entries past the prefix are zero. Results equal the full
 2x2 product of tests/_oracles.py::gather_apply by value: the products
-left out are those by an exact zero amplitude, and a skipped product by
-an exact 0 or 1 may flip the sign of a zero amplitude, which no
-distance, distribution or report can see.
+left out are those by an exact zero amplitude, such as a promoted
+amplitude's partner in the empty half, and a skipped product by an
+exact 0 or 1 may flip the sign of a zero amplitude, which no distance,
+distribution or report can see.
 
 A real run from a basis input keeps the prefix in a list of Python
 floats while it holds at most _FLOAT_PREFIX (64) amplitudes, where a
@@ -219,7 +224,7 @@ class _Register:
 
     floats, unless None, stands in for amps[:len(floats)]. apply holds
     the classical-operand rules once; the three prefix operations it
-    calls (_scale_part, _mix, _promote) each have a float form.
+    calls (_scale_part, _spread, _mix) each have a float form.
     """
 
     __slots__ = ("amps", "num_qubits", "scratch", "pos", "order", "bits", "size", "floats")
@@ -284,26 +289,49 @@ class _Register:
         else:
             _apply_pair(v[:, 0, :, 1], v[:, 1, :, 1], u, self.scratch)
 
-    def _promote(self, q: int) -> int:
-        # q joins the superposed qubits at the next position, which
-        # doubles the prefix; its amplitudes move to the half of its bit
+    def _spread(self, pc: int, qt: int, b: int, u: tuple) -> None:
+        # qt, classical at bit b, joins the superposed qubits at the next
+        # position, which doubles the prefix: each amplitude a where the
+        # bit at pc is set, or every one if pc < 0, becomes u_0b*a at
+        # qt's bit 0 and u_1b*a at its bit 1. The others keep bit b, so
+        # at b = 1 they move to the new half
         amps, size, v = self.amps, self.size, self.floats
         if v is not None and 2 * size > len(v):
             amps[: len(v)] = v
             v = self.floats = None
-        if self.bits >> q & 1:
-            if v is None:
-                amps[size : 2 * size] = amps[:size]
-                amps[:size] = 0
+        u0, u1 = u[b], u[2 + b]
+        moved = b and pc >= 0
+        self.bits &= ~(1 << qt)
+        c = 1 << pc if pc >= 0 else 0
+        if v is not None:
+            for i in range(size):
+                if i & c != c:
+                    if moved:
+                        v[i + size] = v[i]
+                        v[i] = 0.0
+                    continue
+                a = v[i]
+                v[i] = u0 * a
+                v[i + size] = u1 * a
+        else:
+            if pc < 0:
+                x, y = amps[:size], amps[size : 2 * size]
             else:
-                v[size : 2 * size] = v[:size]
-                v[:size] = [0.0] * size
-            self.bits ^= 1 << q
-        p = len(self.order)
-        self.pos[q] = p
-        self.order.append(q)
+                h = amps[: 2 * size].reshape(2, -1, 2, c)
+                if moved:
+                    h[1, :, 0] = h[0, :, 0]
+                    h[0, :, 0] = 0
+                x, y = h[0, :, 1], h[1, :, 1]
+            # scalar-first products to the scratch rows, as in _apply_pair
+            t = self.scratch[0, : x.size].reshape(x.shape)
+            s = self.scratch[1, : x.size].reshape(x.shape)
+            np.multiply(u0, x, out=t)
+            np.multiply(u1, x, out=s)
+            x[...] = t
+            y[...] = s
+        self.pos[qt] = len(self.order)
+        self.order.append(qt)
         self.size = 2 * size
-        return p
 
     def apply(self, g: Gate, u: tuple) -> None:
         if g.kind is _GPHASE:
@@ -343,7 +371,8 @@ class _Register:
                 self._scale_part(u01 if b else u10)
                 self.bits ^= 1 << qt
                 return
-            pt = self._promote(qt)
+            self._spread(pc, qt, b, u)
+            return
         self._mix(pc, pt, u)
 
     def restore(self) -> None:
@@ -367,8 +396,13 @@ class _Register:
 
 
 def _real_entries(g: Gate) -> tuple[float, float, float, float]:
-    # the same test as gates.is_real, on the entries fetched once
-    u00, u01, u10, u11 = block_entries(g)
+    # the same test as gates.is_real, on the entries fetched once. A
+    # block of floats is real as it stands; only one with a complex
+    # entry (y, rx and the phase kinds) is tested and converted
+    u = block_entries(g)
+    u00, u01, u10, u11 = u
+    if float is type(u00) is type(u01) is type(u10) is type(u11):
+        return u
     if u00.imag or u01.imag or u10.imag or u11.imag:
         raise ValueError(f"non-real gate in real engine: {g.kind.value}")
     return u00.real, u01.real, u10.real, u11.real

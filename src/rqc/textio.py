@@ -19,12 +19,13 @@ comes in a run of two or more keeps, for the rest of the call, its
 doubled copies (under 8 KiB per distinct line) and, for a gate line,
 its checked Gate fields, so a later run of it builds no copies and is
 not tokenized; each run gets one Gate, shared across it. Lines that
-only come singly keep nothing. emit lets groupby skip each run of
-equal gates in C and reads the run's bounds off the list iterator,
-then formats one line per run and repeats it. Python steps thus scale
-with runs (times the log of the run length, plus one step per 2-4 KiB
-of a long run); only C comparisons and copies scale with bytes and
-lines.
+only come singly keep nothing. A line is tokenized by str.split, and a
+token's column is found only for a ParseError. emit lets groupby skip
+each run of equal gates in C and reads the run's bounds off the list
+iterator, then formats one line per run, by its kind's %-template, and
+repeats it. Python steps thus scale with runs (times the log of the
+run length, plus one step per 2-4 KiB of a long run); only C
+comparisons and copies scale with bytes and lines.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from operator import length_hint
 from .circuit import Circuit, Gate, GateKind
 
 _MNEMONICS = {k.value: k for k in GateKind}
-_TOKEN_RE = re.compile(r"\S+")
 # literals are ASCII, as emit writes them: without re.ASCII, \d would
 # also take Arabic-Indic and full-width digits, which int and float read
 _INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
@@ -58,9 +58,20 @@ class ParseError(ValueError):
         self.message = message
 
 
-def _tokens(raw: str) -> list[tuple[int, str]]:
-    # (column, token) pairs; columns are 1-based into the original line
-    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(raw.partition("#")[0])]
+def _tokens(raw: str) -> list[str]:
+    # the runs of non-whitespace before any '#': str.split and the regex
+    # \S+ take the same whitespace, str.isspace's, at every code point
+    return raw.partition("#")[0].split()
+
+
+def _column(raw: str, toks: list[str], i: int) -> int:
+    # the 1-based column of toks[i] in raw, found only for an error: only
+    # whitespace lies between two tokens, so each is the first match of
+    # itself past the end of the one before
+    end = 0
+    for tok in toks[: i + 1]:
+        end = raw.index(tok, end) + len(tok)
+    return end - len(toks[i]) + 1
 
 
 def _run_end(text: str, blocks: list[str], pos: int) -> int:
@@ -126,51 +137,61 @@ def parse(text: str) -> Circuit:
         toks = _tokens(raw)
         if not toks:
             continue
-        col0, head = toks[0]
+        head = toks[0]
         if circuit is None:
             if head != "qubits":
+                col0 = _column(raw, toks, 0)
                 raise ParseError(lineno, col0, "first statement must be 'qubits <n>'")
             if len(toks) != 2:
-                raise ParseError(lineno, col0, "'qubits' takes exactly one count")
-            col, tok = toks[1]
+                raise ParseError(lineno, _column(raw, toks, 0), "'qubits' takes exactly one count")
+            tok = toks[1]
             if not _INT_RE.match(tok) or int(tok) < 1:
-                raise ParseError(lineno, col, f"qubit count must be a positive integer, got '{tok}'")
+                raise ParseError(
+                    lineno, _column(raw, toks, 1),
+                    f"qubit count must be a positive integer, got '{tok}'",
+                )
             circuit = Circuit(int(tok))
             if run > 1:
-                raise ParseError(lineno + 1, col0, "duplicate 'qubits' header")
+                raise ParseError(lineno + 1, _column(raw, toks, 0), "duplicate 'qubits' header")
             continue
         if head == "qubits":
-            raise ParseError(lineno, col0, "duplicate 'qubits' header")
+            raise ParseError(lineno, _column(raw, toks, 0), "duplicate 'qubits' header")
         kind = _MNEMONICS.get(head)
         if kind is None:
-            raise ParseError(lineno, col0, f"unknown gate '{head}'")
+            raise ParseError(lineno, _column(raw, toks, 0), f"unknown gate '{head}'")
         if len(toks) - 1 != kind.num_operands + kind.num_params:
             raise ParseError(
-                lineno, col0,
+                lineno, _column(raw, toks, 0),
                 f"'{head}' takes {kind.num_operands} operand(s) and "
                 f"{kind.num_params} angle(s), got {len(toks) - 1} token(s)",
             )
         qubits = []
-        for col, tok in toks[1:1 + kind.num_operands]:
+        for i in range(1, 1 + kind.num_operands):
+            tok = toks[i]
             if not _INT_RE.match(tok):
-                raise ParseError(lineno, col, f"operand must be an integer, got '{tok}'")
+                raise ParseError(
+                    lineno, _column(raw, toks, i), f"operand must be an integer, got '{tok}'"
+                )
             q = int(tok)
             if q < 0 or q >= circuit.num_qubits:
                 raise ParseError(
-                    lineno, col,
+                    lineno, _column(raw, toks, i),
                     f"operand {q} out of range for {circuit.num_qubits} qubit(s)",
                 )
             qubits.append(q)
         if kind.num_operands == 2 and qubits[0] == qubits[1]:
-            raise ParseError(lineno, toks[2][0], "duplicate operands")
+            raise ParseError(lineno, _column(raw, toks, 2), "duplicate operands")
         param = None
         if kind.num_params:
-            col, tok = toks[-1]
+            i = len(toks) - 1
+            tok = toks[i]
             if not _FLOAT_RE.match(tok):
-                raise ParseError(lineno, col, f"angle must be a decimal literal, got '{tok}'")
+                raise ParseError(
+                    lineno, _column(raw, toks, i), f"angle must be a decimal literal, got '{tok}'"
+                )
             param = float(tok)
             if param in (float("inf"), float("-inf")):
-                raise ParseError(lineno, col, "angle overflows to infinity")
+                raise ParseError(lineno, _column(raw, toks, i), "angle overflows to infinity")
         fields = (kind, tuple(qubits), param)
         if run > 1:
             fields_of[raw] = fields
@@ -202,8 +223,14 @@ def emit(c: Circuit) -> str:
     return "".join(out)
 
 
+# one %-template per kind, indexed by GateKind.ordinal: "f %d %d %.17g\n".
+# %d writes an int as str does, and %.17g a float as format(x, ".17g")
+_LINES = tuple(
+    " ".join([k.value] + ["%d"] * k.num_operands + ["%.17g"] * k.num_params) + "\n"
+    for k in GateKind
+)
+
+
 def _line(g: Gate) -> str:
-    parts = [g.kind.value, *map(str, g.qubits)]
-    if g.kind.num_params:
-        parts.append(format(g.param, ".17g"))
-    return " ".join(parts) + "\n"
+    k = g.kind
+    return _LINES[k.ordinal] % ((*g.qubits, g.param) if k.num_params else g.qubits)

@@ -7,13 +7,16 @@ checks the rewrites too; each lowered stage runs on the real engine
 from the encoded initial state, over data + tag. The work ancilla of
 the f and g stages sits in |1> and only controls f, so the f stage is
 projected once onto that block, each f(work -> t) becoming ry(t), and
-the ancilla is never simulated; a gate that could move it raises
-AncillaLeakError before anything runs. Level 'g' is simulated as the
-achieved_circuit of that projection, one gate per rotation instead of
-sum(k) fixed gates: the projected gate list at the synthesized angles.
-lower_ry_pass keeps every angle, so the projected f stage normally
-equals the real stage gate for gate and reuses its run, which the
-deterministic simulator would repeat bit for bit.
+the ancilla is never simulated. lower_ry_pass keeps each gate off the
+ancilla as the same object and every angle, so when each f-stage gate
+is the real stage's own or f(work -> t) at the angle of its ry(t), the
+projection is the real stage itself: nothing is rebuilt, and the f
+stage reuses the real stage's run, which the deterministic simulator
+would repeat bit for bit. Any other f stage is projected gate by gate,
+and a gate that could move the ancilla raises AncillaLeakError before
+anything runs. Level 'g' is simulated as the achieved_circuit of the
+projection, one gate per rotation instead of sum(k) fixed gates: the
+projected gate list at the synthesized angles.
 
 A data qubit that no gate of the circuit acts on stays in its input
 bit. Every pass rewrites each gate on its own operands and adds only
@@ -54,7 +57,7 @@ from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import AncillaLeakError, encoded_distance
 from .sim import RealState, check_width, init_basis, run_complex, run_real
 from .synth import SynthConfig
-from .textio import emit
+from .textio import _line
 from .transpile import LoweringLevel, achieved_circuit, prepare_stages
 
 # the exact stages must reproduce the reference to accumulation error
@@ -160,9 +163,29 @@ def _project_work(c: Circuit, work: int) -> Circuit:
     return out
 
 
+def _lowers(f: Circuit, real: Circuit, work: int) -> bool:
+    # whether f is lower_ry_pass(real): each gate the real one itself or
+    # f(work -> t) at the angle of its ry(t). Its projection is then
+    # real, gate for gate
+    if len(f.gates) != len(real.gates):
+        return False
+    for gf, gr in zip(f.gates, real.gates):
+        if gf is not gr and not (
+            gr.kind is _RY
+            and gf.kind is _F
+            and gf.qubits == (work, gr.qubits[0])
+            and gf.param == gr.param
+        ):
+            return False
+    return True
+
+
 def circuit_digest(c: Circuit) -> str:
-    """sha256 over the canonical text form."""
-    return hashlib.sha256(emit(c).encode()).hexdigest()
+    """sha256 over the canonical text form, emit(c). The text is written a
+    line per gate, which is emit's text without its search for runs: an
+    input's gates seldom repeat, and verify runs each gate anyway."""
+    text = f"qubits {c.num_qubits}\n" + "".join(map(_line, c.gates))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def verify_circuit(
@@ -225,8 +248,10 @@ def verify_circuit(
     stages = prepare_stages(packed, cfg, level)
     projected = achieved = None
     if stages.f is not None:
-        # refuses a gate that moves the work ancilla before anything runs
-        projected = _project_work(stages.f, stages.work_ancilla)
+        projected = stages.real
+        if not _lowers(stages.f, stages.real, stages.work_ancilla):
+            # refuses a gate that moves the work ancilla before anything runs
+            projected = _project_work(stages.f, stages.work_ancilla)
     if stages.level is LoweringLevel.G_ONLY:
         achieved = achieved_circuit(projected, stages.syntheses)
     # each run starts from the input's bits on the active qubits; idle

@@ -8,7 +8,9 @@ high-precision arithmetic, the synthesis window is formed in mpmath in
 units of 2^-P turns and every angular distance is taken in mpmath from
 the unreduced target, the transform matrices come from their defining
 formulas, and .rqc text is tokenized, parsed and emitted one character
-and one line at a time.
+and one line at a time. The package's earlier tokenizer (a regex) and
+line formatter (a join of parts) are kept here as references for the
+forms that replaced them.
 """
 
 from __future__ import annotations
@@ -254,6 +256,7 @@ def mp_synthesize(theta: float, cfg: SynthConfig) -> SynthesisResult:
 
 
 _MNEMONICS = {k.value: k for k in GateKind}
+_TOKEN_RE = re.compile(r"\S+")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
@@ -278,11 +281,18 @@ def char_tokens(raw: str) -> list[tuple[int, str]]:
     return out
 
 
-def line_parse(text: str) -> Circuit:
-    """.rqc parser that checks every line on its own, one Gate per line."""
+def regex_tokens(raw: str) -> list[tuple[int, str]]:
+    """(column, token) pairs for the matches of \\S+ before any '#', as
+    textio tokenized until it took str.split."""
+    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(raw.partition("#")[0])]
+
+
+def line_parse(text: str, tokens=char_tokens) -> Circuit:
+    """.rqc parser that checks every line on its own, one Gate per line,
+    splitting each into (column, token) pairs by `tokens`."""
     circuit: Circuit | None = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        toks = char_tokens(raw.rstrip("\r"))
+        toks = tokens(raw.rstrip("\r"))
         if not toks:
             continue
         col0, head = toks[0]
@@ -334,13 +344,16 @@ def line_parse(text: str) -> Circuit:
     return circuit
 
 
+def join_line(g: Gate) -> str:
+    """One gate's line, its parts joined by spaces, as textio formatted it
+    until it took one %-template per kind."""
+    parts = [g.kind.value]
+    parts += [str(q) for q in g.qubits]
+    if g.kind.num_params:
+        parts.append(format(g.param, ".17g"))
+    return " ".join(parts) + "\n"
+
+
 def line_emit(c: Circuit) -> str:
     """Canonical .rqc text, one formatted line per gate."""
-    lines = [f"qubits {c.num_qubits}"]
-    for g in c.gates:
-        parts = [g.kind.value]
-        parts += [str(q) for q in g.qubits]
-        if g.kind.num_params:
-            parts.append(format(g.param, ".17g"))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    return f"qubits {c.num_qubits}\n" + "".join(join_line(g) for g in c.gates)

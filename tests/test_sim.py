@@ -559,10 +559,12 @@ def test_out_holds_the_state_before_the_failing_gate():
 
 
 def test_work_follows_the_superposed_qubits(monkeypatch):
-    # each kernel call touches at most 2^m amplitudes, m counting the
-    # qubits superposed after its gate, on a 20-qubit register
+    # each kernel call and each promotion touches at most 2^m
+    # amplitudes, m counting the qubits superposed after its gate, on a
+    # 20-qubit register
     calls = []
     entries, pair, scale = sim_mod.block_entries, sim_mod._apply_pair, sim_mod._scale
+    spread = sim_mod._Register._spread
 
     def spy_entries(g):
         calls.append(0)
@@ -576,9 +578,15 @@ def test_work_follows_the_superposed_qubits(monkeypatch):
         calls[-1] = max(calls[-1], a.size)
         scale(a, u, scratch)
 
+    def spy_spread(reg, *args):
+        # a promotion writes the doubled prefix
+        spread(reg, *args)
+        calls[-1] = max(calls[-1], reg.size)
+
     monkeypatch.setattr(sim_mod, "block_entries", spy_entries)
     monkeypatch.setattr(sim_mod, "_apply_pair", spy_pair)
     monkeypatch.setattr(sim_mod, "_scale", spy_scale)
+    monkeypatch.setattr(sim_mod._Register, "_spread", spy_spread)
     c = Circuit(20).x(3).h(5).cx(5, 9).rz(9, 0.3).cz(5, 3)
     got = run_complex(c, init_basis(20, 0)).amps
     superposed = [0, 1, 2, 2, 2]
@@ -680,10 +688,13 @@ def _run_head(gates, k, vec):
 
 
 def test_small_real_prefixes_run_in_floats(monkeypatch):
-    # ry on qubits 0..9 in turn from |0> doubles the prefix at every
-    # gate: no numpy kernel runs until gate 6 takes it past 64 amplitudes
+    # ry twice on qubits 0..9 in turn from |0>: the first ry on a qubit
+    # promotes it, which doubles the prefix, and the second mixes it. No
+    # numpy kernel runs until gate 12 spreads the prefix past 64
+    # amplitudes, and gate 13 mixes it
     gate, calls = [-1], []
     entries, pair, scale = sim_mod.block_entries, sim_mod._apply_pair, sim_mod._scale
+    spread = sim_mod._Register._spread
 
     def spy_entries(g):
         gate[0] += 1
@@ -697,18 +708,78 @@ def test_small_real_prefixes_run_in_floats(monkeypatch):
         calls.append(gate[0])
         scale(a, u, scratch)
 
+    def spy_spread(reg, *args):
+        # the float prefix is handed over before a spread in numpy
+        spread(reg, *args)
+        if reg.floats is None:
+            calls.append(gate[0])
+
     monkeypatch.setattr(sim_mod, "block_entries", spy_entries)
     monkeypatch.setattr(sim_mod, "_apply_pair", spy_pair)
     monkeypatch.setattr(sim_mod, "_scale", spy_scale)
+    monkeypatch.setattr(sim_mod._Register, "_spread", spy_spread)
     n = 10
     c = Circuit(n)
     for q in range(n):
-        c.ry(q, 0.3 + q)
+        c.ry(q, 0.3 + q).ry(q, 1.1 - q)
     got = run_real(c, init_basis_real(n, 0)).amps
     assert sim_mod._FLOAT_PREFIX == 64
-    assert gate[0] == n - 1
-    assert calls[0] == 6, calls
+    assert gate[0] == 2 * n - 1
+    assert calls[:2] == [12, 13], calls
     assert np.array_equal(got, _gather_run(c.gates, init_basis_real(n, 0).amps))
+
+
+def test_promotions_spread_the_prefix_without_the_pair_kernel(monkeypatch):
+    # a dense gate on a classical target, at bit 0 or 1, alone or under
+    # a control that is superposed or classical at 1, with a superposed
+    # spectator ahead of it or not. cx and f(pi/2) under a superposed
+    # control also promote, cx's U having zero entries. Every gate here
+    # is a promotion or a classical rule, so the pair kernel never runs.
+    # Values equal the gather replay; the two real paths agree bit for bit
+    pairs = []
+
+    def spy(kernel):
+        def run(*args):
+            pairs.append(kernel.__name__)
+            kernel(*args)
+
+        return run
+
+    for name in ("_apply_pair", "_apply_pair_floats"):
+        monkeypatch.setattr(sim_mod, name, spy(getattr(sim_mod, name)))
+    n = 4
+    dense = [
+        (GateKind.H, None), (GateKind.RY, 0.7), (GateKind.RX, 0.4),
+        (GateKind.CX, None), (GateKind.F, 1.1), (GateKind.F, math.pi / 2),
+    ]
+    cases = 0
+    for (kind, param), (c, t), t_bit in itertools.product(dense, [(0, 3), (3, 0), (1, 2)], (0, 1)):
+        controls = ("superposed", "one") if kind.num_operands == 2 else ("none",)
+        for control, spectator in itertools.product(controls, (False, True)):
+            # the spectator, the qubit neither operand uses, becomes
+            # superposed first, so the control takes position 1
+            s = ({0, 1, 2, 3} - {c, t}).pop()
+            head = [Gate(GateKind.RY, (s,), 0.3)] if spectator else []
+            if control == "superposed":
+                head.append(Gate(GateKind.H, (c,)))
+            qubits = (t,) if kind.num_operands == 1 else (c, t)
+            gates = head + [Gate(kind, qubits, param)]
+            b = t_bit << t | (control == "one") << c
+            vec = _basis_vector(n, b, -1j, np.complex128)
+            got = run_complex(Circuit(n, gates), ComplexState(n, vec)).amps
+            assert np.array_equal(got, _gather_run(gates, vec)), gates
+            if all(is_real(g) for g in gates):
+                vec = _basis_vector(n, b, -0.5, np.float64)
+                got = run_real(Circuit(n, gates), RealState(n, vec)).amps
+                assert np.array_equal(got, _gather_run(gates, vec)), gates
+                with monkeypatch.context() as m:
+                    m.setattr(sim_mod, "_FLOAT_PREFIX", 2)
+                    kernel = run_real(Circuit(n, gates), RealState(n, vec)).amps
+                assert np.array_equal(kernel, got), gates
+                assert np.array_equal(kernel.view(np.uint64), got.view(np.uint64)), gates
+            cases += 1
+    assert cases == 3 * 3 * 2 * 2 + 3 * 3 * 2 * 2 * 2
+    assert pairs == []
 
 
 def test_a_basis_input_is_found_in_one_pass():

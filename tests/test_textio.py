@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rqc.textio as textio
@@ -21,7 +21,7 @@ from rqc import (
     transpile,
 )
 
-from _oracles import char_tokens, line_emit, line_parse
+from _oracles import char_tokens, join_line, line_emit, line_parse, regex_tokens
 
 
 def test_parse_minimal():
@@ -183,13 +183,78 @@ _LINE_PIECES = [
 @given(st.lists(st.one_of(st.sampled_from(_LINE_PIECES), st.text(max_size=3)), max_size=12))
 def test_tokens_match_the_character_walk(pieces):
     raw = "".join(pieces)
-    assert textio._tokens(raw) == char_tokens(raw)
+    assert _token_columns(raw) == char_tokens(raw) == regex_tokens(raw)
 
 
 def test_tokens_on_unicode_whitespace():
     raw = "\xa0f\x1c0\u3000 1\x85-0.5\r # 2 3"
-    assert textio._tokens(raw) == [(2, "f"), (4, "0"), (7, "1"), (9, "-0.5")]
-    assert textio._tokens(raw) == char_tokens(raw)
+    assert _token_columns(raw) == [(2, "f"), (4, "0"), (7, "1"), (9, "-0.5")]
+    assert _token_columns(raw) == char_tokens(raw)
+
+
+def _token_columns(raw):
+    # parse's tokens, each with the column an error at it reports
+    toks = textio._tokens(raw)
+    return [(textio._column(raw, toks, i), tok) for i, tok in enumerate(toks)]
+
+
+# whitespace that str.split and \S+ must both take, and tokens of
+# statements valid and malformed, with comments
+_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+_STATEMENTS = [
+    "qubits 3", "h 0", "cx 0 1", "f 1 0 0.5", "rz 2 -1e-3", "gphase 2", "f 1 1 0.5",
+    "f 0 9 0.5", "h q0", "rz 0 nan", "bogus 1", "cx 0", "rz 0 1e999", "qubits 0",
+    "h", "", "x \xe9", "rz 0 0.5\u200b",
+]
+
+
+@st.composite
+def _spaced_line(draw):
+    toks = draw(st.sampled_from(_STATEMENTS)).split(" ")
+    spaces = st.text(alphabet=_SPACES, min_size=1, max_size=3)
+    line = draw(st.text(alphabet=_SPACES, max_size=2)) + toks[0]
+    for tok in toks[1:]:
+        line += draw(spaces) + tok
+    line += draw(st.text(alphabet=_SPACES, max_size=2))
+    if draw(st.booleans()):
+        line += "#" + draw(st.text(st.characters(blacklist_characters="\n"), max_size=4))
+    return line
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(st.tuples(_spaced_line(), st.integers(1, 3), st.sampled_from(["\n", "\r\n"])),
+             max_size=8),
+)
+@example(True, [("\tcx\xa00\u3000 9 # c", 1, "\n")])
+def test_parse_equals_the_regex_tokenizer(header, lines):
+    # the gates, or the first ParseError's line, column and message, of
+    # a parse whose lines were split by the regex parse once used
+    text = "qubits 3\t# h\n" if header else ""
+    for line, run, ending in lines:
+        text += (line + ending) * run
+
+    def regex_parse(t):
+        return line_parse(t, regex_tokens)
+
+    assert outcome(parse, text) == outcome(regex_parse, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(GateKind)),
+    st.tuples(st.integers(0, 10**20 - 1), st.integers(0, 10**20 - 1)),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e300, -1e300]),
+    ),
+)
+@example(GateKind.F, (10**20 - 1, 0), -0.0)
+@example(GateKind.GPHASE, (0, 0), 5e-324)
+def test_line_equals_the_joined_parts(kind, operands, param):
+    g = Gate(kind, operands[: kind.num_operands], param if kind.num_params else None)
+    assert textio._line(g) == join_line(g)
 
 
 def outcome(parser, text):

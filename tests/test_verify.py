@@ -60,6 +60,18 @@ def test_digest_is_sha256_of_the_canonical_text():
     assert circuit_digest(c) == hashlib.sha256(emit(c).encode()).hexdigest()
 
 
+def test_digest_hashes_emit_on_runs_and_signed_zeros():
+    # the digest writes a line per gate; emit formats each run once and
+    # splits a run of zero angles by object: the bytes are the same
+    zero, neg = Gate(GateKind.F, (1, 0), 0.0), Gate(GateKind.F, (1, 0), -0.0)
+    runs = Circuit(2, [zero, neg, neg, Gate(GateKind.F, (1, 0), 0.0)] + [neg] * 3)
+    level_g, _ = transpile(qft(3), LoweringLevel.G_ONLY)
+    circuits = [runs, level_g, Circuit(1), Circuit(3).gphase(-0.0).rz(2, 1e300)]
+    circuits += [random_circuit(n, 30, seed=n) for n in range(1, 8)]
+    for c in circuits:
+        assert circuit_digest(c) == hashlib.sha256(emit(c).encode()).hexdigest()
+
+
 def test_verify_small_circuit_passes():
     report = verify_circuit(Circuit(2).h(0).cx(0, 1).s(1), init_basis_index=1)
     assert report.passed
@@ -710,3 +722,61 @@ def test_an_invalid_circuit_is_reported_before_a_bad_level():
     for entry in (lambda: transpile(c, "bogus"), lambda: verify_circuit(c, 0, None, "bogus")):
         with pytest.raises(ValueError, match="^gate 0: rz needs an angle$"):
             entry()
+
+
+def test_the_f_stage_is_projected_only_when_it_is_not_the_real_stage_lowered(monkeypatch):
+    # the pipeline's f stage is lower_ry_pass of the real stage, whose
+    # projection is the real stage itself: nothing is rebuilt. A stage
+    # that touches the work ancilla otherwise is still projected, and
+    # refused, and one rebuilt as new but equal gates is projected and
+    # reports as the original does
+    calls = []
+    project = verify_mod._project_work
+
+    def spy(c, work):
+        calls.append(len(c.gates))
+        return project(c, work)
+
+    monkeypatch.setattr(verify_mod, "_project_work", spy)
+    inner = verify_mod.prepare_stages
+    cfg = SynthConfig(eps=1e-3)
+    circuits = [random_circuit(n, 12, seed=40 + n) for n in range(1, 6)]
+    circuits.append(Circuit(3).h(0).cx(0, 2).rx(1, 0.4).ry(2, 0.3))
+    reports = {}
+    for c in circuits:
+        for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
+            reports[id(c), level] = verify_circuit(c, 1, cfg, level).to_text()
+    assert calls == []
+
+    # an f stage whose lowered ry angles moved is not the real stage
+    # lowered: it is projected, and its distance shows the move
+    monkeypatch.setattr(verify_mod, "prepare_stages", corrupted_stages("f", 1e-3))
+    report = verify_circuit(Circuit(1).ry(0, 0.3), 0, cfg, LoweringLevel.F_ONLY)
+    assert report.reason == "stage 'f' distance exceeds 1e-09"
+    assert calls == [1]
+
+    def rebuilt(c, cfg, level):
+        st = inner(c, cfg, level)
+        gates = [Gate(g.kind, g.qubits, g.param) for g in st.f.gates]
+        assert all(a == b and a is not b for a, b in zip(gates, st.f.gates))
+        return dataclasses.replace(st, f=Circuit(st.f.num_qubits, gates))
+
+    monkeypatch.setattr(verify_mod, "prepare_stages", rebuilt)
+    for c in circuits:
+        for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
+            calls.clear()
+            assert verify_circuit(c, 1, cfg, level).to_text() == reports[id(c), level]
+            assert len(calls) == 1
+    c = Circuit(2).h(0).cx(0, 1)
+    n = len(inner(c, cfg, LoweringLevel.F_ONLY).f.gates)
+    cases = [
+        lambda work: [Gate(GateKind.F, (1, work), 0.3)],
+        lambda work: [Gate(GateKind.F, (work, 1), 0.3), Gate(GateKind.RY, (work,), 0.2)],
+    ]
+    for extra in cases:
+        monkeypatch.setattr(verify_mod, "prepare_stages", leaky_stages(inner, extra))
+        for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
+            calls.clear()
+            with pytest.raises(AncillaLeakError):
+                verify_circuit(c, 0, cfg, level)
+            assert calls == [n + len(extra(2))]
