@@ -28,8 +28,7 @@ from typing import NamedTuple
 from .circuit import Circuit
 from .gates import is_real
 from .library import bench_suite
-from .sim import check_shots, distribution, init_basis, init_basis_real, run_complex
-from .sim import run_real, sample
+from .sim import check_shots, distribution, run_complex, run_real, sample
 from .synth import NotReachable, SynthConfig, synthesize
 from .textio import ParseError, emit, parse
 from .transpile import LoweringLevel, TranspileReport, transpile
@@ -168,12 +167,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.shots:  # before the circuit is read and run
         check_shots(args.shots, args.seed)
     c = _load_circuit(args)
-    if all(is_real(g) for g in c.gates):
-        state = init_basis_real(c.num_qubits, args.init)
-        run_real(c, state, out=state)
-    else:
-        state = init_basis(c.num_qubits, args.init)
-        run_complex(c, state, out=state)
+    run = run_real if all(is_real(g) for g in c.gates) else run_complex
+    state = run(c, args.init)
     probs = distribution(state)
     if args.shots:
         counts = sample(probs, args.shots, args.seed)

@@ -15,6 +15,8 @@ to the register it is given.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .sim import ComplexState, RealState
@@ -78,9 +80,12 @@ def encoded_distance(s: RealState, ref: ComplexState) -> float:
 
     The value equals np.linalg.norm(decode(s).amps - ref.amps) bit for
     bit: the same float operations in the same order, on the same memory
-    layout. verify_circuit's distances are this formula on its compact
-    registers. It writes only its one scratch array, the size of ref, in
-    place of the temporaries that decode and the subtraction allocate.
+    layout. Those are norm's for a complex vector, the dot products of
+    the real and the imaginary parts with themselves, their sum and its
+    square root, here without norm's argument handling. verify_circuit's
+    distances are this formula on its compact registers. It writes only
+    its one scratch array, the size of ref, in place of the temporaries
+    that decode and the subtraction allocate.
     """
     half = len(ref.amps)
     if len(s.amps) != 2 * half:
@@ -88,4 +93,5 @@ def encoded_distance(s: RealState, ref: ComplexState) -> float:
     diff = np.empty_like(ref.amps)
     np.subtract(s.amps[:half], ref.amps.real, out=diff.real)
     np.subtract(s.amps[half:], ref.amps.imag, out=diff.imag)
-    return float(np.linalg.norm(diff))
+    dr, di = diff.real, diff.imag
+    return math.sqrt(dr.dot(dr) + di.dot(di))

@@ -8,14 +8,19 @@ from gates.block_entries, equal to the entries of gates.gate_matrix.
 With out= a run writes into a caller's state, which may be init itself,
 so a caller that owns its register runs with no copy.
 
+init is a state or a basis index b. From an index the run writes |b>
+itself, into a new state or a cleared out, and starts from it with no
+search; the result is that of the run from init_basis(n, b), bit for
+bit.
+
 A run works only on the qubits in superposition. From a basis input,
-one finite nonzero amplitude (found in one pass over amps != 0, by its
-count and argmax), every qubit starts as a classical bit of known value,
-and the amplitudes of the m superposed qubits are kept as the prefix
-amps[:2^m], the rest of amps being zero. Each superposed
-qubit has a position 0..m-1, the prefix index's bit, in the order in
-which it first became superposed. A gate on classical operands needs no
-kernel, or one over the prefix alone:
+an index, or a state with one finite nonzero amplitude (found in one
+pass over amps != 0, by its count and argmax), every qubit starts as a
+classical bit of known value, and the amplitudes of the m superposed
+qubits are kept as the prefix amps[:2^m], the rest of amps being zero.
+Each superposed qubit has a position 0..m-1, the prefix index's bit,
+in the order in which it first became superposed. A gate on classical
+operands needs no kernel, or one over the prefix alone:
   - a diagonal U scales the prefix by u_bb, b being the target's bit;
   - an anti-diagonal U (x, y, cx on a set control) scales the prefix by
     the off-diagonal entry and flips the bit;
@@ -82,6 +87,8 @@ from .gates import block_entries
 # a run holds two register-sized arrays, the state and two half-register
 # scratch rows, and a third when it copies init instead of taking out=:
 # about 8 GiB, or 12 GiB with the copy, for run_complex at 28 qubits.
+# The search of a state input adds a bool temporary of one byte per
+# amplitude, freed before the scratch; a run from an index has none.
 # verify_circuit holds three the size of its compact reference and caps
 # its active data qubits plus 2, whatever the declared width (see its
 # docstring). No run at the cap itself has been measured
@@ -149,10 +156,14 @@ def check_width(num_qubits: int) -> None:
         raise ValueError(f"{num_qubits} qubit(s) exceed the simulator limit of {MAX_QUBITS}")
 
 
-def _basis(num_qubits: int, basis_index: int, dtype) -> np.ndarray:
+def _check_basis(num_qubits: int, basis_index: int) -> None:
     check_width(num_qubits)
     if not 0 <= basis_index < (1 << num_qubits):
         raise ValueError(f"basis index {basis_index} out of range for {num_qubits} qubit(s)")
+
+
+def _basis(num_qubits: int, basis_index: int, dtype) -> np.ndarray:
+    _check_basis(num_qubits, basis_index)
     amps = np.zeros(1 << num_qubits, dtype=dtype)
     amps[basis_index] = 1.0
     return amps
@@ -229,20 +240,29 @@ class _Register:
 
     __slots__ = ("amps", "num_qubits", "scratch", "pos", "order", "bits", "size", "floats")
 
-    def __init__(self, amps: np.ndarray, num_qubits: int):
+    def __init__(self, amps: np.ndarray, num_qubits: int, basis: int | None = None):
         self.amps = amps
         self.num_qubits = num_qubits
         self.floats = None
         # restore writes through a view of amps' buffer, which needs it
         # contiguous: a state on a strided slice runs dense, as it did.
-        # One bool pass finds a basis input, freed before the scratch
-        nz = amps != 0 if amps.flags.c_contiguous else None
-        b = int(nz.argmax()) if nz is not None and np.count_nonzero(nz) == 1 else -1
-        del nz
+        # basis, when given, is the index of the basis vector the run
+        # wrote to amps, taken with no search. Otherwise one bool pass
+        # finds a basis input, freed before the scratch
+        if not amps.flags.c_contiguous:
+            b = -1
+        elif basis is not None:
+            b = basis
+        else:
+            nz = amps != 0
+            b = int(nz.argmax()) if np.count_nonzero(nz) == 1 else -1
+            del nz
+            if b >= 0 and not math.isfinite(abs(amps[b])):
+                b = -1
         # shared by every gate: fresh temporaries per gate were up to 2x
         # slower at 20 qubits; it also holds the prefix for restore
         self.scratch = np.empty((2, len(amps) >> 1), dtype=amps.dtype)
-        if b >= 0 and math.isfinite(abs(amps[b])):
+        if b >= 0:
             a = amps[b]
             amps[b] = 0
             amps[0] = a
@@ -408,14 +428,22 @@ def _real_entries(g: Gate) -> tuple[float, float, float, float]:
     return u00.real, u01.real, u10.real, u11.real
 
 
-def run_complex(c: Circuit, init: ComplexState, out: ComplexState | None = None) -> ComplexState:
+def run_complex(
+    c: Circuit, init: ComplexState | int, out: ComplexState | None = None
+) -> ComplexState:
     """Apply the gates left to right to init, or to a copy of it; errors
     carry the gate index.
 
-    With out given, the run writes into out and returns it: out may be
-    init itself, which then holds the final state. Otherwise init is
-    left untouched and a new state is returned. From a basis input, one
-    finite nonzero amplitude, the work follows the qubits in
+    init is a state or a basis index, an int but not a bool. From an
+    index b the run starts from |b> with no search for its amplitude:
+    without out it allocates that state as init_basis does, refusing a
+    register wider than MAX_QUBITS and then an index out of range with
+    init_basis's messages; with out it checks out, then the index, and
+    clears out and writes the one amplitude. With out given,
+    the run writes into out and returns it: out may be init itself,
+    which then holds the final state. Otherwise init is left untouched
+    and a new state is returned. From a basis input, an index or a state
+    with one finite nonzero amplitude, the work follows the qubits in
     superposition, not the register's width; a dense input runs every
     gate over the whole register. If a gate raises, out holds the state
     after the gates before it.
@@ -423,29 +451,43 @@ def run_complex(c: Circuit, init: ComplexState, out: ComplexState | None = None)
     return _run(c, init, out, ComplexState, block_entries)
 
 
-def run_real(c: Circuit, init: RealState, out: RealState | None = None) -> RealState:
-    """As run_complex, for exactly-real gates only."""
+def run_real(c: Circuit, init: RealState | int, out: RealState | None = None) -> RealState:
+    """As run_complex, for exactly-real gates only; an index allocates
+    as init_basis_real does."""
     return _run(c, init, out, RealState, _real_entries)
 
 
 def _run(
     c: Circuit,
-    init: ComplexState | RealState,
+    init: ComplexState | RealState | int,
     out: ComplexState | RealState | None,
     cls: type,
     entries,
 ) -> ComplexState | RealState:
-    if c.num_qubits != init.num_qubits:
-        raise ValueError(f"circuit has {c.num_qubits} qubit(s) but the state has {init.num_qubits}")
+    n = c.num_qubits
+    basis = None
+    if isinstance(init, int):
+        if isinstance(init, bool):
+            raise TypeError("init must be a state or a basis index, not a bool")
+        basis = int(init)
+    elif n != init.num_qubits:
+        raise ValueError(f"circuit has {n} qubit(s) but the state has {init.num_qubits}")
     if out is None:
-        out = cls(c.num_qubits, init.amps.copy())
-    elif type(out) is not cls or out.num_qubits != c.num_qubits:
-        raise ValueError(f"out must be a {cls.__name__} of {c.num_qubits} qubit(s)")
+        if basis is None:
+            out = cls(n, init.amps.copy())
+        else:
+            out = cls(n, _basis(n, basis, np.float64 if cls is RealState else np.complex128))
+    elif type(out) is not cls or out.num_qubits != n:
+        raise ValueError(f"out must be a {cls.__name__} of {n} qubit(s)")
+    elif basis is not None:
+        _check_basis(n, basis)
+        out.amps[...] = 0
+        out.amps[basis] = 1
     elif out is not init:
         # cls checks init as it does without out: RealState refuses a
         # complex init with the same ValueError
-        out.amps[...] = cls(c.num_qubits, init.amps).amps
-    reg = _Register(out.amps, c.num_qubits)
+        out.amps[...] = cls(n, init.amps).amps
+    reg = _Register(out.amps, n, basis)
     try:
         for i, g in enumerate(c.gates):
             try:

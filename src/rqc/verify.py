@@ -38,10 +38,12 @@ distance of the distributions, so no verdict needs the latter.
 encoded_distance takes it in one scratch array, so a call holds three
 compact arrays, and memory follows the active width, not the declared
 one. Work follows a narrower width still: every run starts from a basis
-input, so the simulator updates only the prefix of amplitudes over the
-qubits in superposition (see sim), and a gate costs 2^m for the m qubits
-superposed so far, not 2^k. Packing bounds memory
-by the active width, and the prefix bounds work by the superposed width.
+index, the input's bits on the active qubits, the tag's at 0 on a stage
+register, which the simulator writes itself with no search for the
+amplitude. It updates only the prefix of amplitudes over the qubits in
+superposition (see sim), and a gate costs 2^m for the m qubits
+superposed so far, not 2^k. Packing bounds memory by the active width,
+and the prefix bounds work by the superposed width.
 Reports serialize to stable key: value text for golden-file comparison.
 """
 
@@ -55,7 +57,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import AncillaLeakError, encoded_distance
-from .sim import RealState, check_width, init_basis, run_complex, run_real
+from .sim import RealState, check_width, run_complex, run_real
 from .synth import SynthConfig
 from .textio import _line
 from .transpile import LoweringLevel, achieved_circuit, prepare_stages
@@ -228,7 +230,7 @@ def verify_circuit(
         cfg = SynthConfig()
     n = c.num_qubits
     init_basis_index = operator.index(init_basis_index)
-    # init_basis below sees only the bits of the active qubits
+    # the runs below see only the bits of the active qubits
     if init_basis_index < 0 or init_basis_index >> n:
         raise ValueError(f"basis index {init_basis_index} out of range for {n} qubit(s)")
     # a circuit with no active qubit keeps qubit 0, as Circuit(0) is invalid
@@ -257,16 +259,13 @@ def verify_circuit(
     # each run starts from the input's bits on the active qubits; idle
     # qubits keep theirs and take no part in any distance
     start = sum(((init_basis_index >> q) & 1) << j for j, q in enumerate(active))
-    ref = init_basis(k, start)
-    run_complex(packed, ref, out=ref)
+    ref = run_complex(packed, start)
     # every stage runs in reg from the encoded input, the basis vector
-    # start with the tag at 0
+    # start with the tag at 0, which the run writes itself
     reg = RealState(k + 1, np.empty(2 << k))
 
     def measure(circuit: Circuit) -> StageResult:
-        reg.amps.fill(0)
-        reg.amps[start] = 1
-        run_real(circuit, reg, out=reg)
+        run_real(circuit, start, out=reg)
         return StageResult(len(circuit.gates), encoded_distance(reg, ref))
 
     real_res = measure(stages.real)

@@ -257,8 +257,10 @@ def mp_synthesize(theta: float, cfg: SynthConfig) -> SynthesisResult:
 
 _MNEMONICS = {k.value: k for k in GateKind}
 _TOKEN_RE = re.compile(r"\S+")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+# ASCII digits only, as parse takes: without re.ASCII, \d matches every
+# Unicode decimal digit, and int() and float() read them
+_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
+_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
 
 
 def char_tokens(raw: str) -> list[tuple[int, str]]:

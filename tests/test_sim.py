@@ -816,3 +816,128 @@ def test_a_basis_input_is_found_in_one_pass():
     for vec in dense:
         reg = sim_mod._Register(vec, n)
         assert (reg.size, reg.bits, reg.order) == (1 << n, 0, list(range(n))), vec
+
+
+# a run from a basis index writes that basis vector itself and starts
+# from it with no search: the same bits as the run from init_basis*
+
+
+def _promoting(rng, n, draw):
+    # gates from draw(rng, n), with an ry on every qubit in a random
+    # order, so the qubits are promoted out of order and the real prefix
+    # crosses _FLOAT_PREFIX from 7 qubits on
+    gates = [draw(rng, n) for _ in range(3 * n + 6)]
+    for q in rng.permutation(n):
+        ry = Gate(GateKind.RY, (int(q),), float(rng.uniform(-7, 7)))
+        gates.insert(int(rng.integers(len(gates) + 1)), ry)
+    return Circuit(n, gates)
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+def _index_runs(run, c, b, cls):
+    # from the index into a new state and into an out holding other
+    # values, nan among them
+    n = c.num_qubits
+    yield run(c, b).amps
+    dirty = np.full(1 << n, 7.0)
+    dirty[-1] = math.nan
+    out = cls(n, dirty)
+    assert run(c, b, out=out) is out
+    yield out.amps
+
+
+def test_a_basis_index_runs_as_its_basis_state(monkeypatch):
+    rng = np.random.default_rng(59)
+    for n in range(1, 10):
+        for b in sorted({0, (1 << n) - 1, int(rng.integers(1 << n))}):
+            c = _promoting(rng, n, random_gate)
+            want = run_complex(c, init_basis(n, b)).amps
+            for got in _index_runs(run_complex, c, b, ComplexState):
+                assert np.array_equal(_bits(got), _bits(want)), (n, b)
+            real = _promoting(rng, n, _real_gate)
+            for prefix in (sim_mod._FLOAT_PREFIX, 2):
+                with monkeypatch.context() as m:
+                    m.setattr(sim_mod, "_FLOAT_PREFIX", prefix)
+                    want = run_real(real, init_basis_real(n, b)).amps
+                    for got in _index_runs(run_real, real, b, RealState):
+                        assert np.array_equal(_bits(got), _bits(want)), (n, b, prefix)
+
+
+def test_out_from_an_index_holds_the_state_before_the_failing_gate():
+    n = 4
+    good = [
+        Gate(GateKind.H, (2,)),
+        Gate(GateKind.CX, (2, 0)),
+        Gate(GateKind.RY, (3,), 0.4),
+        Gate(GateKind.F, (0, 3), 1.1),
+    ]
+    for i in range(len(good) + 1):
+        head = Circuit(n, good[:i])
+        for bad, cls, run, start in (
+            (Gate(GateKind.H, (7,)), ComplexState, run_complex, init_basis),
+            (Gate(GateKind.S, (0,)), RealState, run_real, init_basis_real),
+        ):
+            out = cls(n, np.full(1 << n, 7.0))
+            with pytest.raises(ValueError, match=f"^gate {i}: "):
+                run(Circuit(n, good[:i] + [bad] + good[i:]), 9, out=out)
+            assert np.array_equal(_bits(out.amps), _bits(run(head, start(n, 9)).amps)), (i, bad)
+
+
+def _error(f, *args, **kw):
+    with pytest.raises(Exception) as e:
+        f(*args, **kw)
+    return type(e.value), str(e.value)
+
+
+def test_a_basis_index_is_checked_as_init_basis_checks_it():
+    # the width first, then the range, with init_basis's messages; with
+    # out, out is checked first and left as it was
+    for n, b in [(3, 8), (3, -1), (MAX_QUBITS + 1, 0), (MAX_QUBITS + 1, -1), (64, 1 << 64)]:
+        c = Circuit(n)
+        assert _error(run_complex, c, b) == _error(init_basis, n, b)
+        assert _error(run_real, c, b) == _error(init_basis_real, n, b)
+    c = Circuit(3).h(0)
+    for run, cls, other in ((run_complex, ComplexState, RealState), (run_real, RealState, ComplexState)):
+        out = cls(3, np.full(8, 7.0))
+        assert _error(run, c, 8, out=out) == (ValueError, "basis index 8 out of range for 3 qubit(s)")
+        assert np.array_equal(out.amps, np.full(8, 7.0))
+        assert _error(run, c, 8, out=other(3, np.zeros(8))) == (
+            ValueError, f"out must be a {cls.__name__} of 3 qubit(s)"
+        )
+        assert _error(run, c, 0, out=cls(2, np.zeros(4))) == (
+            ValueError, f"out must be a {cls.__name__} of 3 qubit(s)"
+        )
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="not a bool"):
+                run(c, flag)
+
+
+class _CompareSpy(np.ndarray):
+    # records every amps != x the simulator evaluates on it or its views
+    seen: list = []
+
+    def __ne__(self, other):
+        _CompareSpy.seen.append(other)
+        return super().__ne__(other)
+
+
+def test_a_basis_index_is_not_searched_for(monkeypatch):
+    monkeypatch.setattr(_CompareSpy, "seen", [])
+    n = 5
+    c = Circuit(n).h(1).cx(1, 3).ry(4, 0.3)
+    for cls, run in ((ComplexState, run_complex), (RealState, run_real)):
+        want = run(c, 6).amps
+        out = cls(n, np.zeros(1 << n))
+        out.amps = out.amps.view(_CompareSpy)
+        run(c, 6, out=out)
+        assert _CompareSpy.seen == []
+        assert np.array_equal(_bits(out.amps), _bits(want))
+        # a state input is searched: the spy sees that pass
+        out.amps[...] = np.eye(1 << n)[6]
+        run(c, out, out=out)
+        assert _CompareSpy.seen == [0]
+        assert np.array_equal(_bits(out.amps), _bits(want))
+        _CompareSpy.seen.clear()

@@ -205,6 +205,10 @@ _STATEMENTS = [
     "qubits 3", "h 0", "cx 0 1", "f 1 0 0.5", "rz 2 -1e-3", "gphase 2", "f 1 1 0.5",
     "f 0 9 0.5", "h q0", "rz 0 nan", "bogus 1", "cx 0", "rz 0 1e999", "qubits 0",
     "h", "", "x \xe9", "rz 0 0.5\u200b",
+    # Arabic-Indic and full-width digits as count, operand and angle,
+    # which int() and float() read but parse refuses
+    "qubits \u0663", "h \u0661", "rz 0 \u0661.\u0665",
+    "qubits \uff13", "h \uff11", "rz 0 \uff11.\uff15",
 ]
 
 
@@ -228,6 +232,12 @@ def _spaced_line(draw):
              max_size=8),
 )
 @example(True, [("\tcx\xa00\u3000 9 # c", 1, "\n")])
+@example(False, [("qubits \u0663", 1, "\n")])
+@example(True, [("h \u0661", 1, "\n")])
+@example(True, [("rz 0 \u0661.\u0665", 1, "\n")])
+@example(False, [("qubits \uff13", 1, "\n")])
+@example(True, [("h \uff11", 1, "\n")])
+@example(True, [("rz 0 \uff11.\uff15", 1, "\n")])
 def test_parse_equals_the_regex_tokenizer(header, lines):
     # the gates, or the first ParseError's line, column and message, of
     # a parse whose lines were split by the regex parse once used

@@ -362,7 +362,15 @@ def test_no_stage_simulates_the_work_ancilla(monkeypatch):
         inner = getattr(verify_mod, name)
 
         def run(circuit, init, **kw):
-            calls.append((name, circuit.num_qubits, init.num_qubits))
+            # the register's width: out's, else the circuit's from a
+            # basis index, else the input state's
+            if kw.get("out") is not None:
+                width = kw["out"].num_qubits
+            elif isinstance(init, int):
+                width = circuit.num_qubits
+            else:
+                width = init.num_qubits
+            calls.append((name, circuit.num_qubits, width))
             return inner(circuit, init, **kw)
 
         return run
