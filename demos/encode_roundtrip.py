@@ -16,14 +16,13 @@ from rqc import (
     decode,
     distribution,
     encode,
-    init_basis,
     marginal_distribution,
     run_complex,
 )
 
 # prepare (|00> + i|11>) / sqrt(2) on the complex engine
 c = Circuit(2).h(0).cx(0, 1).s(1)
-state = run_complex(c, init_basis(2, 0))
+state = run_complex(c, 0)
 print("complex amplitudes:")
 for i, a in enumerate(state.amps):
     print(f"  |{i:02b}>  {a.real:+.6f} {a.imag:+.6f}i")

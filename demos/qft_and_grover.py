@@ -15,7 +15,6 @@ from rqc import (
     LoweringLevel,
     distribution,
     grover_two_qubit,
-    init_basis,
     qft,
     run_complex,
     verify_circuit,
@@ -23,7 +22,7 @@ from rqc import (
 
 c = qft(3)
 print(f"qft on 3 qubits: {len(c.gates)} front-end gates")
-out = run_complex(c, init_basis(3, 5))
+out = run_complex(c, 5)
 print("distribution from |101>:", np.round(distribution(out), 6))
 
 report = verify_circuit(c, init_basis_index=5)
@@ -34,7 +33,7 @@ print()
 
 for marked in range(4):
     c = grover_two_qubit(marked)
-    out = run_complex(c, init_basis(2, 0))
+    out = run_complex(c, 0)
     dist = np.round(distribution(out), 9)
     report = verify_circuit(c, init_basis_index=0, level=LoweringLevel.F_ONLY)
     print(f"grover marked={marked:02b}: distribution {dist}  verify {report.status}")

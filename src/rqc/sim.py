@@ -5,19 +5,17 @@ accepts only gates whose matrices are exactly real (see gates.is_real)
 and keeps the state in a float64 array, so imaginary parts cannot exist
 by construction. Both take each gate's 2x2 block as four Python numbers
 from gates.block_entries, equal to the entries of gates.gate_matrix.
-With out= a run writes into a caller's state, which may be init itself,
-so a caller that owns its register runs with no copy.
+Every run allocates its own state and returns it; init is left as it
+was.
 
-init is a state or a basis index b. From an index the run writes |b>
-itself, into a new state or a cleared out, and starts from it with no
-search; the result is that of the run from init_basis(n, b), bit for
-bit.
-
-A run works only on the qubits in superposition. From a basis input,
-an index, or a state with one finite nonzero amplitude (found in one
-pass over amps != 0, by its count and argmax), every qubit starts as a
-classical bit of known value, and the amplitudes of the m superposed
-qubits are kept as the prefix amps[:2^m], the rest of amps being zero.
+init is a state or a basis index b. A state is copied and every gate
+runs over the whole register, every qubit superposed from the start at
+positions 0..n-1. From an index the run writes |b> itself and works only
+on the qubits in superposition: every qubit starts as a classical bit of
+known value, and the amplitudes of the m superposed qubits are kept as
+the prefix amps[:2^m], the rest of amps being zero. The result equals
+the run from init_basis(n, b) by value; only the sign of a zero may
+differ. So a caller that starts from a basis vector passes its index.
 Each superposed qubit has a position 0..m-1, the prefix index's bit,
 in the order in which it first became superposed. A gate on classical
 operands needs no kernel, or one over the prefix alone:
@@ -34,11 +32,8 @@ operands needs no kernel, or one over the prefix alone:
     u_0b*a at the target's bit 0 and u_1b*a at bit 1, two scalar-first
     products; control-clear amplitudes keep bit b.
 A gate on a superposed target runs the kernels below at the positions.
-At the end of the run, or when a gate raises, one transposition
-through the run's scratch puts the state back in natural order. A
-dense input, any other state, has every qubit superposed from the
-start at positions 0..n-1 and needs no transposition; so does a state
-on a strided slice of a larger array.
+At the end of the run one transposition through the run's scratch puts
+the state back in natural order; a run from a state needs none.
 
 Kernels update the prefix in place through strided views of
 amps.reshape(...), with no index arrays. A single-qubit gate at position
@@ -60,7 +55,7 @@ amplitude's partner in the empty half, and a skipped product by an
 exact 0 or 1 may flip the sign of a zero amplitude, which no distance,
 distribution or report can see.
 
-A real run from a basis input keeps the prefix in a list of Python
+A real run from a basis index keeps the prefix in a list of Python
 floats while it holds at most _FLOAT_PREFIX (64) amplitudes, where a
 gate's ufunc calls cost more than its float updates; the first promotion
 past that, or the end of the run, writes the list to amps once. The
@@ -77,6 +72,7 @@ are refused before allocation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,11 +80,9 @@ import numpy as np
 from .circuit import Circuit, Gate, GateKind
 from .gates import block_entries
 
-# a run holds two register-sized arrays, the state and two half-register
-# scratch rows, and a third when it copies init instead of taking out=:
-# about 8 GiB, or 12 GiB with the copy, for run_complex at 28 qubits.
-# The search of a state input adds a bool temporary of one byte per
-# amplitude, freed before the scratch; a run from an index has none.
+# a run holds two register-sized arrays, the state it returns (from a
+# state input, the copy) and two half-register scratch rows: about 8 GiB
+# for run_complex at 28 qubits, besides a caller's init state.
 # verify_circuit holds three the size of its compact reference and caps
 # its active data qubits plus 2, whatever the declared width (see its
 # docstring). No run at the cap itself has been measured
@@ -240,44 +234,28 @@ class _Register:
 
     __slots__ = ("amps", "num_qubits", "scratch", "pos", "order", "bits", "size", "floats")
 
-    def __init__(self, amps: np.ndarray, num_qubits: int, basis: int | None = None):
+    def __init__(self, amps: np.ndarray, num_qubits: int, basis: int | None):
+        # amps is the run's own contiguous array: a state input, every
+        # qubit superposed in place, or, for a basis index, zeros with the
+        # one amplitude of |basis> written at amps[0]
         self.amps = amps
         self.num_qubits = num_qubits
         self.floats = None
-        # restore writes through a view of amps' buffer, which needs it
-        # contiguous: a state on a strided slice runs dense, as it did.
-        # basis, when given, is the index of the basis vector the run
-        # wrote to amps, taken with no search. Otherwise one bool pass
-        # finds a basis input, freed before the scratch
-        if not amps.flags.c_contiguous:
-            b = -1
-        elif basis is not None:
-            b = basis
-        else:
-            nz = amps != 0
-            b = int(nz.argmax()) if np.count_nonzero(nz) == 1 else -1
-            del nz
-            if b >= 0 and not math.isfinite(abs(amps[b])):
-                b = -1
         # shared by every gate: fresh temporaries per gate were up to 2x
         # slower at 20 qubits; it also holds the prefix for restore
         self.scratch = np.empty((2, len(amps) >> 1), dtype=amps.dtype)
-        if b >= 0:
-            a = amps[b]
-            amps[b] = 0
-            amps[0] = a
-            self.pos = [-1] * num_qubits
-            self.order = []
-            self.bits = b
-            self.size = 1
-            if amps.dtype.kind == "f":
-                self.floats = amps[:_FLOAT_PREFIX].tolist()
+        if basis is None:
+            self.pos = list(range(num_qubits))
+            self.order = list(range(num_qubits))
+            self.bits = 0
+            self.size = len(amps)
             return
-        # a dense input: every qubit superposed, in place
-        self.pos = list(range(num_qubits))
-        self.order = list(range(num_qubits))
-        self.bits = 0
-        self.size = len(amps)
+        self.pos = [-1] * num_qubits
+        self.order = []
+        self.bits = basis
+        self.size = 1
+        if amps.dtype.kind == "f":
+            self.floats = amps[:_FLOAT_PREFIX].tolist()
 
     def _scale_part(self, u, pc: int = -1) -> None:
         # the prefix, or its half where position pc's bit is set, times u
@@ -428,74 +406,55 @@ def _real_entries(g: Gate) -> tuple[float, float, float, float]:
     return u00.real, u01.real, u10.real, u11.real
 
 
-def run_complex(
-    c: Circuit, init: ComplexState | int, out: ComplexState | None = None
-) -> ComplexState:
-    """Apply the gates left to right to init, or to a copy of it; errors
-    carry the gate index.
+def basis_index(b) -> int:
+    """b as an int, as operator.index takes it; a bool is refused, not
+    read as 0 or 1."""
+    if isinstance(b, bool):
+        raise TypeError("a basis index must be an int, not a bool")
+    return operator.index(b)
 
-    init is a state or a basis index, an int but not a bool. From an
-    index b the run starts from |b> with no search for its amplitude:
-    without out it allocates that state as init_basis does, refusing a
-    register wider than MAX_QUBITS and then an index out of range with
-    init_basis's messages; with out it checks out, then the index, and
-    clears out and writes the one amplitude. With out given,
-    the run writes into out and returns it: out may be init itself,
-    which then holds the final state. Otherwise init is left untouched
-    and a new state is returned. From a basis input, an index or a state
-    with one finite nonzero amplitude, the work follows the qubits in
-    superposition, not the register's width; a dense input runs every
-    gate over the whole register. If a gate raises, out holds the state
-    after the gates before it.
+
+def run_complex(c: Circuit, init: ComplexState | int) -> ComplexState:
+    """Apply the gates left to right to a copy of init and return the new
+    state; errors carry the gate index.
+
+    init is a state or a basis index (see basis_index). From an index b
+    the run allocates |b> as init_basis does, refusing a register wider
+    than MAX_QUBITS and then an index out of range with init_basis's
+    messages, and the work follows the qubits in superposition, not the
+    register's width. A state runs every gate over the whole register,
+    so a caller starting from a basis vector passes its index: the
+    values are the same, but for the sign of a zero.
     """
-    return _run(c, init, out, ComplexState, block_entries)
+    return _run(c, init, ComplexState, block_entries)
 
 
-def run_real(c: Circuit, init: RealState | int, out: RealState | None = None) -> RealState:
+def run_real(c: Circuit, init: RealState | int) -> RealState:
     """As run_complex, for exactly-real gates only; an index allocates
     as init_basis_real does."""
-    return _run(c, init, out, RealState, _real_entries)
+    return _run(c, init, RealState, _real_entries)
 
 
-def _run(
-    c: Circuit,
-    init: ComplexState | RealState | int,
-    out: ComplexState | RealState | None,
-    cls: type,
-    entries,
-) -> ComplexState | RealState:
+def _run(c: Circuit, init: ComplexState | RealState | int, cls: type, entries) -> ComplexState | RealState:
     n = c.num_qubits
-    basis = None
-    if isinstance(init, int):
-        if isinstance(init, bool):
-            raise TypeError("init must be a state or a basis index, not a bool")
-        basis = int(init)
-    elif n != init.num_qubits:
-        raise ValueError(f"circuit has {n} qubit(s) but the state has {init.num_qubits}")
-    if out is None:
-        if basis is None:
-            out = cls(n, init.amps.copy())
-        else:
-            out = cls(n, _basis(n, basis, np.float64 if cls is RealState else np.complex128))
-    elif type(out) is not cls or out.num_qubits != n:
-        raise ValueError(f"out must be a {cls.__name__} of {n} qubit(s)")
-    elif basis is not None:
+    if isinstance(init, (ComplexState, RealState)):
+        if n != init.num_qubits:
+            raise ValueError(f"circuit has {n} qubit(s) but the state has {init.num_qubits}")
+        # cls refuses a complex init to the real engine
+        out = cls(n, init.amps.copy())
+        basis = None
+    else:
+        basis = basis_index(init)
         _check_basis(n, basis)
-        out.amps[...] = 0
-        out.amps[basis] = 1
-    elif out is not init:
-        # cls checks init as it does without out: RealState refuses a
-        # complex init with the same ValueError
-        out.amps[...] = cls(n, init.amps).amps
+        out = cls(n, np.zeros(1 << n, np.float64 if cls is RealState else np.complex128))
+        out.amps[0] = 1
     reg = _Register(out.amps, n, basis)
-    try:
-        for i, g in enumerate(c.gates):
-            try:
-                reg.apply(g, entries(g))
-            except ValueError as e:
-                raise ValueError(f"gate {i}: {e}") from None
-    finally:
-        reg.restore()
+    for i, g in enumerate(c.gates):
+        try:
+            reg.apply(g, entries(g))
+        except ValueError as e:
+            raise ValueError(f"gate {i}: {e}") from None
+    reg.restore()
     return out
 
 

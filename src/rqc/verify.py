@@ -35,29 +35,29 @@ Each stage is measured by one number, its statevector distance from the
 reference after decoding: phase errors that distributions cannot see
 still fail, and on unit states that distance bounds the total variation
 distance of the distributions, so no verdict needs the latter.
-encoded_distance takes it in one scratch array, so a call holds three
-compact arrays, and memory follows the active width, not the declared
-one. Work follows a narrower width still: every run starts from a basis
-index, the input's bits on the active qubits, the tag's at 0 on a stage
-register, which the simulator writes itself with no search for the
-amplitude. It updates only the prefix of amplitudes over the qubits in
-superposition (see sim), and a gate costs 2^m for the m qubits
-superposed so far, not 2^k. Packing bounds memory by the active width,
-and the prefix bounds work by the superposed width.
+encoded_distance takes it in one scratch array, and each stage's run
+returns a state of its own that is freed once measured, so a call holds
+three compact arrays at once, and memory follows the active width, not
+the declared one. Work follows a narrower width still: every run starts
+from a basis index, the input's bits on the active qubits, the tag's at
+0 on a stage register. From an index the simulator updates only the
+prefix of amplitudes over the qubits in superposition (see sim), and a
+gate costs 2^m for the m qubits superposed so far, not 2^k. Packing
+bounds memory by the active width, and the prefix bounds work by the
+superposed width.
 Reports serialize to stable key: value text for golden-file comparison.
 """
 
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, require_valid
 from .encoding import AncillaLeakError, encoded_distance
-from .sim import RealState, check_width, run_complex, run_real
+from .sim import basis_index, check_width, run_complex, run_real
 from .synth import SynthConfig
 from .textio import _line
 from .transpile import LoweringLevel, achieved_circuit, prepare_stages
@@ -219,17 +219,19 @@ def verify_circuit(
     sim.MAX_QUBITS is refused before anything is lowered, however many
     qubits it declares. The circuit is validated once, here, before
     packing could move a bad operand into range and before `level` is
-    read; the passes behind prepare_stages trust that. An input index
-    out of range for the declared qubits is refused before anything is
-    allocated. A call holds three arrays the size of the compact
-    reference at once: the reference, the stage register, and either a
-    run's scratch or encoding.encoded_distance's one scratch array.
+    read; the passes behind prepare_stages trust that. The input index
+    is what sim.basis_index takes: any int, a bool refused with its
+    TypeError. One out of range for the declared qubits is refused
+    before anything is allocated. A call holds three arrays the size of
+    the compact reference at once: the reference, the state of the stage
+    being run, and either that run's scratch or
+    encoding.encoded_distance's one scratch array.
     """
     require_valid(c)
     if cfg is None:
         cfg = SynthConfig()
     n = c.num_qubits
-    init_basis_index = operator.index(init_basis_index)
+    init_basis_index = basis_index(init_basis_index)
     # the runs below see only the bits of the active qubits
     if init_basis_index < 0 or init_basis_index >> n:
         raise ValueError(f"basis index {init_basis_index} out of range for {n} qubit(s)")
@@ -260,13 +262,11 @@ def verify_circuit(
     # qubits keep theirs and take no part in any distance
     start = sum(((init_basis_index >> q) & 1) << j for j, q in enumerate(active))
     ref = run_complex(packed, start)
-    # every stage runs in reg from the encoded input, the basis vector
-    # start with the tag at 0, which the run writes itself
-    reg = RealState(k + 1, np.empty(2 << k))
 
+    # every stage runs from the encoded input, the basis vector start
+    # with the tag at 0, and its state is freed once measured
     def measure(circuit: Circuit) -> StageResult:
-        run_real(circuit, start, out=reg)
-        return StageResult(len(circuit.gates), encoded_distance(reg, ref))
+        return StageResult(len(circuit.gates), encoded_distance(run_real(circuit, start), ref))
 
     real_res = measure(stages.real)
     f_res = g_res = None

@@ -24,6 +24,7 @@ from rqc import (
     run_real,
     sample,
     transpile,
+    verify_circuit,
 )
 from rqc.encoding import add_work_ancilla
 
@@ -231,42 +232,6 @@ def test_apply_does_not_mutate_the_input():
     assert np.array_equal(r.amps, before)
 
 
-def test_out_receives_the_run():
-    rng = np.random.default_rng(12)
-    c = random_circuit(3, 30, seed=4)
-    lowered, _ = transpile(c, LoweringLevel.REAL_ENCODED)
-    vec = random_complex_state(rng, 3)
-    real_vec = rng.normal(size=16)
-    for run, circuit, cls, amps in (
-        (run_complex, c, ComplexState, vec),
-        (run_real, lowered, RealState, real_vec),
-    ):
-        n = circuit.num_qubits
-        want = run(circuit, cls(n, amps)).amps
-        # out may be init itself: the run then writes over it
-        s = cls(n, amps.copy())
-        assert run(circuit, s, out=s) is s
-        assert np.array_equal(s.amps, want)
-        # a distinct out receives the run and init stays as it was
-        init = cls(n, amps.copy())
-        out = cls(n, np.zeros_like(amps))
-        assert run(circuit, init, out=out) is out
-        assert np.array_equal(out.amps, want)
-        assert np.array_equal(init.amps, amps)
-    with pytest.raises(ValueError, match="out must be a ComplexState of 3 qubit"):
-        run_complex(c, init_basis(3, 0), out=init_basis(4, 0))
-    with pytest.raises(ValueError, match="out must be a ComplexState"):
-        run_complex(c, init_basis(3, 0), out=init_basis_real(3, 0))
-    with pytest.raises(ValueError, match="out must be a RealState of 4 qubit"):
-        run_real(lowered, init_basis_real(4, 0), out=init_basis(4, 0))
-    with pytest.raises(ValueError, match="out must be a RealState"):
-        run_real(lowered, init_basis_real(4, 0), out=init_basis_real(3, 0))
-    # a complex init is refused the same way with out as without
-    for out in (None, init_basis_real(4, 0)):
-        with pytest.raises(ValueError, match="RealState cannot hold complex amplitudes"):
-            run_real(lowered, init_basis(4, 0), out=out)
-
-
 def test_norm_preserved_over_long_runs():
     rng = np.random.default_rng(77)
     c = Circuit(4)
@@ -292,6 +257,9 @@ def test_real_engine_rejects_non_real_gates():
         run_real(Circuit(1).s(0), s)
     with pytest.raises(ValueError, match="non-real gate"):
         run_real(Circuit(1).rz(0, 0.1), s)
+    # a complex state is refused before any gate
+    with pytest.raises(ValueError, match="RealState cannot hold complex amplitudes"):
+        run_real(Circuit(1).x(0), init_basis(1, 0))
 
 
 def test_run_errors_carry_the_gate_index():
@@ -307,17 +275,12 @@ def test_run_errors_carry_the_gate_index():
     c.gates.append(Gate(GateKind.CX, (1, 1)))
     with pytest.raises(ValueError, match="gate 0: duplicate operands"):
         run_complex(c, init_basis(2, 0))
-    s = init_basis(2, 0)
-    with pytest.raises(ValueError, match="gate 0: duplicate operands"):
-        run_complex(c, s, out=s)
     c = Circuit(2)
     c.gates.append(Gate("bogus", (0,)))
     with pytest.raises(ValueError, match="^gate 0: unknown gate kind 'bogus'$"):
         run_complex(c, init_basis(2, 0))
-    c = Circuit(2).h(0).s(1)
-    s = init_basis_real(2, 0)
     with pytest.raises(ValueError, match="gate 1: non-real gate in real engine: s"):
-        run_real(c, s, out=s)
+        run_real(Circuit(2).h(0).s(1), 0)
 
 
 def test_register_size_mismatch():
@@ -424,9 +387,11 @@ def test_sample_memory_does_not_grow_with_shots():
     assert peak < 16 << 20
 
 
-# a run from a basis input keeps amplitudes only for the qubits in
+# a run from a basis index keeps amplitudes only for the qubits in
 # superposition; these tests hold it to the whole-register gather
-# reference, by value, from every kind of input it may see
+# reference, by value, from every kind of operand state it may see. Each
+# run starts from an index, on a one-amplitude prefix, which
+# _prefix_starts records
 
 
 def _gather_run(gates, amps):
@@ -441,48 +406,49 @@ def _basis_vector(n, index, amp, dtype):
     return v
 
 
-def _runs(run, c, cls, vec):
-    # the same run with a new state, with out=init, with out=init on a
-    # strided slice of a larger array, and with a distinct out
-    n = c.num_qubits
-    yield run(c, cls(n, vec)).amps
-    s = cls(n, vec.copy())
-    run(c, s, out=s)
-    yield s.amps
-    wide = np.zeros(2 * len(vec), dtype=vec.dtype)
-    wide[::2] = vec
-    s = cls(n, wide[::2])
-    run(c, s, out=s)
-    assert not wide[1::2].any()
-    yield wide[::2]
-    init = cls(n, vec.copy())
-    out = cls(n, np.full_like(vec, 7.0))
-    run(c, init, out=out)
-    assert np.array_equal(init.amps, vec)
-    yield out.amps
+def _phase(kind, b):
+    # an exact phase on |b>, put ahead of a run from the index b so that
+    # the prefix holds an amplitude other than 1: sdg on a qubit at 1
+    # gives -1j and z gives -1. At b = 0 an x on each side sets qubit 0
+    if b:
+        return [Gate(kind, ((b & -b).bit_length() - 1,))]
+    return [Gate(GateKind.X, (0,)), Gate(kind, (0,)), Gate(GateKind.X, (0,))]
 
 
-def test_basis_runs_equal_the_gather_reference():
+def _prefix_starts(monkeypatch):
+    # the prefix size each run starts on, in the order of the runs
+    sizes = []
+    init = sim_mod._Register.__init__
+
+    def spy(reg, *args):
+        init(reg, *args)
+        sizes.append(reg.size)
+
+    monkeypatch.setattr(sim_mod._Register, "__init__", spy)
+    return sizes
+
+
+def test_basis_runs_equal_the_gather_reference(monkeypatch):
+    starts = _prefix_starts(monkeypatch)
     rng = np.random.default_rng(31)
     cases = [(n, b) for n in range(1, 5) for b in range(1 << n)]
     cases += [(n, int(rng.integers(1 << n))) for n in range(5, 13) for _ in range(3)]
     for n, b in cases:
         gates = [random_gate(rng, n) for _ in range(2 * n + 4)]
-        c = Circuit(n, gates)
-        vec = _basis_vector(n, b, -1j, np.complex128)
-        want = _gather_run(gates, vec)
-        for got in _runs(run_complex, c, ComplexState, vec):
-            assert np.array_equal(got, want), (n, b)
-        real = Circuit(n, [g for g in gates if is_real(g)])
-        vec = _basis_vector(n, b, 0.5, np.float64)
-        want = _gather_run(real.gates, vec)
-        for got in _runs(run_real, real, RealState, vec):
-            assert np.array_equal(got, want), (n, b)
+        c = Circuit(n, _phase(GateKind.SDG, b) + gates)
+        want = _gather_run(c.gates, _basis_vector(n, b, 1.0, np.complex128))
+        assert np.array_equal(run_complex(c, b).amps, want), (n, b)
+        real = Circuit(n, _phase(GateKind.Z, b) + [g for g in gates if is_real(g)])
+        want = _gather_run(real.gates, _basis_vector(n, b, 1.0, np.float64))
+        assert np.array_equal(run_real(real, b).amps, want), (n, b)
+    assert starts == [1] * (2 * len(cases))
 
 
-def test_every_kind_from_every_operand_state():
+def test_every_kind_from_every_operand_state(monkeypatch):
     # each operand classical at 0, classical at 1 or superposed, with a
-    # superposed spectator qubit (2) ahead of the operands or none
+    # superposed spectator qubit (2) ahead of the operands or none, from
+    # the index 8 at amplitude -1j, or -1 on the real engine
+    starts = _prefix_starts(monkeypatch)
     rng = np.random.default_rng(37)
     n = 5
     prep = {
@@ -498,70 +464,43 @@ def test_every_kind_from_every_operand_state():
                 for spectator in ([], [Gate(GateKind.H, (2,))]):
                     for param in params:
                         gates = spectator + head + [Gate(kind, qubits, param)]
-                        vec = _basis_vector(n, 8, -1j, np.complex128)
-                        got = run_complex(Circuit(n, gates), ComplexState(n, vec)).amps
-                        assert np.array_equal(got, _gather_run(gates, vec)), (gates, states)
+                        c = Circuit(n, _phase(GateKind.SDG, 8) + gates)
+                        want = _gather_run(c.gates, _basis_vector(n, 8, 1.0, np.complex128))
+                        assert np.array_equal(run_complex(c, 8).amps, want), (gates, states)
                         if all(is_real(g) for g in gates):
-                            vec = _basis_vector(n, 8, -0.5, np.float64)
-                            got = run_real(Circuit(n, gates), RealState(n, vec)).amps
-                            assert np.array_equal(got, _gather_run(gates, vec)), (gates, states)
+                            c = Circuit(n, _phase(GateKind.Z, 8) + gates)
+                            want = _gather_run(c.gates, _basis_vector(n, 8, 1.0, np.float64))
+                            assert np.array_equal(run_real(c, 8).amps, want), (gates, states)
+    assert set(starts) == {1}
 
 
-def test_gphase_before_any_qubit_is_superposed():
+def test_gphase_before_any_qubit_is_superposed(monkeypatch):
     # numpy rounds a *= u on a one-element complex128 array differently
     # from the same product inside a longer array, in about four draws
     # of ten: a gphase on a run with no qubit superposed must not see it
+    starts = _prefix_starts(monkeypatch)
     rng = np.random.default_rng(41)
     for _ in range(100):
         n = int(rng.integers(1, 5))
         t = float(rng.uniform(-7, 7))
-        gates = [
+        b = int(rng.integers(1 << n))
+        gates = _phase(GateKind.SDG, b) + [
             Gate(GateKind.GPHASE, (), t),
             Gate(GateKind.X, (0,)),
             Gate(GateKind.GPHASE, (), -2.0 * t),
             Gate(GateKind.H, (n - 1,)),
             Gate(GateKind.GPHASE, (), t),
         ]
-        vec = _basis_vector(n, int(rng.integers(1 << n)), complex(*rng.normal(size=2)), np.complex128)
-        for got in _runs(run_complex, Circuit(n, gates), ComplexState, vec):
-            assert np.array_equal(got, _gather_run(gates, vec)), (n, t)
-
-
-def test_out_holds_the_state_before_the_failing_gate():
-    n = 4
-    good = [
-        Gate(GateKind.X, (1,)),
-        Gate(GateKind.H, (2,)),
-        Gate(GateKind.CX, (2, 0)),
-        Gate(GateKind.RY, (3,), 0.4),
-        Gate(GateKind.CZ, (2, 1)),
-        Gate(GateKind.F, (0, 3), 1.1),
-    ]
-    bad = [Gate(GateKind.H, (7,)), Gate(GateKind.CX, (1, 1)), Gate("bogus", (0,))]
-    for i in range(len(good) + 1):
-        want = _gather_run(good[:i], _basis_vector(n, 9, -1j, np.complex128))
-        for g in bad:
-            c = Circuit(n, good[:i] + [g] + good[i:])
-            s = ComplexState(n, _basis_vector(n, 9, -1j, np.complex128))
-            with pytest.raises(ValueError, match=f"^gate {i}: "):
-                run_complex(c, s, out=s)
-            assert np.array_equal(s.amps, want), (i, g)
-            init = ComplexState(n, _basis_vector(n, 9, -1j, np.complex128))
-            out = ComplexState(n, np.zeros(1 << n))
-            with pytest.raises(ValueError, match=f"^gate {i}: "):
-                run_complex(c, init, out=out)
-            assert np.array_equal(out.amps, want), (i, g)
-        c = Circuit(n, good[:i] + [Gate(GateKind.S, (0,))] + good[i:])
-        s = RealState(n, _basis_vector(n, 9, 0.5, np.float64))
-        with pytest.raises(ValueError, match=f"^gate {i}: non-real gate"):
-            run_real(c, s, out=s)
-        assert np.array_equal(s.amps, _gather_run(good[:i], _basis_vector(n, 9, 0.5, np.float64)))
+        got = run_complex(Circuit(n, gates), b).amps
+        assert np.array_equal(got, _gather_run(gates, _basis_vector(n, b, 1.0, np.complex128))), (n, t)
+    assert starts == [1] * 100
 
 
 def test_work_follows_the_superposed_qubits(monkeypatch):
     # each kernel call and each promotion touches at most 2^m
     # amplitudes, m counting the qubits superposed after its gate, on a
     # 20-qubit register
+    starts = _prefix_starts(monkeypatch)
     calls = []
     entries, pair, scale = sim_mod.block_entries, sim_mod._apply_pair, sim_mod._scale
     spread = sim_mod._Register._spread
@@ -588,7 +527,8 @@ def test_work_follows_the_superposed_qubits(monkeypatch):
     monkeypatch.setattr(sim_mod, "_scale", spy_scale)
     monkeypatch.setattr(sim_mod._Register, "_spread", spy_spread)
     c = Circuit(20).x(3).h(5).cx(5, 9).rz(9, 0.3).cz(5, 3)
-    got = run_complex(c, init_basis(20, 0)).amps
+    got = run_complex(c, 0).amps
+    assert starts == [1]
     superposed = [0, 1, 2, 2, 2]
     assert len(calls) == len(c.gates)
     for touched, m in zip(calls, superposed):
@@ -601,9 +541,9 @@ def test_work_follows_the_superposed_qubits(monkeypatch):
 
 
 def test_a_single_non_finite_amplitude_runs_the_whole_register():
-    # a non-finite amplitude makes the input dense: every product of the
-    # whole register is formed, so 0 * inf gives nan as in the gather
-    # reference. Only dense gates here, whose kernel forms every product
+    # a state input runs dense: every product of the whole register is
+    # formed, so 0 * inf gives nan as in the gather reference. Only
+    # dense gates here, whose kernel forms every product
     gates = [
         Gate(GateKind.H, (1,)),
         Gate(GateKind.X, (0,)),
@@ -644,47 +584,41 @@ def _real_gate(rng, n):
             return g
 
 
+def _bits(a):
+    return a.view(np.uint64)
+
+
 def test_real_runs_across_the_float_prefix_are_exact(monkeypatch):
     # every qubit is made superposed somewhere, so from 7 qubits on the
-    # prefix crosses 64 amplitudes. The gather replay checks values;
-    # runs whose float prefix stops at 2 amplitudes check the bits after
-    # every gate, signed zeros included, before a later sum can erase
-    # them; and a failing gate leaves out holding the state after the
-    # gates before it
+    # prefix crosses 64 amplitudes. Each run starts from an index, at
+    # amplitude 1 or, after an exact z, -1. The gather replay checks
+    # values; runs whose float prefix stops at 2 amplitudes check the
+    # bits after every gate, signed zeros included, before a later sum
+    # can erase them
+    starts = _prefix_starts(monkeypatch)
     rng = np.random.default_rng(53)
     for n in range(1, 10):
         for b in sorted({0, (1 << n) - 1, int(rng.integers(1 << n))}):
-            for amp in (1.0, -0.5):
+            for phase in ([], _phase(GateKind.Z, b)):
                 gates = [_real_gate(rng, n) for _ in range(3 * n + 6)]
                 for q in rng.permutation(n):
                     ry = Gate(GateKind.RY, (int(q),), float(rng.uniform(-7, 7)))
                     gates.insert(int(rng.integers(len(gates) + 1)), ry)
-                vec = _basis_vector(n, b, amp, np.float64)
-                got = run_real(Circuit(n, gates), RealState(n, vec)).amps
-                assert np.array_equal(got, _gather_run(gates, vec)), (n, b, amp)
+                gates = phase + gates
+                got = run_real(Circuit(n, gates), b).amps
+                assert np.array_equal(got, _gather_run(gates, _basis_vector(n, b, 1.0, np.float64))), (n, b)
                 with monkeypatch.context() as m:
                     m.setattr(sim_mod, "_FLOAT_PREFIX", 2)
-                    kernels = [_run_head(gates, k, vec) for k in range(len(gates) + 1)]
+                    kernels = [run_real(Circuit(n, gates[:k]), b).amps for k in range(len(gates) + 1)]
                 for k, want in enumerate(kernels):
-                    got = _run_head(gates, k, vec)
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, b, amp, k)
-                i = int(rng.integers(len(gates) + 1))
-                c = Circuit(n, gates[:i] + [Gate(GateKind.S, (0,))] + gates[i:])
-                s = RealState(n, vec.copy())
-                with pytest.raises(ValueError, match=f"^gate {i}: non-real gate"):
-                    run_real(c, s, out=s)
-                assert np.array_equal(s.amps, _gather_run(gates[:i], vec)), (n, b, amp, i)
+                    got = run_real(Circuit(n, gates[:k]), b).amps
+                    assert np.array_equal(_bits(got), _bits(want)), (n, b, phase, k)
+    assert set(starts) == {1}
     # gphase before any qubit is superposed scales two entries, as the
     # kernels do, or a 0-qubit register's one
     for n in (0, 2):
-        vec = _basis_vector(n, 0, -0.5, np.float64)
-        got = run_real(Circuit(n, [Gate(GateKind.GPHASE, (), math.pi)]), RealState(n, vec)).amps
-        assert got[0] == 0.5 and np.signbit(got[1:2]).all() and not np.signbit(got[2:]).any()
-
-
-def _run_head(gates, k, vec):
-    n = len(vec).bit_length() - 1
-    return run_real(Circuit(n, gates[:k]), RealState(n, vec)).amps
+        got = run_real(Circuit(n, [Gate(GateKind.GPHASE, (), math.pi)]), 0).amps
+        assert got[0] == -1.0 and np.signbit(got[1:2]).all() and not np.signbit(got[2:]).any()
 
 
 def test_small_real_prefixes_run_in_floats(monkeypatch):
@@ -692,6 +626,7 @@ def test_small_real_prefixes_run_in_floats(monkeypatch):
     # promotes it, which doubles the prefix, and the second mixes it. No
     # numpy kernel runs until gate 12 spreads the prefix past 64
     # amplitudes, and gate 13 mixes it
+    starts = _prefix_starts(monkeypatch)
     gate, calls = [-1], []
     entries, pair, scale = sim_mod.block_entries, sim_mod._apply_pair, sim_mod._scale
     spread = sim_mod._Register._spread
@@ -722,7 +657,8 @@ def test_small_real_prefixes_run_in_floats(monkeypatch):
     c = Circuit(n)
     for q in range(n):
         c.ry(q, 0.3 + q).ry(q, 1.1 - q)
-    got = run_real(c, init_basis_real(n, 0)).amps
+    got = run_real(c, 0).amps
+    assert starts == [1]
     assert sim_mod._FLOAT_PREFIX == 64
     assert gate[0] == 2 * n - 1
     assert calls[:2] == [12, 13], calls
@@ -736,6 +672,7 @@ def test_promotions_spread_the_prefix_without_the_pair_kernel(monkeypatch):
     # control also promote, cx's U having zero entries. Every gate here
     # is a promotion or a classical rule, so the pair kernel never runs.
     # Values equal the gather replay; the two real paths agree bit for bit
+    starts = _prefix_starts(monkeypatch)
     pairs = []
 
     def spy(kernel):
@@ -764,62 +701,29 @@ def test_promotions_spread_the_prefix_without_the_pair_kernel(monkeypatch):
                 head.append(Gate(GateKind.H, (c,)))
             qubits = (t,) if kind.num_operands == 1 else (c, t)
             gates = head + [Gate(kind, qubits, param)]
+            # from the index b at amplitude -1j, or -1 on the real engine
             b = t_bit << t | (control == "one") << c
-            vec = _basis_vector(n, b, -1j, np.complex128)
-            got = run_complex(Circuit(n, gates), ComplexState(n, vec)).amps
-            assert np.array_equal(got, _gather_run(gates, vec)), gates
+            phased = _phase(GateKind.SDG, b) + gates
+            got = run_complex(Circuit(n, phased), b).amps
+            assert np.array_equal(got, _gather_run(phased, _basis_vector(n, b, 1.0, np.complex128))), gates
             if all(is_real(g) for g in gates):
-                vec = _basis_vector(n, b, -0.5, np.float64)
-                got = run_real(Circuit(n, gates), RealState(n, vec)).amps
-                assert np.array_equal(got, _gather_run(gates, vec)), gates
+                phased = _phase(GateKind.Z, b) + gates
+                got = run_real(Circuit(n, phased), b).amps
+                assert np.array_equal(got, _gather_run(phased, _basis_vector(n, b, 1.0, np.float64))), gates
                 with monkeypatch.context() as m:
                     m.setattr(sim_mod, "_FLOAT_PREFIX", 2)
-                    kernel = run_real(Circuit(n, gates), RealState(n, vec)).amps
-                assert np.array_equal(kernel, got), gates
-                assert np.array_equal(kernel.view(np.uint64), got.view(np.uint64)), gates
+                    kernel = run_real(Circuit(n, phased), b).amps
+                assert np.array_equal(_bits(kernel), _bits(got)), gates
             cases += 1
     assert cases == 3 * 3 * 2 * 2 + 3 * 3 * 2 * 2 * 2
     assert pairs == []
+    assert set(starts) == {1}
 
 
-def test_a_basis_input_is_found_in_one_pass():
-    # one finite nonzero amplitude, -0.0 counting as zero, starts the
-    # prefix path on either engine; anything else runs dense
-    n = 4
-    last = (1 << n) - 1
-    basis = [
-        (_basis_vector(n, 6, -0.5, np.float64), 6),
-        (_basis_vector(n, last, 2.0, np.float64), last),
-        (_basis_vector(n, 6, -1j, np.complex128), 6),
-        (_basis_vector(n, last, 0.6 - 0.8j, np.complex128), last),
-    ]
-    gates = [Gate(GateKind.H, (1,)), Gate(GateKind.X, (0,)), Gate(GateKind.F, (1, 3), 0.4)]
-    for vec, b in basis:
-        vec[vec == 0] = -0.0
-        reg = sim_mod._Register(vec.copy(), n)
-        assert (reg.size, reg.bits) == (1, b), vec
-        if vec.dtype.kind == "f":
-            got = run_real(Circuit(n, gates), RealState(n, vec)).amps
-        else:
-            got = run_complex(Circuit(n, gates), ComplexState(n, vec)).amps
-        assert np.array_equal(got, _gather_run(gates, vec)), vec
-    dense = []
-    for dtype in (np.float64, np.complex128):
-        for bad in (math.nan, math.inf, -math.inf):
-            dense.append(_basis_vector(n, 5, bad, dtype))
-        two = _basis_vector(n, 5, 1.0, dtype)
-        two[last] = -0.5
-        dense.append(two)
-        wide = np.zeros(2 << n, dtype=dtype)
-        wide[10] = 1.0
-        dense.append(wide[::2])
-    for vec in dense:
-        reg = sim_mod._Register(vec, n)
-        assert (reg.size, reg.bits, reg.order) == (1 << n, 0, list(range(n))), vec
-
-
-# a run from a basis index writes that basis vector itself and starts
-# from it with no search: the same bits as the run from init_basis*
+# a run from a basis index writes |b>'s one amplitude itself and starts
+# on a one-amplitude prefix; a run from a state copies it and runs every
+# gate over the whole register. The two agree by value, signed zeros
+# aside
 
 
 def _promoting(rng, n, draw):
@@ -833,57 +737,23 @@ def _promoting(rng, n, draw):
     return Circuit(n, gates)
 
 
-def _bits(a):
-    return a.view(np.uint64)
-
-
-def _index_runs(run, c, b, cls):
-    # from the index into a new state and into an out holding other
-    # values, nan among them
-    n = c.num_qubits
-    yield run(c, b).amps
-    dirty = np.full(1 << n, 7.0)
-    dirty[-1] = math.nan
-    out = cls(n, dirty)
-    assert run(c, b, out=out) is out
-    yield out.amps
-
-
 def test_a_basis_index_runs_as_its_basis_state(monkeypatch):
+    starts = _prefix_starts(monkeypatch)
     rng = np.random.default_rng(59)
     for n in range(1, 10):
         for b in sorted({0, (1 << n) - 1, int(rng.integers(1 << n))}):
             c = _promoting(rng, n, random_gate)
             want = run_complex(c, init_basis(n, b)).amps
-            for got in _index_runs(run_complex, c, b, ComplexState):
-                assert np.array_equal(_bits(got), _bits(want)), (n, b)
+            assert np.array_equal(run_complex(c, b).amps, want), (n, b)
             real = _promoting(rng, n, _real_gate)
+            want = run_real(real, init_basis_real(n, b)).amps
             for prefix in (sim_mod._FLOAT_PREFIX, 2):
                 with monkeypatch.context() as m:
                     m.setattr(sim_mod, "_FLOAT_PREFIX", prefix)
-                    want = run_real(real, init_basis_real(n, b)).amps
-                    for got in _index_runs(run_real, real, b, RealState):
-                        assert np.array_equal(_bits(got), _bits(want)), (n, b, prefix)
-
-
-def test_out_from_an_index_holds_the_state_before_the_failing_gate():
-    n = 4
-    good = [
-        Gate(GateKind.H, (2,)),
-        Gate(GateKind.CX, (2, 0)),
-        Gate(GateKind.RY, (3,), 0.4),
-        Gate(GateKind.F, (0, 3), 1.1),
-    ]
-    for i in range(len(good) + 1):
-        head = Circuit(n, good[:i])
-        for bad, cls, run, start in (
-            (Gate(GateKind.H, (7,)), ComplexState, run_complex, init_basis),
-            (Gate(GateKind.S, (0,)), RealState, run_real, init_basis_real),
-        ):
-            out = cls(n, np.full(1 << n, 7.0))
-            with pytest.raises(ValueError, match=f"^gate {i}: "):
-                run(Circuit(n, good[:i] + [bad] + good[i:]), 9, out=out)
-            assert np.array_equal(_bits(out.amps), _bits(run(head, start(n, 9)).amps)), (i, bad)
+                    got = run_real(real, b).amps
+                assert np.array_equal(got, want), (n, b, prefix)
+            # each state run dense, each index run on the prefix
+            assert starts[-5:] == [1 << n, 1, 1 << n, 1, 1], (n, b)
 
 
 def _error(f, *args, **kw):
@@ -893,26 +763,28 @@ def _error(f, *args, **kw):
 
 
 def test_a_basis_index_is_checked_as_init_basis_checks_it():
-    # the width first, then the range, with init_basis's messages; with
-    # out, out is checked first and left as it was
+    # the width first, then the range, with init_basis's messages
     for n, b in [(3, 8), (3, -1), (MAX_QUBITS + 1, 0), (MAX_QUBITS + 1, -1), (64, 1 << 64)]:
         c = Circuit(n)
         assert _error(run_complex, c, b) == _error(init_basis, n, b)
         assert _error(run_real, c, b) == _error(init_basis_real, n, b)
-    c = Circuit(3).h(0)
-    for run, cls, other in ((run_complex, ComplexState, RealState), (run_real, RealState, ComplexState)):
-        out = cls(3, np.full(8, 7.0))
-        assert _error(run, c, 8, out=out) == (ValueError, "basis index 8 out of range for 3 qubit(s)")
-        assert np.array_equal(out.amps, np.full(8, 7.0))
-        assert _error(run, c, 8, out=other(3, np.zeros(8))) == (
-            ValueError, f"out must be a {cls.__name__} of 3 qubit(s)"
-        )
-        assert _error(run, c, 0, out=cls(2, np.zeros(4))) == (
-            ValueError, f"out must be a {cls.__name__} of 3 qubit(s)"
-        )
-        for flag in (True, False):
-            with pytest.raises(TypeError, match="not a bool"):
-                run(c, flag)
+
+
+def test_a_basis_index_is_what_operator_index_takes():
+    # one rule for run_real, run_complex and verify_circuit: any int
+    # type, numpy's included, and never a bool, which each refuses with
+    # the same TypeError
+    c = Circuit(2).h(0).cx(0, 1).x(1)
+    for index in (np.int64(1), np.uint8(1), np.array(1)):
+        assert np.array_equal(_bits(run_real(c, index).amps), _bits(run_real(c, 1).amps))
+        assert np.array_equal(_bits(run_complex(c, index).amps), _bits(run_complex(c, 1).amps))
+        report = verify_circuit(c, index)
+        assert type(report.init_index) is int
+        assert report.to_text() == verify_circuit(c, 1).to_text()
+    for bad in (True, False, np.True_, 1.0, "1", None):
+        errors = {_error(f, c, bad) for f in (run_real, run_complex, verify_circuit)}
+        assert len(errors) == 1 and next(iter(errors))[0] is TypeError, (bad, errors)
+    assert _error(verify_circuit, c, True) == (TypeError, "a basis index must be an int, not a bool")
 
 
 class _CompareSpy(np.ndarray):
@@ -925,19 +797,43 @@ class _CompareSpy(np.ndarray):
 
 
 def test_a_basis_index_is_not_searched_for(monkeypatch):
+    # every run's register holds a compare spy: from an index the run
+    # writes the one amplitude itself, and from a state, a basis vector
+    # here, it runs dense; neither looks for the nonzero amplitudes
     monkeypatch.setattr(_CompareSpy, "seen", [])
+    starts = []
+    init = sim_mod._Register.__init__
+
+    def spy(reg, amps, *args):
+        init(reg, amps.view(_CompareSpy), *args)
+        starts.append(reg.size)
+
+    monkeypatch.setattr(sim_mod._Register, "__init__", spy)
     n = 5
     c = Circuit(n).h(1).cx(1, 3).ry(4, 0.3)
     for cls, run in ((ComplexState, run_complex), (RealState, run_real)):
         want = run(c, 6).amps
-        out = cls(n, np.zeros(1 << n))
-        out.amps = out.amps.view(_CompareSpy)
-        run(c, 6, out=out)
+        assert np.array_equal(run(c, cls(n, np.eye(1 << n)[6])).amps, want)
         assert _CompareSpy.seen == []
-        assert np.array_equal(_bits(out.amps), _bits(want))
-        # a state input is searched: the spy sees that pass
-        out.amps[...] = np.eye(1 << n)[6]
-        run(c, out, out=out)
-        assert _CompareSpy.seen == [0]
-        assert np.array_equal(_bits(out.amps), _bits(want))
-        _CompareSpy.seen.clear()
+    assert starts == [1, 1 << n] * 2
+
+
+def test_a_run_holds_about_two_registers():
+    # the state a run returns, the copy of a state input, and the two
+    # half-register scratch rows, at 2^16 amplitudes on either engine;
+    # the ry in reverse order end the index runs in a transposition
+    n = 16
+    c = Circuit(n)
+    for q in reversed(range(n)):
+        c.ry(q, 0.3 + q)
+    c.cx(3, 11).h(0).cz(15, 2)
+    for run, start, unit in ((run_complex, init_basis, 16 << n), (run_real, init_basis_real, 8 << n)):
+        state = start(n, 5)
+        for init in (5, state):
+            tracemalloc.start()
+            try:
+                run(c, init)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.25 * unit, (run.__name__, type(init).__name__, peak / unit)

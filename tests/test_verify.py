@@ -128,10 +128,13 @@ def test_report_text_layout():
     assert f"digest: {circuit_digest(c)}\n" in text
     assert "level: g\n" in text
     assert "init_index: 1\n" in text
-    # True indexes as 1, and the report says 1, as for the int input
-    report = verify_circuit(c, True, SynthConfig(eps=1e-3))
+    # numpy's int64 indexes as 1, and the report says 1, as for the int
+    # input; a bool is refused, as the engines refuse it
+    report = verify_circuit(c, np.int64(1), SynthConfig(eps=1e-3))
     assert type(report.init_index) is int
     assert report.to_text() == text
+    with pytest.raises(TypeError, match="^a basis index must be an int, not a bool$"):
+        verify_circuit(c, True, SynthConfig(eps=1e-3))
 
 
 def test_verify_at_exact_levels_only():
@@ -361,17 +364,12 @@ def test_no_stage_simulates_the_work_ancilla(monkeypatch):
     def recording(name):
         inner = getattr(verify_mod, name)
 
-        def run(circuit, init, **kw):
-            # the register's width: out's, else the circuit's from a
-            # basis index, else the input state's
-            if kw.get("out") is not None:
-                width = kw["out"].num_qubits
-            elif isinstance(init, int):
-                width = circuit.num_qubits
-            else:
-                width = init.num_qubits
+        def run(circuit, init):
+            # the register's width: the circuit's from a basis index,
+            # else the input state's
+            width = circuit.num_qubits if isinstance(init, int) else init.num_qubits
             calls.append((name, circuit.num_qubits, width))
-            return inner(circuit, init, **kw)
+            return inner(circuit, init)
 
         return run
 
