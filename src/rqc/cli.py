@@ -19,6 +19,7 @@ stderr, so transpile output always pipes cleanly into run and verify.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -30,7 +31,7 @@ from .gates import is_real
 from .library import bench_suite
 from .sim import check_shots, distribution, run_complex, run_real, sample
 from .synth import NotReachable, SynthConfig, synthesize
-from .textio import ParseError, emit, parse
+from .textio import _DECIMAL, ParseError, emit, parse
 from .transpile import LoweringLevel, TranspileReport, transpile
 from .verify import verify_circuit
 
@@ -42,6 +43,9 @@ EXIT_VERIFY = 4
 
 _SYNTH_DEFAULTS = SynthConfig()
 _LEVELS = tuple(level.value for level in LoweringLevel)
+# every negative literal parse takes as an angle; argparse's own pattern
+# takes only -1 and -.5, and reads -1e-3 as an option
+_NEGATIVE_LITERAL = re.compile("-" + _DECIMAL, re.ASCII)
 
 
 def _parse_level(value: str) -> LoweringLevel:
@@ -79,6 +83,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, command in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
+        # a private argparse attribute, read as a pattern with .match by
+        # Python 3.10 to 3.12; the subparser classifies its own arguments
+        sp._negative_number_matcher = _NEGATIVE_LITERAL
         if name == "synth":
             sp.add_argument("theta", type=float, help="target angle in radians")
         elif name != "bench":
@@ -96,7 +103,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -127,12 +134,12 @@ def _resolve_settings(args: argparse.Namespace) -> None:
 
 def _load_circuit(args: argparse.Namespace) -> Circuit:
     # parse refuses every violation Circuit.validate lists
-    return parse(Path(args.input).read_text())
+    return parse(Path(args.input).read_text(encoding="utf-8-sig"))
 
 
 def _write_primary(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

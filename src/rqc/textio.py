@@ -41,7 +41,9 @@ _MNEMONICS = {k.value: k for k in GateKind}
 # literals are ASCII, as emit writes them: without re.ASCII, \d would
 # also take Arabic-Indic and full-width digits, which int and float read
 _INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
-_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+# an unsigned angle literal; cli reads a dash before one as a sign
+_DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z"
+_FLOAT_RE = re.compile(r"[+-]?" + _DECIMAL, re.ASCII)
 # parse's gallop doubles a line's copies up to this many characters: a
 # line's cached copies then take under 8 KiB, and a long run costs one
 # startswith per 2-4 KiB of it

@@ -10,13 +10,15 @@ projected once onto that block, each f(work -> t) becoming ry(t), and
 the ancilla is never simulated. lower_ry_pass keeps each gate off the
 ancilla as the same object and every angle, so when each f-stage gate
 is the real stage's own or f(work -> t) at the angle of its ry(t), the
-projection is the real stage itself: nothing is rebuilt, and the f
-stage reuses the real stage's run, which the deterministic simulator
-would repeat bit for bit. Any other f stage is projected gate by gate,
-and a gate that could move the ancilla raises AncillaLeakError before
-anything runs. Level 'g' is simulated as the achieved_circuit of the
-projection, one gate per rotation instead of sum(k) fixed gates: the
-projected gate list at the synthesized angles.
+projection is the real stage itself: _project_work returns that object,
+nothing is rebuilt, and the f stage reuses the real stage's run, which
+the deterministic simulator would repeat bit for bit. Only that object
+reuses the run: any other f stage, even one of new but equal gates, is
+projected gate by gate and runs, and a gate that could move the ancilla
+raises AncillaLeakError before anything runs, in the same walk. Level
+'g' is simulated as the achieved_circuit of the projection, one gate
+per rotation instead of sum(k) fixed gates: the projected gate list at
+the synthesized angles.
 
 A data qubit that no gate of the circuit acts on stays in its input
 bit. Every pass rewrites each gate on its own operands and adds only
@@ -148,9 +150,22 @@ class VerificationReport:
 _F, _RY = GateKind.F, GateKind.RY
 
 
-def _project_work(c: Circuit, work: int) -> Circuit:
+def _project_work(c: Circuit, work: int, real: Circuit) -> Circuit:
     # the stage on the work = 1 block, over data + tag: f(work -> t) acts
-    # there as ry(t), and gates off the work ancilla pass through
+    # there as ry(t), and gates off the work ancilla pass through. When
+    # each gate of c is real's own or f(work -> t) at the angle of its
+    # ry(t), as lower_ry_pass leaves them, that block is real itself
+    if len(c.gates) == len(real.gates):
+        for gc, gr in zip(c.gates, real.gates):
+            if gc is not gr and not (
+                gr.kind is _RY
+                and gc.kind is _F
+                and gc.qubits == (work, gr.qubits[0])
+                and gc.param == gr.param
+            ):
+                break
+        else:
+            return real
     out = Circuit(work, name=c.name)
     for i, g in enumerate(c.gates):
         if work not in g.qubits:
@@ -163,23 +178,6 @@ def _project_work(c: Circuit, work: int) -> Circuit:
                 f"{work}, which may only control f"
             )
     return out
-
-
-def _lowers(f: Circuit, real: Circuit, work: int) -> bool:
-    # whether f is lower_ry_pass(real): each gate the real one itself or
-    # f(work -> t) at the angle of its ry(t). Its projection is then
-    # real, gate for gate
-    if len(f.gates) != len(real.gates):
-        return False
-    for gf, gr in zip(f.gates, real.gates):
-        if gf is not gr and not (
-            gr.kind is _RY
-            and gf.kind is _F
-            and gf.qubits == (work, gr.qubits[0])
-            and gf.param == gr.param
-        ):
-            return False
-    return True
 
 
 def circuit_digest(c: Circuit) -> str:
@@ -203,10 +201,13 @@ def verify_circuit(
     and the synthesized stage within its own error budget, give or take
     BUDGET_ROUNDOFF_TOL. Every stage runs on the data + tag register: the
     f and g stages hold the work ancilla in |1> as a classical control,
-    and the f stage reuses the real stage's distance when its projection
-    equals the real stage gate for gate; the g stage is that projection
-    at the synthesized angles. AncillaLeakError names the first gate that
-    uses the work ancilla other than as the control of f.
+    and the f stage reuses the real stage's distance only when its
+    projection is the real stage itself, each gate the real stage's own
+    or the f that lowers its ry; any other projection runs. The g stage
+    is that projection at the synthesized angles. AncillaLeakError names
+    the first gate that uses the work ancilla other than as the control
+    of f. The first failing stage gives the reason: real, then f, each
+    against EXACT_STAGE_TOL, then g against its budget.
 
     Only the active data qubits are simulated: those that some gate of
     c acts on, or qubit 0 if none does. c is packed onto them in order
@@ -250,14 +251,10 @@ def verify_circuit(
         gates = [Gate(g.kind, tuple(map(label.__getitem__, g.qubits)), g.param) for g in c.gates]
         packed = Circuit(k, gates)
     stages = prepare_stages(packed, cfg, level)
-    projected = achieved = None
+    projected = None
     if stages.f is not None:
-        projected = stages.real
-        if not _lowers(stages.f, stages.real, stages.work_ancilla):
-            # refuses a gate that moves the work ancilla before anything runs
-            projected = _project_work(stages.f, stages.work_ancilla)
-    if stages.level is LoweringLevel.G_ONLY:
-        achieved = achieved_circuit(projected, stages.syntheses)
+        # refuses a gate that moves the work ancilla before anything runs
+        projected = _project_work(stages.f, stages.work_ancilla, stages.real)
     # each run starts from the input's bits on the active qubits; idle
     # qubits keep theirs and take no part in any distance
     start = sum(((init_basis_index >> q) & 1) << j for j, q in enumerate(active))
@@ -269,25 +266,20 @@ def verify_circuit(
         return StageResult(len(circuit.gates), encoded_distance(run_real(circuit, start), ref))
 
     real_res = measure(stages.real)
-    f_res = g_res = None
+    f_res = g_res = reason = None
     if projected is not None:
-        if projected.gates == stages.real.gates:
-            f_res = StageResult(len(stages.f.gates), real_res.state_distance)
-        else:
-            f_res = measure(projected)
-    if achieved is not None:
-        g_res = measure(achieved)
+        # a projection that is the real stage itself would repeat its run
+        # bit for bit, over as many gates; any other projection runs
+        f_res = real_res if projected is stages.real else measure(projected)
+    if stages.level is LoweringLevel.G_ONLY:
+        g_res = measure(achieved_circuit(projected, stages.syntheses))
 
-    reason = None
-    for name, res in (("real", real_res), ("f", f_res)):
-        if res is None:
-            continue
-        if res.state_distance > EXACT_STAGE_TOL:
-            reason = f"stage '{name}' distance exceeds {EXACT_STAGE_TOL:g}"
-            break
-    if g_res is not None and reason is None:
-        if g_res.state_distance > stages.budget + BUDGET_ROUNDOFF_TOL:
-            reason = "budget violated"
+    if real_res.state_distance > EXACT_STAGE_TOL:
+        reason = f"stage 'real' distance exceeds {EXACT_STAGE_TOL:g}"
+    elif f_res is not None and f_res.state_distance > EXACT_STAGE_TOL:
+        reason = f"stage 'f' distance exceeds {EXACT_STAGE_TOL:g}"
+    elif g_res is not None and g_res.state_distance > stages.budget + BUDGET_ROUNDOFF_TOL:
+        reason = "budget violated"
 
     return VerificationReport(
         digest=circuit_digest(c),

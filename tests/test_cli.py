@@ -546,6 +546,83 @@ def test_config_file_errors(tmp_path, capsys):
         assert f"{dup}:2: duplicate config key 'eps'" in err
 
 
+def test_a_negative_literal_is_a_value_not_an_option(tmp_path, capsys):
+    # argparse reads only -1 and -.5 as negative numbers by itself: every
+    # negative literal parse takes as an angle is a value, in theta and
+    # in every flag, and any other dash token is still an option
+    def result(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    bell = write(tmp_path, "bell.rqc", "qubits 2\nh 0\ncx 0 1\n")
+    for literal in ("-1e-3", "-1E-3", "-1e+0", "-.5e1", "-2.", "-0.25", "-7"):
+        want = result(["synth", "--", literal])
+        assert want[0] == EXIT_OK, literal
+        assert result(["synth", literal]) == want, literal
+        spaced = result(["synth", literal, "--eps", "1e-2"])
+        assert spaced == result(["synth", "--eps", "1e-2", "--", literal]), literal
+    for flag, literal in (("--phi", "-2.5e-1"), ("--eps", "-1E-3"), ("--k-max", "-1"), ("--init", "-1")):
+        argv = ["verify", bell, flag, literal]
+        assert result(argv) == result(["verify", bell, f"{flag}={literal}"]), flag
+    # an int setting takes the exponent form as its value, and refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", bell, "--init", "-1e0"])
+    assert exc.value.code == 2
+    assert "argument --init: invalid int value: '-1e0'" in capsys.readouterr().err
+    assert result(["synth", "1.0", "--phi", "-2.5e-1"])[0] == EXIT_OK
+    assert result(["verify", bell, "--phi", "-2.5e-1"])[1].endswith("status: PASS\n")
+    assert result(["verify", bell, "--init", "-1"]) == (
+        EXIT_INVALID, "", "error: basis index -1 out of range for 2 qubit(s)\n"
+    )
+    assert result(["synth", "1.0", "--eps", "-1e-3"]) == (
+        EXIT_INVALID, "", "error: eps must be positive\n"
+    )
+    for argv in (["synth", "-x"], ["synth", "1.0", "-x"], ["verify", bell, "--phi", "-e"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
+def test_files_are_read_as_utf8_with_or_without_a_bom(tmp_path, capsys):
+    # a byte order mark at the start of a circuit or a config file is
+    # not text; each file decodes as UTF-8 under any locale
+    def result(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    text = "qubits 2\nh 0\ncx 0 1\n"
+    plain = write(tmp_path, "plain.rqc", text)
+    bom = tmp_path / "bom.rqc"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for argv in (["verify"], ["transpile", "--level", "f"], ["run"]):
+        want = result([argv[0], plain, *argv[1:]])
+        assert want[0] == EXIT_OK, argv
+        assert result([argv[0], str(bom), *argv[1:]]) == want, argv
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(b"\xef\xbb\xbflevel = f\n")
+    want = result(["verify", plain, "--level", "f"])
+    assert "level: f\n" in want[1]
+    assert result(["verify", plain, "--config", str(config)]) == want
+    # under the C locale, with Python's UTF-8 mode and locale coercion
+    # off, the locale's encoding is ASCII: a comment in UTF-8 and a BOM
+    # still decode, and --out is written in UTF-8
+    commented = tmp_path / "commented.rqc"
+    commented.write_bytes("\ufeffqubits 2\nh 0 # caf\u00e9\ncx 0 1\n".encode())
+    src = str(Path(cli_mod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0"}
+    out = tmp_path / "report.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rqc.cli", "verify", str(commented), "--config", str(config),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+    assert out.read_text(encoding="utf-8") == want[1]
+
+
 def test_bench_table(capsys):
     assert main(["bench", "--eps", "1e-2"]) == EXIT_OK
     out = capsys.readouterr().out

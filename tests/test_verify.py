@@ -420,10 +420,10 @@ def _stages_of(c, cfg, level):
     stages = verify_mod.prepare_stages(c, cfg, level)
     out = {"real": stages.real}
     if stages.f is not None:
-        out["f"] = verify_mod._project_work(stages.f, stages.work_ancilla)
+        out["f"] = verify_mod._project_work(stages.f, stages.work_ancilla, stages.real)
     if level is LoweringLevel.G_ONLY:
         out["g"] = verify_mod._project_work(
-            achieved_circuit(stages.f, stages.syntheses), stages.work_ancilla
+            achieved_circuit(stages.f, stages.syntheses), stages.work_ancilla, stages.real
         )
     return out
 
@@ -693,7 +693,10 @@ def test_the_g_stage_is_the_projection_at_the_synthesized_angles():
     # projection, so each f(work -> t), now an ry(t), stays an ry
     c = Circuit(2).h(0).cx(0, 1).rx(1, 0.4)
     stages = prepare_stages(c, SynthConfig(), LoweringLevel.G_ONLY)
-    projected = verify_mod._project_work(stages.f, stages.work_ancilla)
+    # a real stage that cannot match, so the projection is built
+    projected = verify_mod._project_work(
+        stages.f, stages.work_ancilla, Circuit(stages.work_ancilla)
+    )
     achieved = achieved_circuit(projected, stages.syntheses)
     assert achieved.num_qubits == projected.num_qubits
     assert GateKind.RY in {g.kind for g in achieved.gates}
@@ -730,26 +733,48 @@ def test_an_invalid_circuit_is_reported_before_a_bad_level():
             entry()
 
 
+def rebuilt_stages(inner):
+    # the pipeline's stages, with the f stage rebuilt from new but equal gates
+    def wrapper(c, cfg, level):
+        st = inner(c, cfg, level)
+        gates = [Gate(g.kind, g.qubits, g.param) for g in st.f.gates]
+        assert all(a == b and a is not b for a, b in zip(gates, st.f.gates))
+        return dataclasses.replace(st, f=Circuit(st.f.num_qubits, gates))
+
+    return wrapper
+
+
+# random circuits of 1-5 qubits, and one with an rx and an ry
+F_RULE_CIRCUITS = [random_circuit(n, 12, seed=40 + n) for n in range(1, 6)]
+F_RULE_CIRCUITS.append(Circuit(3).h(0).cx(0, 2).rx(1, 0.4).ry(2, 0.3))
+
+
 def test_the_f_stage_is_projected_only_when_it_is_not_the_real_stage_lowered(monkeypatch):
     # the pipeline's f stage is lower_ry_pass of the real stage, whose
     # projection is the real stage itself: nothing is rebuilt. A stage
     # that touches the work ancilla otherwise is still projected, and
     # refused, and one rebuilt as new but equal gates is projected and
-    # reports as the original does
+    # reports as the original does. The spy records each call that does
+    # not return the real stage, a refusal included
     calls = []
     project = verify_mod._project_work
 
-    def spy(c, work):
+    def spy(c, work, real):
         calls.append(len(c.gates))
-        return project(c, work)
+        out = project(c, work, real)
+        if out is real:
+            calls.pop()
+        return out
 
-    monkeypatch.setattr(verify_mod, "_project_work", spy)
     inner = verify_mod.prepare_stages
     cfg = SynthConfig(eps=1e-3)
-    circuits = [random_circuit(n, 12, seed=40 + n) for n in range(1, 6)]
-    circuits.append(Circuit(3).h(0).cx(0, 2).rx(1, 0.4).ry(2, 0.3))
+    for c in F_RULE_CIRCUITS:
+        for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
+            stages = inner(c, cfg, level)
+            assert project(stages.f, stages.work_ancilla, stages.real) is stages.real
+    monkeypatch.setattr(verify_mod, "_project_work", spy)
     reports = {}
-    for c in circuits:
+    for c in F_RULE_CIRCUITS:
         for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
             reports[id(c), level] = verify_circuit(c, 1, cfg, level).to_text()
     assert calls == []
@@ -761,14 +786,8 @@ def test_the_f_stage_is_projected_only_when_it_is_not_the_real_stage_lowered(mon
     assert report.reason == "stage 'f' distance exceeds 1e-09"
     assert calls == [1]
 
-    def rebuilt(c, cfg, level):
-        st = inner(c, cfg, level)
-        gates = [Gate(g.kind, g.qubits, g.param) for g in st.f.gates]
-        assert all(a == b and a is not b for a, b in zip(gates, st.f.gates))
-        return dataclasses.replace(st, f=Circuit(st.f.num_qubits, gates))
-
-    monkeypatch.setattr(verify_mod, "prepare_stages", rebuilt)
-    for c in circuits:
+    monkeypatch.setattr(verify_mod, "prepare_stages", rebuilt_stages(inner))
+    for c in F_RULE_CIRCUITS:
         for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
             calls.clear()
             assert verify_circuit(c, 1, cfg, level).to_text() == reports[id(c), level]
@@ -776,13 +795,40 @@ def test_the_f_stage_is_projected_only_when_it_is_not_the_real_stage_lowered(mon
     c = Circuit(2).h(0).cx(0, 1)
     n = len(inner(c, cfg, LoweringLevel.F_ONLY).f.gates)
     cases = [
-        lambda work: [Gate(GateKind.F, (1, work), 0.3)],
-        lambda work: [Gate(GateKind.F, (work, 1), 0.3), Gate(GateKind.RY, (work,), 0.2)],
+        (lambda work: [Gate(GateKind.F, (1, work), 0.3)], n),
+        (lambda work: [Gate(GateKind.F, (work, 1), 0.3), Gate(GateKind.RY, (work,), 0.2)], n + 1),
     ]
-    for extra in cases:
+    for extra, index in cases:
         monkeypatch.setattr(verify_mod, "prepare_stages", leaky_stages(inner, extra))
         for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
             calls.clear()
-            with pytest.raises(AncillaLeakError):
+            with pytest.raises(AncillaLeakError, match=f"^gate {index}: "):
                 verify_circuit(c, 0, cfg, level)
             assert calls == [n + len(extra(2))]
+
+
+def test_an_f_stage_of_new_but_equal_gates_is_projected_and_run(monkeypatch):
+    # the real stage's run stands for the f stage only when the f stage's
+    # projection is the real stage itself, not a copy of it: an f stage
+    # rebuilt from new but equal gates takes one run more than the
+    # pipeline's own stages, and reports as they do
+    runs = []
+    run = verify_mod.run_real
+
+    def counted(circuit, init):
+        runs.append(circuit)
+        return run(circuit, init)
+
+    monkeypatch.setattr(verify_mod, "run_real", counted)
+    inner = verify_mod.prepare_stages
+    cfg = SynthConfig(eps=1e-3)
+    for c in F_RULE_CIRCUITS:
+        for level in (LoweringLevel.F_ONLY, LoweringLevel.G_ONLY):
+            monkeypatch.setattr(verify_mod, "prepare_stages", inner)
+            runs.clear()
+            want = verify_circuit(c, 1, cfg, level).to_text()
+            own = len(runs)
+            monkeypatch.setattr(verify_mod, "prepare_stages", rebuilt_stages(inner))
+            runs.clear()
+            assert verify_circuit(c, 1, cfg, level).to_text() == want, (emit(c), level)
+            assert len(runs) == own + 1, (emit(c), level)
