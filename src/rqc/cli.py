@@ -43,9 +43,10 @@ EXIT_VERIFY = 4
 
 _SYNTH_DEFAULTS = SynthConfig()
 _LEVELS = tuple(level.value for level in LoweringLevel)
-# every negative literal parse takes as an angle; argparse's own pattern
-# takes only -1 and -.5, and reads -1e-3 as an option
-_NEGATIVE_LITERAL = re.compile("-" + _DECIMAL, re.ASCII)
+# every negative literal parse takes as an angle, and every non-finite
+# one float takes, so that the finiteness check names it; argparse's own
+# pattern takes only -1 and -.5, and reads -1e-3 and -inf as options
+_NEGATIVE_LITERAL = re.compile(r"-(?:" + _DECIMAL + r"|(?i:inf|infinity|nan)\Z)", re.ASCII)
 
 
 def _parse_level(value: str) -> LoweringLevel:
@@ -280,7 +281,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError:
-        print("error: out of memory; a looser --eps or a lower --level needs less", file=sys.stderr)
+        # name only the levers the command has
+        settings = _SUBCOMMANDS[args.command].settings
+        if "level" in settings:
+            lever = "a looser --eps or a lower --level"
+        elif "eps" in settings:
+            lever = "a looser --eps"
+        else:
+            lever = "a narrower register"
+        print(f"error: out of memory; {lever} needs less", file=sys.stderr)
         return EXIT_INVALID
 
 

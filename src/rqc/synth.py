@@ -34,22 +34,25 @@ Machin's formula in integers too; it is rebuilt twice as wide when a
 wider one is asked for.
 
 Both searches are pure functions of (theta, cfg), so each keeps a memo
-of its last _MEMO_SIZE results (functools.lru_cache, 270-340 bytes an
-entry), keyed by value: a repeated angle under an equal config costs a
-dict lookup, within one circuit and across circuits, transpile and
-verify calls alike. Equal keys give equal results: 0.0 and -0.0, or 1
-and 1.0, are one exact value, and so are phi 0.0 and -0.0. A miss
-raises and is not stored, so each call raises its own NotReachable.
-The memo is thread-safe under the GIL: a race between two threads that
-miss on one key costs at most one duplicate search, of an equal result.
+on cfg, a dict keyed by theta: a repeated angle costs a dict lookup for
+as long as the caller holds the config, within one circuit and across
+circuits, transpile and verify calls alike. The memos are not part of
+the config's value (equality, hash and repr leave them out), so an
+equal but distinct config starts empty: a caller who wants cold
+searches makes a new config. Nothing is evicted; the memos go with the
+config, at about 490 bytes per distinct angle for the two together.
+Equal keys give equal results: 0.0 and -0.0, or 1 and 1.0, are one
+exact value. A miss raises and is not stored, so each call raises its
+own NotReachable. The memos are thread-safe under the GIL: a race
+between two threads that miss on one key costs at most one duplicate
+search, of an equal result.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DEFAULT_PHI = math.tau * (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -63,9 +66,6 @@ _GUARD_BITS = 128
 # a half-turn label theta -+ pi is taken on the same bound
 _MERGE_ROUNDOFF = 2.0**-50
 
-# entries per search memo; a synth-tight pass keeps up to 264 own, 216 half-turn
-_MEMO_SIZE = 1024
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -74,6 +74,9 @@ class SynthConfig:
     phi: float = DEFAULT_PHI
     eps: float = 1e-3
     k_max: int = 10**6
+    # the two searches' memos, keyed by theta (see the module docstring)
+    _own: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _half_turn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.phi):
@@ -236,7 +239,6 @@ def _units(theta: float, cfg: SynthConfig) -> tuple[int, int, int, int, int]:
     return w, m, _fixed(cfg.phi, w) % m, _fixed(theta, w), _fixed(cfg.eps, w)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     """Smallest k in [1, k_max] with k*phi within eps of theta on the circle;
     failing that, NotReachable names the least k <= k_max at the least
@@ -244,21 +246,24 @@ def synthesize(theta: float, cfg: SynthConfig | None = None) -> SynthesisResult:
     from the search's frame and rounded once. theta is taken as it is,
     not reduced in float64.
 
-    Memoized by (theta, cfg) as the module docstring says; a NotReachable
-    is raised afresh on each call. __wrapped__ is the search itself.
+    Memoized by theta in cfg, as the module docstring says; a
+    NotReachable is raised afresh on each call.
     """
     if cfg is None:
         cfg = SynthConfig()
+    memo = cfg._own
+    if theta in memo:
+        return memo[theta]
     w, m, a, t, e = _units(theta, cfg)
     t %= m
     k = _first_hit(a, m, t - e, t + e, 1)
     if k is not None and k <= cfg.k_max:
-        return SynthesisResult(k, a * k % m / (1 << w), _distance(a, m, t, k) / (1 << w))
+        r = memo[theta] = SynthesisResult(k, a * k % m / (1 << w), _distance(a, m, t, k) / (1 << w))
+        return r
     best_k = _closest_k(a, m, t, cfg.k_max)
     raise NotReachable(theta, best_k, _distance(a, m, t, best_k) / (1 << w))
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _least_up_to_half_turn(
     theta: float, cfg: SynthConfig
 ) -> tuple[float | None, SynthesisResult] | None:
@@ -276,8 +281,18 @@ def _least_up_to_half_turn(
     either, or when label is further than _MERGE_ROUNDOFF from the exact
     half-turn. A half-turn miss never enters the closest-miss bisection;
     synthesize(theta, cfg) alone decides what theta's own miss raises.
-    Memoized like synthesize, its None results too.
+    Memoized in cfg like synthesize, its None results too.
     """
+    memo = cfg._half_turn
+    if theta not in memo:
+        memo[theta] = _search_up_to_half_turn(theta, cfg)
+    return memo[theta]
+
+
+def _search_up_to_half_turn(
+    theta: float, cfg: SynthConfig
+) -> tuple[float | None, SynthesisResult] | None:
+    """_least_up_to_half_turn's search itself, not memoized."""
     w, m, a, t_exact, e = _units(theta, cfg)
     t = t_exact % m
     k = _first_hit(2 * a % m, m, 2 * (t - e), 2 * (t + e), 1)

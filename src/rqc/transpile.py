@@ -335,7 +335,7 @@ def lower_ry_pass(c: Circuit) -> Circuit:
 def synthesize_all(c: Circuit, cfg: SynthConfig) -> list[SynthesizedGate]:
     """Synthesis results for every gate of a level-'f' circuit, in order.
 
-    Gates that repeat an angle share its result, from the searches'
+    Gates that repeat an angle share its result, from the config's
     memos (see synth), and keep their own index and target. NotReachable
     is re-raised with gate_index pointing at the first offender; a miss
     is never stored, so each call sets its own.

@@ -17,6 +17,7 @@ from rqc import DEFAULT_PHI, SynthConfig, synthesize
 from rqc.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, EXIT_UNREACHABLE, EXIT_VERIFY, main
 from rqc.library import bench_suite
 
+from test_synth import record_searches
 from test_verify import corrupted_stages
 
 PI = math.pi
@@ -164,6 +165,14 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
         "",
         "error: out of memory; a looser --eps or a lower --level needs less\n",
     )
+    # each command names only the levers it has: synth has no --level,
+    # and run takes neither flag
+    monkeypatch.setattr(cli_mod, "synthesize", exhausted)
+    assert main(["synth", "1.0"]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", "error: out of memory; a looser --eps needs less\n")
+    monkeypatch.setattr(cli_mod, "run_real", exhausted)
+    assert main(["run", path]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", "error: out of memory; a narrower register needs less\n")
 
 
 def test_run_complex_circuit(tmp_path, capsys):
@@ -584,6 +593,28 @@ def test_a_negative_literal_is_a_value_not_an_option(tmp_path, capsys):
         assert capsys.readouterr().out == "", argv
 
 
+def test_a_negative_non_finite_value_is_refused_as_not_finite(tmp_path, capsys):
+    # float reads inf, infinity and nan in any case, with a sign: a dash
+    # before one is a value, so the finiteness check gives the message
+    bell = write(tmp_path, "bell.rqc", "qubits 2\nh 0\ncx 0 1\n")
+    for word in ("inf", "-inf", "-Inf", "-INFINITY", "-infinity", "-nan", "-NaN"):
+        for argv, name in (
+            (["synth", word], "theta"),
+            (["synth", "1.0", "--phi", word], "phi"),
+            (["synth", "1.0", "--eps", word], "eps"),
+            (["verify", bell, "--phi", word], "phi"),
+            (["transpile", bell, "--eps", word], "eps"),
+        ):
+            assert main(argv) == EXIT_INVALID, argv
+            assert capsys.readouterr() == ("", f"error: {name} must be finite\n"), argv
+    # and a dash token that float does not read is still an option
+    for argv in (["synth", "-infx"], ["synth", "1.0", "-nana"], ["verify", bell, "--phi", "-i"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
 def test_files_are_read_as_utf8_with_or_without_a_bom(tmp_path, capsys):
     # a byte order mark at the start of a circuit or a config file is
     # not text; each file decodes as UTF-8 under any locale
@@ -650,6 +681,19 @@ def test_bench_prints_every_row_then_exits_4_on_a_fail(monkeypatch, capsys):
     assert len(rows) == 10
     assert rows[0].split()[:4] == ["name", "qubits", "gates", "real"]
     assert [r.split()[8] for r in rows[1:]] == ["PASS", "FAIL"] + ["PASS"] * 7
+
+
+def test_bench_searches_each_angle_once_across_the_suite(monkeypatch, capsys):
+    # one config for the whole command: a suite circuit, or verify after
+    # transpile, that asks an angle already searched gets the memo's
+    # result, so each angle costs at most one search of each kind: 85 in
+    # all at the defaults
+    searches = record_searches(monkeypatch)
+    assert main(["bench"]) == EXIT_OK
+    capsys.readouterr()
+    kinds = [(name, theta) for name, theta, _ in searches]
+    assert len(set(kinds)) == len(kinds) == 85
+    assert len({id(cfg) for _, _, cfg in searches}) == 1
 
 
 def test_bench_deterministic_apart_from_timings(capsys):

@@ -1,7 +1,10 @@
-import functools
+import gc
 import math
+import sys
+import threading
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -149,9 +152,13 @@ PHIS = st.one_of(
 THETAS = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300))
 
 
-@functools.lru_cache(maxsize=None)
+ORBIT_TABLES = {}
+
+
 def cached_orbit_table(phi):
-    return exact_orbit_table(phi, 4096)
+    if phi not in ORBIT_TABLES:
+        ORBIT_TABLES[phi] = exact_orbit_table(phi, 4096)
+    return ORBIT_TABLES[phi]
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,9 +300,9 @@ def test_second_synthesis_for_a_config_makes_no_two_pi_build(monkeypatch):
         raise AssertionError("2pi built on the hot path")
 
     monkeypatch.setattr(rqc.synth, "_floor_two_pi", refuse)
-    # a fresh config with equal values builds the same frame; __wrapped__
-    # runs the search, which the memo would answer without one
-    assert synthesize.__wrapped__(0.5, SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)) == first
+    # a fresh config with equal values builds the same frame, and its
+    # empty memo runs the search that cfg's would answer without one
+    assert synthesize(0.5, SynthConfig(phi=1.25, eps=1e-6, k_max=10**7)) == first
     rng = np.random.default_rng(400)
     for theta in rng.uniform(-10, 10, size=50):
         r = synthesize(float(theta), SynthConfig(phi=1.25, eps=1e-3, k_max=10**7))
@@ -309,8 +316,8 @@ def test_deep_search_is_fast_and_exact():
     t0 = time.process_time()
     r = synthesize(1.0, cfg)
     assert time.process_time() - t0 < 1.0
-    # the time is a search's, not a memo hit's
-    assert synthesize.cache_info().misses == 1
+    # the time is a search's, not a memo hit's: cfg's memo held nothing
+    assert cfg._own == {1.0: r}
     assert r.k > 10**12
     with mp.workdps(80):
         v = mp.fmod(r.k * mpf(DEFAULT_PHI), 2 * mp.pi)
@@ -321,7 +328,7 @@ def test_deep_search_is_fast_and_exact():
     # nothing the search holds grows with k_max
     tracemalloc.start()
     try:
-        assert synthesize.__wrapped__(1.0, cfg) == r
+        assert synthesize(1.0, SynthConfig(eps=1e-12, k_max=10**15)) == r
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -438,56 +445,134 @@ MEMO_CONFIGS = st.builds(
 )
 
 
+def unmemoized(cfg):
+    """An equal config with empty memos: each search on it runs."""
+    return SynthConfig(cfg.phi, cfg.eps, cfg.k_max)
+
+
+def record_searches(monkeypatch):
+    """The (search, theta, cfg) of every search that runs, memo hits
+    excluded: each one builds its frame with _units exactly once."""
+    searches = []
+    units = rqc.synth._units
+
+    def spy(theta, cfg):
+        searches.append((sys._getframe(1).f_code.co_name, theta, cfg))
+        return units(theta, cfg)
+
+    monkeypatch.setattr(rqc.synth, "_units", spy)
+    return searches
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(MEMO_THETAS, MEMO_CONFIGS), min_size=1, max_size=8))
 def test_a_memoized_search_equals_the_search_itself(draws):
     # each draw twice, so that the second is a hit whenever the first was
-    # stored; 0.0 and -0.0, 1 and 1.0, and phi 0.0 and -0.0 share keys
+    # stored; 0.0 and -0.0, and 1 and 1.0, share keys in one config
     for theta, cfg in draws + draws:
         for f in (synthesize, _least_up_to_half_turn):
-            assert memo_outcome(f, theta, cfg) == memo_outcome(f.__wrapped__, theta, cfg)
+            assert memo_outcome(f, theta, cfg) == memo_outcome(f, theta, unmemoized(cfg))
 
 
-def test_equal_keys_share_one_entry():
+def test_equal_keys_share_one_entry(monkeypatch):
+    searches = record_searches(monkeypatch)
     pairs = [
-        ((0.0, SynthConfig(phi=0.0)), (-0.0, SynthConfig(phi=-0.0))),
-        ((1, SynthConfig()), (1.0, SynthConfig())),
+        ((0.0, -0.0), SynthConfig(phi=0.0)),
+        ((1, 1.0), SynthConfig()),
         # a half-turn hit: its label is a float after either key
-        ((np.float64(2.25), SynthConfig()), (2.25, SynthConfig())),
+        ((np.float64(2.25), 2.25), SynthConfig()),
+        # one key twice, out of reach by either sign: the half-turn memo
+        # keeps its None, while theta's own miss searches and raises afresh
+        ((-1.0, -1.0), SynthConfig(phi=0.0)),
     ]
-    for first, second in pairs:
+    for (first, second), cfg in pairs:
         for f in (synthesize, _least_up_to_half_turn):
-            want = memo_outcome(f, *first)
-            hits = f.cache_info().hits
-            assert memo_outcome(f, *second) == want == memo_outcome(f.__wrapped__, *second)
-            assert f.cache_info().hits == hits + 1
+            want = memo_outcome(f, first, cfg)
+            searched = len(searches)
+            assert memo_outcome(f, second, cfg) == want
+            missed = want is not None and want[0] == "not reachable"
+            assert len(searches) == searched + missed
+            assert want == memo_outcome(f, second, unmemoized(cfg))
 
 
 def test_each_config_gets_its_own_k_for_one_angle():
     configs = (SynthConfig(eps=1e-3), SynthConfig(eps=1e-6, k_max=10**7))
-    want = {cfg: synthesize.__wrapped__(1.0, cfg) for cfg in configs}
+    want = {cfg: synthesize(1.0, unmemoized(cfg)) for cfg in configs}
     assert len({r.k for r in want.values()}) == 2
     for order in (configs, configs[::-1]):
-        synthesize.cache_clear()
-        _least_up_to_half_turn.cache_clear()
+        order = tuple(unmemoized(cfg) for cfg in order)
         for cfg in order + order:
             assert synthesize(1.0, cfg) == want[cfg]
-            assert _least_up_to_half_turn(1.0, cfg) == _least_up_to_half_turn.__wrapped__(1.0, cfg)
-        assert synthesize.cache_info().currsize == 2
-        assert _least_up_to_half_turn.cache_info().currsize == 2
+            assert _least_up_to_half_turn(1.0, cfg) == _least_up_to_half_turn(1.0, unmemoized(cfg))
+        # one entry in each memo of each config: none holds the other's
+        for cfg in order:
+            assert cfg._own == {1.0: want[cfg]}
+            assert list(cfg._half_turn) == [1.0]
 
 
-def test_the_memos_hold_at_most_their_bound():
-    size = rqc.synth._MEMO_SIZE
+def test_the_memos_cost_a_few_hundred_bytes_an_angle():
+    # nothing is evicted: each distinct angle keeps one entry in each
+    # memo, about 490 B for the two together
     cfg = SynthConfig()
-    angles = iter(np.linspace(-3.0, 3.0, 2 * (size + 1)).tolist())
+    angles = np.linspace(-3.0, 3.0, 2048).tolist()
     tracemalloc.start()
     try:
-        for f in (synthesize, _least_up_to_half_turn):
-            for _ in range(size + 1):
-                f(next(angles), cfg)
-            assert f.cache_info().currsize == f.cache_info().maxsize == size
-        # 270-340 B an entry: under 640 B for each entry of the two memos
-        assert tracemalloc.get_traced_memory()[0] < 2 * size * 640
+        for theta in angles:
+            synthesize(theta, cfg)
+            _least_up_to_half_turn(theta, cfg)
+        assert len(cfg._own) == len(cfg._half_turn) == len(angles)
+        assert tracemalloc.get_traced_memory()[0] < len(angles) * 640
     finally:
         tracemalloc.stop()
+
+
+def test_a_fresh_config_equal_to_a_warm_one_searches_afresh(monkeypatch):
+    # the memos are not part of a config's value: equal configs, phi 0.0
+    # and -0.0 among them, each search for themselves
+    searches = record_searches(monkeypatch)
+    warm = SynthConfig(phi=0.0)
+    for f in (synthesize, _least_up_to_half_turn):
+        want = f(0.0, warm)
+        assert f(0.0, warm) == want
+        for cfg in (SynthConfig(phi=0.0), SynthConfig(phi=-0.0)):
+            assert cfg == warm and hash(cfg) == hash(warm)
+            assert f(0.0, cfg) == want
+    assert len(searches) == 6
+
+
+def test_threads_sharing_a_config_get_the_search_results():
+    # a race between two threads that miss on one key costs at most a
+    # duplicate search, of an equal result, and loses no entry
+    cfg = SynthConfig()
+    angles = np.random.default_rng(9).uniform(-7.0, 7.0, 100).tolist()
+    want = [
+        (synthesize(t, unmemoized(cfg)), _least_up_to_half_turn(t, unmemoized(cfg))) for t in angles
+    ]
+    got = {}
+
+    def work(i):
+        got[i] = [(synthesize(t, cfg), _least_up_to_half_turn(t, cfg)) for t in angles]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {i: want for i in range(8)}
+    assert len(cfg._own) == len(cfg._half_turn) == len(angles)
+
+
+def test_a_config_takes_its_memos_with_it():
+    cfg = SynthConfig()
+    synthesize(1.0, cfg)
+    _least_up_to_half_turn(1.0, cfg)
+    collected = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert collected() is None

@@ -41,6 +41,7 @@ from rqc.transpile import (
 from rqc.verify import verify_circuit
 
 from _oracles import dense_apply, dense_unitary, mp_distance, random_complex_state
+from test_synth import record_searches
 
 # the package attribute rqc.transpile is the function, not the module
 transpile_mod = importlib.import_module("rqc.transpile")
@@ -406,17 +407,19 @@ def test_each_synthesis_reports_its_own_unreachable_gate():
     assert len({id(e) for e in raised}) == 3
 
 
-def test_synthesize_all_synthesizes_each_distinct_angle_once():
+def test_synthesize_all_synthesizes_each_distinct_angle_once(monkeypatch):
     c = random_circuit(3, 40, seed=5)
     l2, _ = transpile(c, LoweringLevel.F_ONLY)
     l2.gates += [Gate(GateKind.F, (0, 1), 0.0), Gate(GateKind.F, (1, 2), -0.0)]
+    want = synthesize_all(l2, SynthConfig(eps=1e-3))
+    # a fresh config searches every angle it is asked, and with nothing
+    # evicted its memos keep every search
     cfg = SynthConfig(eps=1e-3)
-    want = synthesize_all(l2, cfg)
-    # a search is a memo miss, and with nothing evicted every miss is kept
-    synthesize.cache_clear()
-    _least_up_to_half_turn.cache_clear()
+    searches = record_searches(monkeypatch)
     got = synthesize_all(l2, cfg)
-    own_searches, half_turns = synthesize.cache_info(), _least_up_to_half_turn.cache_info()
+    searched = len(searches)
+    own_searches = [theta for name, theta, _ in searches if name == "synthesize"]
+    half_turns = [theta for name, theta, _ in searches if name != "synthesize"]
     assert got == want
     work = l2.num_qubits - 1
     angles = {g.param for g in l2.gates}
@@ -431,20 +434,18 @@ def test_synthesize_all_synthesizes_each_distinct_angle_once():
     assert landed & {g.param for g in l2.gates if g.qubits[0] != work}
     # one search per distinct angle, theta's own or the one over both
     # signs, and at most one more per distinct work-controlled angle
-    assert half_turns.misses == half_turns.currsize == len(work_angles)
-    assert own_searches.misses == own_searches.currsize == len(angles - landed)
-    searches = own_searches.misses + half_turns.misses
-    assert searches <= len(angles) + len(work_angles) < 2 * len(l2.gates)
+    assert len(half_turns) == len(set(half_turns)) == len(cfg._half_turn) == len(work_angles)
+    assert len(own_searches) == len(set(own_searches)) == len(cfg._own) == len(angles - landed)
+    assert searched <= len(angles) + len(work_angles) < 2 * len(l2.gates)
     # the angles searched are those: asking again searches nothing
     for theta in angles - landed:
         synthesize(theta, cfg)
-    assert _least_up_to_half_turn.cache_info().misses == half_turns.misses
-    assert synthesize.cache_info().misses == own_searches.misses
+    assert len(searches) == searched
     # and only those: with every angle asked, the own memo holds one
     # entry per angle, so no search ran on a key foreign to the circuit
     for theta in angles:
         synthesize(theta, cfg)
-    assert synthesize.cache_info().currsize == len(angles)
+    assert len(cfg._own) == len(angles)
     for s, g in zip(got, l2.gates):
         own = synthesize(g.param, cfg)
         assert s == SynthesizedGate(s.index, g.param, own) or g.qubits[0] == work
